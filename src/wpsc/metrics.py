@@ -8,7 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.stats import norm, rankdata
 
 from .errors import ParameterError
 
@@ -90,6 +89,10 @@ def wilcoxon_signed_rank(a, b):
     the normal approximation with tie and continuity corrections. Requires
     at least 5 nonzero differences.
     """
+    # imported here: scipy.stats costs about 0.5 s of every start-up and
+    # only the Wilcoxon test needs it
+    from scipy.stats import norm, rankdata
+
     a = np.asarray(a, dtype=np.float64).ravel()
     b = np.asarray(b, dtype=np.float64).ravel()
     if a.shape != b.shape:

@@ -78,8 +78,10 @@ def solve_ssc(X, alpha, mode="noise", affine=False, tol=1e-6, max_iter=200,
 
     Solves min ||C||_1 + (lam/2) ||X - XC||_F^2 s.t. diag(C) = 0, with
     lam = alpha / mu_e and mu_e = min_i max_{j!=i} |x_i' x_j|. The ADMM
-    penalty is held fixed at lam. ``affine`` adds the constraint
-    1'C = 1'; ``mode='outlier'`` adds an l1 error term E (threshold
+    penalty is held fixed at lam, so the system M = lam X'X + rho I
+    (+ rho 11' when affine) never changes: M is inverted once and each
+    iteration's linear step costs one N x N GEMM. ``affine`` adds the
+    constraint 1'C = 1'; ``mode='outlier'`` adds an l1 error term E (threshold
     alpha / min_i max_{j!=i} ||x_j||_1) so that X ~ XC + E.
 
     Parameters
@@ -98,6 +100,8 @@ def solve_ssc(X, alpha, mode="noise", affine=False, tol=1e-6, max_iter=200,
     (N, N) representation matrix with an exactly zero diagonal.
     """
     X = np.asarray(X, dtype=np.float64)
+    if not np.all(np.isfinite(X)):
+        raise ParameterError("SSC input must be finite")
     N = X.shape[1]
     if N < 2:
         raise ParameterError("SSC needs at least two columns")
@@ -110,11 +114,13 @@ def solve_ssc(X, alpha, mode="noise", affine=False, tol=1e-6, max_iter=200,
         )
     lam = alpha / mu_e
     rho = lam
-    XtX = X.T @ X
-    M = lam * XtX + rho * np.eye(N)
+    lam_xtx = lam * (X.T @ X)
+    M = lam_xtx + rho * np.eye(N)
     if affine:
         M += rho * np.ones((N, N))
-    factor = cho_factor(M)
+    # M >= rho I and rho = lam, so cond(M) <= 1 + ||X||^2 (+ N when affine)
+    # and the explicit inverse is accurate
+    Minv = cho_solve(cho_factor(M), np.eye(N))
 
     lam_err = None
     if mode == "outlier":
@@ -130,10 +136,11 @@ def solve_ssc(X, alpha, mode="noise", affine=False, tol=1e-6, max_iter=200,
     delta = np.zeros(N)
     ones = np.ones((N, N))
     for _ in range(max_iter):
-        rhs = lam * (X.T @ (X - E)) + rho * C - Lam
+        data = lam * (X.T @ (X - E)) if mode == "outlier" else lam_xtx
+        rhs = data + rho * C - Lam
         if affine:
             rhs += rho * ones - np.outer(np.ones(N), delta)
-        A = cho_solve(factor, rhs)
+        A = Minv @ rhs
         C = _soft(A + Lam / rho, 1.0 / rho)
         np.fill_diagonal(C, 0.0)
         if mode == "outlier":

@@ -1,9 +1,14 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import wpsc
 from wpsc.errors import ParameterError
 from wpsc.metrics import evaluate, wilcoxon_signed_rank
 
@@ -170,3 +175,12 @@ class TestWilcoxon:
     def test_length_mismatch(self):
         with pytest.raises(ParameterError):
             wilcoxon_signed_rank([1, 2], [1, 2, 3])
+
+    def test_cli_import_leaves_scipy_stats_unloaded(self):
+        # wilcoxon_signed_rank imports scipy.stats itself; at module top it
+        # would cost every CLI start-up about half a second
+        env = {**os.environ, "PYTHONPATH": str(Path(wpsc.__file__).parents[1])}
+        code = "import sys, wpsc.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"

@@ -5,11 +5,10 @@ from conftest import make_uos
 from wpsc.errors import ConvergenceError, DegenerateDataError, ParameterError
 from wpsc.solvers import SolverSpec, solve_lrr, solve_nsn, solve_rtsc, solve_ssc
 
-cvxpy = pytest.importorskip("cvxpy")
-
 
 def lasso_oracle(X, i, lam):
     """Column-i SSC subproblem via a generic convex solver."""
+    cvxpy = pytest.importorskip("cvxpy")
     N = X.shape[1]
     z = cvxpy.Variable(N)
     mask = np.ones(N)
@@ -29,19 +28,46 @@ class TestSsc:
                 if labels[i] != labels[j]:
                     assert abs(Z[i, j]) < 1e-6
 
-    def test_matches_convex_oracle(self):
-        # small generic instance; compare each column with the LASSO oracle
+    @staticmethod
+    def _generic_instance():
+        # small generic instance with its SSC lambda = 10 / mu_e
         rng = np.random.default_rng(2)
         X = rng.standard_normal((6, 8))
         X /= np.linalg.norm(X, axis=0)
         G = np.abs(X.T @ X)
         np.fill_diagonal(G, -np.inf)
-        mu_e = G.max(axis=1).min()
-        lam = 10.0 / mu_e
+        return X, 10.0 / G.max(axis=1).min()
+
+    def test_matches_convex_oracle(self):
+        # compare each column with the LASSO oracle
+        X, lam = self._generic_instance()
         Z = solve_ssc(X, 10.0, tol=1e-10, max_iter=5000)
         for i in range(8):
             ref = lasso_oracle(X, i, lam)
             assert np.abs(Z[:, i] - ref).max() < 5e-5
+
+    def test_satisfies_lasso_kkt(self):
+        # subgradient optimality of each column's lasso
+        # min ||z||_1 + lam/2 ||x_i - X z||^2 s.t. z_i = 0:
+        # g_j = lam x_j'(x_i - X z) equals sign(z_j) on the support and
+        # lies in [-1, 1] off it, for every j != i
+        X, lam = self._generic_instance()
+        Z = solve_ssc(X, 10.0, tol=1e-10, max_iter=5000)
+        for i in range(8):
+            z = Z[:, i]
+            g = lam * X.T @ (X[:, i] - X @ z)
+            others = np.arange(8) != i
+            on = others & (z != 0.0)
+            off = others & (z == 0.0)
+            assert np.all(np.abs(g[on] - np.sign(z[on])) <= 1e-6)
+            assert np.all(np.abs(g[off]) <= 1.0 + 1e-6)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        X = make_uos(C=2, d=2, D=16, n=6, seed=1).data.copy()
+        X[3, 2] = bad
+        with pytest.raises(ParameterError, match="finite"):
+            solve_ssc(X, 5.0)
 
     def test_duplicate_columns_dominate(self):
         rng = np.random.default_rng(4)
