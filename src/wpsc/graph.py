@@ -134,19 +134,45 @@ def _kmeans_once(points, k, rng, max_iter):
     for _ in range(max_iter):
         d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_labels = d2.argmin(axis=1)
-        # empty-cluster repair: donate the point farthest from its centroid
-        for c in range(k):
-            if not np.any(new_labels == c):
-                nearest = d2[np.arange(n), new_labels]
-                donor = int(np.argmax(nearest))
-                new_labels[donor] = c
-                d2[donor, :] = np.inf
-                d2[donor, c] = 0.0
+        counts = np.bincount(new_labels, minlength=k)
+        if not counts.all():
+            _repair_empty(new_labels, counts, d2)
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        for c in range(k):
-            centers[c] = points[labels == c].mean(axis=0)
-    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        _update_centers(points, labels, counts, centers)
+    else:  # out of iterations: the centers moved after d2 was computed
+        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     inertia = float(d2[np.arange(n), labels].sum())
     return labels, inertia
+
+
+def _repair_empty(labels, counts, d2):
+    """Give each empty cluster, in index order, the point farthest from its
+    centroid. Updates ``labels`` and ``counts`` in place and leaves ``d2``
+    alone; ``counts`` stay live, so a cluster emptied by an earlier
+    donation is repaired only if its index comes later."""
+    d2 = d2.copy()
+    rows = np.arange(labels.size)
+    for c in range(counts.size):
+        if counts[c]:
+            continue
+        donor = int(np.argmax(d2[rows, labels]))
+        counts[labels[donor]] -= 1
+        counts[c] += 1
+        labels[donor] = c
+        d2[donor, :] = np.inf
+        d2[donor, c] = 0.0
+
+
+def _update_centers(points, labels, counts, centers):
+    """Member means, in place; an empty cluster gets NaN, as the mean of no
+    points does. ``np.add.at`` adds the members in index order, which is the
+    order ``points[labels == c].mean(axis=0)`` uses for points with two or
+    more coordinates, so the centers match it bit for bit (numpy sums a
+    single coordinate pairwise, so 1-D points may differ in the last bit).
+    """
+    sums = np.full(centers.shape, -0.0)  # -0.0 + x == x for every x
+    np.add.at(sums, labels, points)
+    with np.errstate(invalid="ignore"):
+        np.divide(sums, counts[:, None], out=centers)

@@ -244,14 +244,12 @@ def _row_shrink(M, tau):
     return M * scale[:, None]
 
 
-def mera_mvsc(views, lam, R, tol=1e-6, max_iter=200, seed=0, sweeps=2,
-              trace=None):
+def mera_mvsc(views, lam, R, tol=1e-6, max_iter=200, sweeps=2, trace=None):
     """Multi-view self-expressive clustering with a low-rank MERA prior.
 
     Augmented-Lagrangian ADMM over per-view representation matrices Z^v,
     per-view errors E^v (row-wise l2,1 shrinkage), and the MERA factors
-    fitted to the reshaped consensus tensor. Deterministic; ``seed`` is
-    accepted for interface symmetry with the stochastic stages.
+    fitted to the reshaped consensus tensor. Deterministic.
 
     Parameters
     ----------

@@ -10,7 +10,8 @@ from .errors import DegenerateColumnError, ParameterError
 from .graph import affinity_from_representation, ipd_threshold, spectral_clustering
 from .mera import mera_mvsc, unify_views
 from .solvers import SolverSpec
-from .subspace import assign_oos_batch, assign_oos_multiview, estimate_bases
+# assign_multiview_batch lives in subspace; the CLI and the demos import it here
+from .subspace import assign_multiview_batch, assign_oos_batch, estimate_bases  # noqa: F401
 from .wavelet import haar_analysis_2d
 
 
@@ -86,7 +87,7 @@ def run_wp_mera(ds, C, lam, R, seed=0, tol=1e-6, max_iter=200, sweeps=2,
         raise ParameterError("need C >= 2")
     views = five_views(ds)
     tensor = mera_mvsc(views, lam=lam, R=R, tol=tol, max_iter=max_iter,
-                       seed=seed, sweeps=sweeps, trace=trace)
+                       sweeps=sweeps, trace=trace)
     W = affinity_from_representation(unify_views(tensor))
     part = spectral_clustering(W, C, seed)
     return part, tensor, views
@@ -95,18 +96,6 @@ def run_wp_mera(ds, C, lam, R, seed=0, tol=1e-6, max_iter=200, sweeps=2,
 def multiview_models(views, part, d):
     """One ClusterModel per view, estimated from a shared partition."""
     return [estimate_bases(Xv, part, d) for Xv in views]
-
-
-def assign_multiview_batch(view_matrices, models):
-    """Multi-view OOS labels for column-aligned view matrices."""
-    n = view_matrices[0].shape[1]
-    if any(Xv.shape[1] != n for Xv in view_matrices):
-        raise ParameterError("views must share the number of columns")
-    labels = [
-        assign_oos_multiview([Xv[:, i] for Xv in view_matrices], models)
-        for i in range(n)
-    ]
-    return np.asarray(labels, dtype=np.int64)
 
 
 def oos_single_view(in_X, part, d, out_X):

@@ -73,48 +73,79 @@ def estimate_bases(X, part, d):
     return ClusterModel(means=means, bases=bases, d=d, reduced=reduced)
 
 
-def _distances(x, model):
-    x = np.asarray(x, dtype=np.float64).ravel()
-    dist = np.empty(model.C)
-    for c, (mean, U) in enumerate(zip(model.means, model.bases)):
-        resid = x - mean
-        if U.shape[1]:
-            resid = resid - U @ (U.T @ resid)
-        dist[c] = np.linalg.norm(resid)
+# columns per block of the distance kernel: about 2**16 doubles (512 KiB)
+# per D x block temporary, so the residual of one block stays in cache
+_BLOCK_ELEMENTS = 2 ** 16
+
+
+def subspace_distances(X, model):
+    """(C, n) distances from the columns of the D x n matrix X to each
+    cluster's affine subspace.
+
+    The residual R - U (U^T R) is formed explicitly rather than as
+    ||r||^2 - ||U^T r||^2, so clusters with equal subspaces get exactly
+    equal distances. Columns are processed in blocks of about 2**16 / D.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    D = model.means.shape[1]
+    if X.ndim != 2 or X.shape[0] != D:
+        raise ConsistencyError(
+            f"data of shape {X.shape} do not match the cluster model's D = {D}"
+        )
+    n = X.shape[1]
+    dist = np.empty((model.C, n))
+    step = max(1, _BLOCK_ELEMENTS // D)
+    for start in range(0, n, step):
+        # row-major blocks keep the BLAS products on their fast path;
+        # bundles load column-major, where they run several times slower
+        block = np.ascontiguousarray(X[:, start:start + step])
+        for c, (mean, U) in enumerate(zip(model.means, model.bases)):
+            resid = block - mean[:, None]
+            if U.shape[1]:
+                resid -= U @ (U.T @ resid)
+            dist[c, start:start + step] = np.sqrt(
+                np.einsum("ij,ij->j", resid, resid))
     return dist
 
 
 def assign_oos(x, model):
     """Label of the subspace closest to x (ties go to the smallest index)."""
-    return int(np.argmin(_distances(x, model)))
+    x = np.asarray(x, dtype=np.float64).reshape(-1, 1)
+    return int(subspace_distances(x, model)[:, 0].argmin())
 
 
 def assign_oos_batch(X, model):
-    """Vector of closest-subspace labels for the columns of X."""
-    X = np.asarray(X, dtype=np.float64)
-    return np.array([assign_oos(X[:, i], model) for i in range(X.shape[1])],
-                    dtype=np.int64)
+    """Vector of closest-subspace labels for the columns of X (ties go to
+    the smallest index)."""
+    return subspace_distances(X, model).argmin(axis=0).astype(np.int64, copy=False)
+
+
+def assign_multiview_batch(view_matrices, models):
+    """Multi-view OOS labels for column-aligned view matrices.
+
+    Each column takes the cluster at the smallest distance over all views,
+    with ties broken toward the earlier view, then the smaller cluster.
+    """
+    if len(view_matrices) != len(models):
+        raise ParameterError(
+            f"{len(view_matrices)} views but {len(models)} models"
+        )
+    if not models:
+        raise ParameterError("need at least one view")
+    dists = [subspace_distances(Xv, m) for Xv, m in zip(view_matrices, models)]
+    if any(dist.shape[1] != dists[0].shape[1] for dist in dists):
+        raise ParameterError("views must share the number of columns")
+    # rows are (view, cluster) in order, so argmin's first-minimum rule
+    # gives the earlier view, then the smaller cluster
+    clusters = np.concatenate([np.arange(m.C, dtype=np.int64) for m in models])
+    return clusters[np.concatenate(dists).argmin(axis=0)]
 
 
 def assign_oos_multiview(x_views, models):
-    """Label from the view whose best subspace is globally closest.
-
-    Each view proposes (cluster, distance); the smallest distance wins,
-    with ties broken toward the earlier view (then the smaller cluster).
-    """
-    if len(x_views) != len(models):
-        raise ParameterError(
-            f"{len(x_views)} view vectors but {len(models)} models"
-        )
-    if not x_views:
-        raise ParameterError("need at least one view")
-    best_c, best_dist = None, np.inf
-    for x, model in zip(x_views, models):
-        dist = _distances(x, model)
-        c = int(np.argmin(dist))
-        if dist[c] < best_dist:
-            best_c, best_dist = c, dist[c]
-    return best_c
+    """Label from the view whose best subspace is globally closest (ties
+    go to the earlier view, then the smaller cluster)."""
+    columns = [np.asarray(x, dtype=np.float64).reshape(-1, 1) for x in x_views]
+    return int(assign_multiview_batch(columns, models)[0])
 
 
 def _check_orthonormal(U, tag):

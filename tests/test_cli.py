@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wpsc
 from wpsc.bundle import load_bundle, save_bundle
 from wpsc.cli import ExperimentConfig, main, run_experiment, emit_report
 from wpsc.datasets import UosSpec, generate_uos
@@ -349,6 +354,22 @@ class TestErrorExits:
         bad.write_bytes(b"garbage")
         assert main(["cluster", "--data", str(bad), "--solver", "SSC",
                      "--param", "alpha=10"]) == 3
+
+    def test_oos_dimension_mismatch_exits_3(self, tmp_path):
+        # D = 1024 in-sample model, D = 64 out-of-sample points
+        synth_bundle(tmp_path, D=1024)
+        (tmp_path / "data.wpsc").rename(tmp_path / "in.wpsc")
+        synth_bundle(tmp_path, D=64)
+        env = {**os.environ, "PYTHONPATH": str(Path(wpsc.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-m", "wpsc.cli", "oos",
+             "--in-data", str(tmp_path / "in.wpsc"),
+             "--out-data", str(tmp_path / "data.wpsc"), "--d", "3",
+             "--out-dir", str(tmp_path / "o")],
+            env=env, capture_output=True, text=True)
+        assert out.returncode == 3
+        assert "Traceback" not in out.stderr
+        assert out.stderr.startswith("data error:") and "D = 1024" in out.stderr
 
     def test_config_from_dict_validation(self):
         with pytest.raises(ConfigError):

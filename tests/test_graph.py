@@ -1,11 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import wpsc.graph as graph_mod
 from wpsc.errors import ParameterError
 from wpsc.graph import (
     Partition,
+    _plusplus_init,
     affinity_from_representation,
     ipd_threshold,
+    kmeans,
     spectral_clustering,
 )
 from wpsc.metrics import evaluate
@@ -129,3 +134,88 @@ class TestPartition:
     def test_out_of_range(self):
         with pytest.raises(ParameterError):
             Partition(labels=np.array([0, 3]), C=2)
+
+
+# Reference k-means with per-cluster loops for the count check and the
+# center update; the library's vectorized bookkeeping must match it bit for bit.
+def reference_kmeans_once(points, k, rng, max_iter):
+    n = points.shape[0]
+    centers = _plusplus_init(points, k, rng)
+    labels = np.full(n, -1, dtype=np.int64)
+    for _ in range(max_iter):
+        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new_labels = d2.argmin(axis=1)
+        # empty-cluster repair: donate the point farthest from its centroid
+        for c in range(k):
+            if not np.any(new_labels == c):
+                nearest = d2[np.arange(n), new_labels]
+                donor = int(np.argmax(nearest))
+                new_labels[donor] = c
+                d2[donor, :] = np.inf
+                d2[donor, c] = 0.0
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for c in range(k):
+            centers[c] = points[labels == c].mean(axis=0)
+    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    inertia = float(d2[np.arange(n), labels].sum())
+    return labels, inertia
+
+
+def reference_kmeans(points, k, seed, restarts=20, max_iter=300):
+    best_labels, best_inertia = None, np.inf
+    for r in range(restarts):
+        rng = np.random.default_rng(seed + r)
+        labels, inertia = reference_kmeans_once(points, k, rng, max_iter)
+        if inertia < best_inertia:
+            best_labels, best_inertia = labels, inertia
+    return best_labels
+
+
+def blobs(seed, k, dim, n_per, spread):
+    rng = np.random.default_rng(seed)
+    centers = rng.standard_normal((k, dim))
+    pts = np.repeat(centers, n_per, axis=0)
+    pts += spread * rng.standard_normal(pts.shape)
+    return pts[rng.permutation(len(pts))]
+
+
+class TestKmeans:
+    @pytest.mark.parametrize("seed,k,dim,spread", [
+        (0, 3, 2, 0.1), (1, 5, 4, 0.5), (2, 20, 20, 0.3), (3, 4, 3, 2.0),
+    ])
+    def test_matches_loop_reference(self, seed, k, dim, spread):
+        pts = blobs(seed, k, dim, 15, spread)
+        for r in range(3):
+            got = graph_mod._kmeans_once(pts, k, np.random.default_rng(r), 300)
+            want = reference_kmeans_once(pts, k, np.random.default_rng(r), 300)
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+        assert np.array_equal(kmeans(pts, k, seed), reference_kmeans(pts, k, seed))
+        # stopped by max_iter rather than by converged labels
+        got = graph_mod._kmeans_once(pts, k, np.random.default_rng(9), 1)
+        want = reference_kmeans_once(pts, k, np.random.default_rng(9), 1)
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+
+    def test_empty_cluster_repair_matches_loop_reference(self, monkeypatch):
+        # 4 distinct points repeated 6 times each, k = 6: k-means++ picks
+        # duplicate centers and the ties leave clusters empty
+        rng = np.random.default_rng(7)
+        pts = np.repeat(rng.standard_normal((4, 3)), 6, axis=0)
+        repairs = []
+        real = graph_mod._repair_empty
+
+        def spy(*args):
+            repairs.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(graph_mod, "_repair_empty", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for r in range(5):
+                got = graph_mod._kmeans_once(pts, 6, np.random.default_rng(r), 300)
+                want = reference_kmeans_once(pts, 6, np.random.default_rng(r), 300)
+                assert np.array_equal(got[0], want[0])
+                assert got[1] == want[1] or (np.isnan(got[1]) and np.isnan(want[1]))
+            assert np.array_equal(kmeans(pts, 6, 0), reference_kmeans(pts, 6, 0))
+        assert repairs

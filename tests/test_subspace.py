@@ -4,16 +4,19 @@ import pytest
 import wpsc
 from conftest import make_uos, smooth_uos_with_hf_noise
 from wpsc.datasets import SplitSpec, split
-from wpsc.errors import ParameterError
+from wpsc.errors import ConsistencyError, ParameterError
 from wpsc.graph import Partition
 from wpsc.pipeline import unit_columns
 from wpsc.subspace import (
+    assign_multiview_batch,
     assign_oos,
+    assign_oos_batch,
     assign_oos_multiview,
     average_affinity,
     estimate_bases,
     mean_principal_angle,
     subspace_affinity,
+    subspace_distances,
 )
 from wpsc.wavelet import node_matrix
 
@@ -21,6 +24,44 @@ from wpsc.wavelet import node_matrix
 def orth(rng, D, d):
     q, _ = np.linalg.qr(rng.standard_normal((D, D)))
     return q[:, :d]
+
+
+# Per-column reference implementation of point-to-subspace assignment.
+def reference_distances(x, model):
+    x = np.asarray(x, dtype=np.float64).ravel()
+    dist = np.empty(model.C)
+    for c, (mean, U) in enumerate(zip(model.means, model.bases)):
+        resid = x - mean
+        if U.shape[1]:
+            resid = resid - U @ (U.T @ resid)
+        dist[c] = np.linalg.norm(resid)
+    return dist
+
+
+def reference_labels(X, model):
+    return np.array([int(np.argmin(reference_distances(X[:, i], model)))
+                     for i in range(X.shape[1])], dtype=np.int64)
+
+
+def reference_multiview_labels(view_matrices, models):
+    labels = []
+    for i in range(view_matrices[0].shape[1]):
+        best_c, best_dist = None, np.inf
+        for Xv, model in zip(view_matrices, models):
+            dist = reference_distances(Xv[:, i], model)
+            c = int(np.argmin(dist))
+            if dist[c] < best_dist:
+                best_c, best_dist = c, dist[c]
+        labels.append(best_c)
+    return np.array(labels, dtype=np.int64)
+
+
+def random_model(rng, D, C, dims):
+    """ClusterModel with random means and orthonormal bases of the given
+    widths (a width of 0 is a point cluster)."""
+    bases = [orth(rng, D, d) if d else np.zeros((D, 0)) for d in dims[:C]]
+    return wpsc.ClusterModel(means=rng.standard_normal((C, D)), bases=bases,
+                             d=max(dims[:C]))
 
 
 class TestEstimateBases:
@@ -77,6 +118,36 @@ class TestAssignOos:
         U = np.eye(4)[:, :1]
         model = wpsc.ClusterModel(means=np.zeros((2, 4)), bases=[U, U.copy()], d=1)
         assert assign_oos(np.array([0.0, 1.0, 1.0, 0.0]), model) == 0
+        X = np.random.default_rng(13).standard_normal((4, 300))
+        assert np.array_equal(assign_oos_batch(X, model), np.zeros(300))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batch_matches_per_column_reference(self, seed):
+        # D = 300 makes blocks of 218 columns, so 500 columns span 3 blocks
+        rng = np.random.default_rng(seed)
+        D, C = (300, 6) if seed % 2 else (17, 4)
+        model = random_model(rng, D, C, [3, 0, 5, 1, 2, 4])
+        X = model.means[rng.integers(C, size=500)].T + rng.standard_normal((D, 500))
+        expect = reference_labels(X, model)
+        assert np.array_equal(assign_oos_batch(X, model), expect)
+        assert np.array_equal(assign_oos_batch(np.asfortranarray(X), model), expect)
+        assert [assign_oos(X[:, i], model) for i in range(5)] == expect[:5].tolist()
+        dist = subspace_distances(X, model)
+        ref = np.stack([reference_distances(X[:, i], model) for i in range(500)], 1)
+        assert dist.shape == (C, 500)
+        assert np.abs(dist - ref).max() <= 1e-12 * ref.max()
+
+    def test_zero_columns(self):
+        model = random_model(np.random.default_rng(14), 6, 3, [2, 0, 1])
+        labels = assign_oos_batch(np.empty((6, 0)), model)
+        assert labels.dtype == np.int64 and labels.shape == (0,)
+
+    def test_dimension_mismatch_is_consistency_error(self):
+        model = random_model(np.random.default_rng(15), 6, 2, [2, 1])
+        with pytest.raises(ConsistencyError, match="D = 6"):
+            assign_oos_batch(np.ones((5, 3)), model)
+        with pytest.raises(ConsistencyError):
+            assign_oos(np.ones(7), model)
 
     def test_noiseless_split_oos_perfect(self):
         ds = make_uos(C=4, d=3, D=50, n=20, seed=4)
@@ -131,6 +202,28 @@ class TestAssignOosMultiview:
         model = estimate_bases(ds.data, Partition(labels=ds.labels, C=2), 1)
         with pytest.raises(ParameterError):
             assign_oos_multiview([ds.data[:, 0]], [model, model])
+        with pytest.raises(ParameterError):
+            assign_multiview_batch([ds.data], [model, model])
+        with pytest.raises(ParameterError):
+            assign_multiview_batch([ds.data, ds.data[:, :2]], [model, model])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_batch_matches_per_column_reference(self, seed):
+        rng = np.random.default_rng(20 + seed)
+        D, C, n = 40, 5, 400
+        models = [random_model(rng, D, C, [2, 0, 3, 1, 2]) for _ in range(4)]
+        truth = rng.integers(C, size=n)
+        views = [m.means[truth].T + 2.0 * rng.standard_normal((D, n))
+                 for m in models]
+        expect = reference_multiview_labels(views, models)
+        assert np.array_equal(assign_multiview_batch(views, models), expect)
+        assert assign_oos_multiview([Xv[:, 0] for Xv in views], models) == expect[0]
+
+    def test_zero_columns(self):
+        rng = np.random.default_rng(23)
+        models = [random_model(rng, 8, 3, [1, 2, 0]) for _ in range(2)]
+        labels = assign_multiview_batch([np.empty((8, 0))] * 2, models)
+        assert labels.dtype == np.int64 and labels.shape == (0,)
 
 
 class TestSubspaceAffinity:
@@ -239,6 +332,8 @@ class TestMultiviewTieRules:
                                bases=[e[:, 0:1], e[:, 2:3]], d=1)
         x = np.array([1.0, 0.0, 0.0])
         assert assign_oos_multiview([x, x], [m0, m1]) == 1
+        X = np.column_stack([x, 2 * x, [0.0, 0.0, 1.0]])
+        assert assign_multiview_batch([X, X], [m0, m1]).tolist() == [1, 1, 0]
 
 
 class TestLowpassAffinityDirection:
