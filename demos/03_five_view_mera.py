@@ -11,7 +11,7 @@ Run:  python3 demos/03_five_view_mera.py
 import numpy as np
 
 import wpsc
-from wpsc.pipeline import assign_multiview_batch, five_views, multiview_models
+from wpsc.pipeline import assign_multiview_batch, five_views
 
 ds = wpsc.column_normalize(
     wpsc.generate_uos(wpsc.UosSpec(C=3, d=2, D=64, n_per_cluster=16,
@@ -35,9 +35,10 @@ same = ins.labels[:, None] == ins.labels[None, :]
 off_mass = np.abs(unified)[~same].sum() / np.abs(unified).sum()
 print(f"off-block mass of the unified representation: {off_mass:.4f}")
 
-# out-of-sample points: each view proposes its closest subspace, the
-# globally nearest one wins
-models = multiview_models(views, part, d=2)
+# out-of-sample points: one subspace model per view, fitted to the shared
+# partition; each view proposes its closest subspace, the globally nearest
+# one wins
+models = [wpsc.estimate_bases(Xv, part, d=2) for Xv in views]
 out_pred = assign_multiview_batch(five_views(outs), models)
 out_acc = wpsc.evaluate(outs.labels, out_pred).acc
 print(f"out-of-sample accuracy: {out_acc:.3f}")

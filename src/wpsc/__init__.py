@@ -18,6 +18,7 @@ from .datasets import (
     load_idx,
     load_pgm_dir,
     split,
+    unit_columns,
 )
 from .graph import (
     Partition,
@@ -43,7 +44,6 @@ from .pipeline import (
     WpMeraPipeline,
     five_views,
     run_wp_mera,
-    unit_columns,
 )
 from .selection import Grid, SelectionTrace, clustering_error, grid_search, select_subband
 from .solvers import SolverSpec, solve_lrr, solve_nsn, solve_rtsc, solve_ssc

@@ -12,27 +12,28 @@ import argparse
 import csv
 import json
 import math
+import numbers
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .bundle import load_bundle, save_bundle, save_matrix
-from .datasets import Dataset, SplitSpec, UosSpec, column_normalize, generate_uos, load_idx, load_pgm_dir, split
-from .errors import ConfigError, ConvergenceError, DataError, Error
+from .datasets import (Dataset, SplitSpec, UosSpec, column_normalize, generate_uos, load_idx,
+                       load_pgm_dir, split, unit_columns)
+from .errors import (ConfigError, ConsistencyError, ConvergenceError, DataError, Error,
+                     LabelingError)
 from .graph import Partition, affinity_from_representation, ipd_threshold, spectral_clustering
 from .mera import FIVE_VIEW_ORDER, choose_grid, unify_views
 from .metrics import evaluate
 from .pipeline import (
     SingleViewPipeline,
     WpMeraPipeline,
-    five_views,
-    multiview_models,
     assign_multiview_batch,
+    five_views,
     run_wp_mera,
-    unit_columns,
 )
 from .selection import Grid, grid_search, select_subband
 from .solvers import SolverSpec
@@ -41,6 +42,7 @@ from .wavelet import node_matrix, wp_decompose
 
 METRICS_HEADER = ["dataset", "pipeline", "subband", "seed", "phase",
                   "acc", "nmi", "rand", "f", "purity", "ce", "seconds"]
+MERA_TRACE_HEADER = ["iteration", *(f"res_{n}" for n in FIVE_VIEW_ORDER), "fit_error", "mu"]
 PIPELINES = ("single", "wp-single", "wp-mera")
 MERA_SUBBAND_TAG = "O+A+H+V+D"
 
@@ -65,11 +67,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw):
-        raw = dict(raw)
-        known = {"dataset", "pipeline", "solver", "levels", "d", "ipd",
-                 "split", "mera", "grid", "seeds", "output_dir",
-                 "normalize", "export_bundles"}
-        unknown = set(raw) - known
+        if not isinstance(raw, dict):
+            raise ConfigError("config must be a JSON object")
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "dataset" not in raw:
@@ -77,40 +77,34 @@ class ExperimentConfig:
         pipeline = raw.get("pipeline", "single")
         if pipeline not in PIPELINES:
             raise ConfigError(f"pipeline must be one of {PIPELINES}")
-        solver = None
-        if "solver" in raw:
-            s = dict(raw["solver"])
-            try:
-                solver = SolverSpec(kind=s.pop("kind"), params=s.pop("params", {}),
-                                    **s)
-            except (KeyError, TypeError) as exc:
-                raise ConfigError(f"bad solver spec: {exc}") from exc
-        if pipeline in ("single", "wp-single") and solver is None:
-            raise ConfigError(f"pipeline {pipeline!r} needs a solver spec")
-        mera = dict(raw.get("mera", {}))
-        if pipeline == "wp-mera":
-            for key in ("lambda", "R"):
-                if key not in mera:
-                    raise ConfigError(f"wp-mera pipeline needs mera.{key}")
-        sp = raw.get("split", {"in_fraction": 1.0, "seed": 0})
-        split_spec = SplitSpec(in_fraction=sp.get("in_fraction", 1.0),
-                               seed=sp.get("seed", 0))
-        grid = None
-        if "grid" in raw:
-            g = dict(raw["grid"])
-            try:
+        try:
+            solver = grid = None
+            if "solver" in raw:
+                s = dict(raw["solver"])
+                solver = SolverSpec(kind=s.pop("kind"), params=s.pop("params", {}), **s)
+            if "grid" in raw:
+                g = dict(raw["grid"])
                 grid = Grid(values=g.pop("values"), **g)
-            except (KeyError, TypeError) as exc:
-                raise ConfigError(f"bad grid spec: {exc}") from exc
-        seeds = tuple(raw.get("seeds", (0,)))
-        if not seeds:
-            raise ConfigError("seeds must be nonempty")
-        return cls(dataset=dict(raw["dataset"]), pipeline=pipeline, solver=solver,
-                   levels=int(raw.get("levels", 2)), d=int(raw.get("d", 9)),
-                   ipd=bool(raw.get("ipd", False)), split=split_spec, mera=mera,
-                   grid=grid, seeds=seeds, output_dir=raw.get("output_dir", "out"),
-                   normalize=bool(raw.get("normalize", True)),
-                   export_bundles=bool(raw.get("export_bundles", False)))
+            sp = raw.get("split", {})
+            cfg = cls(dataset=dict(raw["dataset"]), pipeline=pipeline, solver=solver,
+                      levels=int(raw.get("levels", 2)), d=int(raw.get("d", 9)),
+                      ipd=bool(raw.get("ipd", False)),
+                      split=SplitSpec(in_fraction=sp.get("in_fraction", 1.0),
+                                      seed=sp.get("seed", 0)),
+                      mera=dict(raw.get("mera", {})), grid=grid,
+                      seeds=tuple(raw.get("seeds", (0,))),
+                      output_dir=raw.get("output_dir", "out"),
+                      normalize=bool(raw.get("normalize", True)),
+                      export_bundles=bool(raw.get("export_bundles", False)))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad config value: {exc!r}") from exc
+        if pipeline == "wp-mera":
+            _mera_fields(cfg.mera)
+        elif solver is None:
+            raise ConfigError(f"pipeline {pipeline!r} needs a solver spec")
+        if not cfg.seeds or not all(isinstance(s, numbers.Integral) for s in cfg.seeds):
+            raise ConfigError("seeds must be a nonempty list of integers")
+        return cfg
 
     def validate_against(self, ds):
         """Fail fast on config/dataset inconsistencies (before any solve)."""
@@ -129,29 +123,8 @@ class ExperimentConfig:
 
     def echo(self):
         """JSON-serializable canonical form for the report."""
-        out = {
-            "dataset": self.dataset,
-            "pipeline": self.pipeline,
-            "levels": self.levels,
-            "d": self.d,
-            "ipd": self.ipd,
-            "split": {"in_fraction": self.split.in_fraction, "seed": self.split.seed},
-            "seeds": list(self.seeds),
-            "output_dir": self.output_dir,
-            "normalize": self.normalize,
-            "export_bundles": self.export_bundles,
-        }
-        if self.solver is not None:
-            out["solver"] = {"kind": self.solver.kind, "params": self.solver.params,
-                             "tol": self.solver.tol, "max_iter": self.solver.max_iter}
-        if self.mera:
-            out["mera"] = self.mera
-        if self.grid is not None:
-            out["grid"] = {"values": self.grid.values,
-                           "n_val_subsets": self.grid.n_val_subsets,
-                           "val_size_per_cluster": self.grid.val_size_per_cluster,
-                           "seed": self.grid.seed}
-        return out
+        return {k: v for k, v in asdict(self).items()
+                if v or k not in ("solver", "grid", "mera")}
 
 
 def load_dataset(spec):
@@ -166,6 +139,8 @@ def load_dataset(spec):
                             seed=u.get("seed", 0))
         except KeyError as exc:
             raise ConfigError(f"synthetic dataset needs uos.{exc.args[0]}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad synthetic dataset spec: {exc}") from exc
         ds = generate_uos(uspec)
         return ds if "name" not in spec else Dataset(
             data=ds.data, img_h=ds.img_h, img_w=ds.img_w, labels=ds.labels,
@@ -182,22 +157,31 @@ def load_dataset(spec):
     raise ConfigError(f"unknown dataset kind {kind!r}")
 
 
-def _mera_pipeline(cfg, ds, params=None):
-    p = dict(cfg.mera)
-    if params:
-        p.update(params)
-    return WpMeraPipeline(img_h=ds.img_h, img_w=ds.img_w, lam=p["lambda"],
-                          R=int(p["R"]), tol=p.get("tol", 1e-6),
-                          max_iter=int(p.get("max_iter", 200)),
-                          sweeps=int(p.get("sweeps", 2)))
+def _mera_fields(p):
+    """WpMeraPipeline parameters from a config 'mera' section."""
+    for key in ("lambda", "R"):
+        if key not in p:
+            raise ConfigError(f"wp-mera pipeline needs mera.{key}")
+    out = {"lam": p["lambda"], "R": p["R"], "tol": p.get("tol", 1e-6),
+           "max_iter": p.get("max_iter", 200), "sweeps": p.get("sweeps", 2)}
+    if not all(isinstance(v, numbers.Real) for v in out.values()):
+        raise ConfigError(f"mera parameters must be numbers, got {p}")
+    return {**out, **{k: int(out[k]) for k in ("R", "max_iter", "sweeps")}}
 
 
-def _single_pipeline(cfg, params=None):
-    solver = cfg.solver
-    if params:
-        solver = SolverSpec(kind=solver.kind, params={**solver.params, **params},
-                            tol=solver.tol, max_iter=solver.max_iter)
+def _pipeline(cfg, ds, params=None):
+    """The pipeline a config runs, with grid-search ``params`` laid over its
+    MERA or solver parameters."""
+    params = params or {}
+    if cfg.pipeline == "wp-mera":
+        return WpMeraPipeline(ds.img_h, ds.img_w, **_mera_fields({**cfg.mera, **params}))
+    solver = replace(cfg.solver, params={**cfg.solver.params, **params})
     return SingleViewPipeline(solver=solver, ipd_d=cfg.d if cfg.ipd else None)
+
+
+def _mera_trace_row(t):
+    """One MERA iteration record as a row under MERA_TRACE_HEADER."""
+    return [t["iteration"], *t["view_residuals"], t["fit_error"], t["mu"]]
 
 
 def _metrics_dict(truth, pred):
@@ -208,7 +192,13 @@ def _metrics_dict(truth, pred):
 
 
 def _run_seed(cfg, ds, seed):
-    """One full experiment run; returns (report record, csv rows, trace rows)."""
+    """One full experiment run; returns (report record, csv rows, trace rows).
+
+    Every pipeline fits the in-sample points, fits one subspace model per
+    view to that partition and assigns held-out points by their nearest
+    subspace over all views: one view (the data or the chosen subband)
+    for the single-view pipelines, the five level-1 views for MERA.
+    """
     t0 = time.perf_counter()
     rec = {"seed": seed, "pipeline": cfg.pipeline}
     trace_rows = []
@@ -217,104 +207,70 @@ def _run_seed(cfg, ds, seed):
 
     grid_params = None
     if cfg.grid is not None:
-        if cfg.pipeline == "wp-mera":
-            make = lambda p: _mera_pipeline(cfg, ds, p)
-        else:
-            make = lambda p: _single_pipeline(cfg, p)
-        grid = Grid(values=cfg.grid.values, n_val_subsets=cfg.grid.n_val_subsets,
-                    val_size_per_cluster=cfg.grid.val_size_per_cluster,
-                    seed=cfg.grid.seed + seed)
-        grid_params, table = grid_search(in_ds, grid, make)
+        grid = replace(cfg.grid, seed=cfg.grid.seed + seed)
+        grid_params, table = grid_search(in_ds, grid, lambda p: _pipeline(cfg, ds, p))
         rec["grid"] = {"best_params": grid_params, "table": table}
+    pipe = _pipeline(cfg, ds, grid_params)
 
     C = ds.C
-    subband = ""
-    if cfg.pipeline == "single":
-        pipe = _single_pipeline(cfg, grid_params)
-        in_labels = pipe.run(in_ds.data, C, seed)
-        in_X = unit_columns(in_ds.data)
-        out_X = unit_columns(out_ds.data) if out_ds.N else None
-    elif cfg.pipeline == "wp-single":
-        pipe = _single_pipeline(cfg, grid_params)
-        sel = select_subband(in_ds, cfg.levels, pipe, seed)
-        subband = sel.chosen
-        rec["selection"] = {"evaluated": [[p, ce] for p, ce in sel.evaluated],
-                            "stopped_reason": sel.stopped_reason}
-        trace_rows += [{"seed": seed, "order": i, "subband": p, "ce": ce}
-                       for i, (p, ce) in enumerate(sel.evaluated)]
-        in_X = unit_columns(node_matrix(in_ds, subband))
-        in_labels = pipe.run(in_X, C, seed)
-        out_X = unit_columns(node_matrix(out_ds, subband)) if out_ds.N else None
-    else:  # wp-mera
-        mera_pipe = _mera_pipeline(cfg, ds, grid_params)
+    mera = cfg.pipeline == "wp-mera"
+    if mera:
         mtrace = []
-        part, tensor, views = run_wp_mera(
-            in_ds, C, lam=mera_pipe.lam, R=mera_pipe.R, seed=seed,
-            tol=mera_pipe.tol, max_iter=mera_pipe.max_iter,
-            sweeps=mera_pipe.sweeps, trace=mtrace)
-        in_labels = part.labels
+        part, tensor, in_views = pipe.fit(in_ds, C, seed, trace=mtrace)
         subband = MERA_SUBBAND_TAG
         rec["convergence"] = {"iterations": len(mtrace),
                               "final_residual": max(mtrace[-1]["view_residuals"]),
                               "final_fit_error": mtrace[-1]["fit_error"],
-                              "lambda": mera_pipe.lam, "R": mera_pipe.R}
-        for t in mtrace:
-            row = {"seed": seed, "iteration": t["iteration"],
-                   "fit_error": t["fit_error"], "mu": t["mu"]}
-            for v, name in enumerate(FIVE_VIEW_ORDER):
-                row[f"res_{name}"] = t["view_residuals"][v]
-            trace_rows.append(row)
-        in_X = views[0]
+                              "lambda": pipe.lam, "R": pipe.R}
+        trace_rows += [[seed, *_mera_trace_row(t)] for t in mtrace]
+    else:
+        subband = ""
+        if cfg.pipeline == "wp-single":
+            sel = select_subband(in_ds, cfg.levels, pipe, seed)
+            subband = sel.chosen
+            rec["selection"] = {"evaluated": [[p, ce] for p, ce in sel.evaluated],
+                                "stopped_reason": sel.stopped_reason}
+            trace_rows += [[seed, i, p, ce] for i, (p, ce) in enumerate(sel.evaluated)]
+        X = node_matrix(in_ds, subband)
+        part = Partition(labels=pipe.run(X, C, seed), C=C)
+        in_views = [unit_columns(X)]
     rec["subband"] = subband
-    part = Partition(labels=in_labels, C=C)
-    metrics = {"in": _metrics_dict(in_ds.labels, in_labels)}
+    metrics = {"in": _metrics_dict(in_ds.labels, part.labels)}
     if cfg.export_bundles:
         out_dir = Path(cfg.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         save_bundle(in_ds, out_dir / f"in_s{seed}.wpsc")
         if cfg.pipeline == "wp-single":
-            save_bundle(in_ds.with_data(in_X),
+            save_bundle(in_ds.with_data(in_views[0]),
                         out_dir / f"{in_ds.name}__{subband}_s{seed}.wpsc")
-        elif cfg.pipeline == "wp-mera":
+        elif mera:
             save_matrix(unify_views(tensor), out_dir / f"unified_s{seed}.wpsc")
 
-    # out-of-sample assignment by point-to-subspace distance
-    if cfg.pipeline == "wp-mera":
-        models = multiview_models(views, part, cfg.d)
-        if out_ds.N:
-            out_views = five_views(out_ds)
-            out_labels = assign_multiview_batch(out_views, models)
-        ambient_model = models[0]
-        wp_models = models[1:]
-        diag = {
-            "affinity_ambient": average_affinity(ambient_model),
-            "affinity_views": {name: average_affinity(m)
-                               for name, m in zip(FIVE_VIEW_ORDER[1:], wp_models)},
-        }
-        diag["angle_ambient"] = mean_principal_angle(diag["affinity_ambient"])
-    else:
-        model = estimate_bases(in_X, part, cfg.d)
-        if out_ds.N:
-            out_labels = assign_oos_batch(out_X, model)
-        ambient_model = (model if cfg.pipeline == "single"
-                         else estimate_bases(unit_columns(in_ds.data), part, cfg.d))
-        diag = {"affinity_ambient": average_affinity(ambient_model),
-                "angle_ambient": mean_principal_angle(
-                    average_affinity(ambient_model))}
-        if cfg.pipeline == "wp-single":
-            diag["affinity_subband"] = average_affinity(model)
-            diag["angle_subband"] = mean_principal_angle(diag["affinity_subband"])
+    # out-of-sample assignment by point-to-subspace distance over all views;
+    # the held-out views come before the models: the other order raised the
+    # oos-grid benchmark's peak RSS by 2 MiB through heap layout alone
+    out_views = five_views(out_ds) if mera else [unit_columns(node_matrix(out_ds, subband))]
+    models = [estimate_bases(Xv, part, cfg.d) for Xv in in_views]
     if out_ds.N:
-        metrics["out"] = _metrics_dict(out_ds.labels, out_labels)
+        metrics["out"] = _metrics_dict(out_ds.labels,
+                                       assign_multiview_batch(out_views, models))
+    # the first view of the single and MERA pipelines is the data itself
+    ambient = (estimate_bases(unit_columns(in_ds.data), part, cfg.d)
+               if cfg.pipeline == "wp-single" else models[0])
+    diag = {"affinity_ambient": average_affinity(ambient)}
+    diag["angle_ambient"] = mean_principal_angle(diag["affinity_ambient"])
+    if cfg.pipeline == "wp-single":
+        diag["affinity_subband"] = average_affinity(models[0])
+        diag["angle_subband"] = mean_principal_angle(diag["affinity_subband"])
+    elif mera:
+        diag["affinity_views"] = {name: average_affinity(m)
+                                  for name, m in zip(FIVE_VIEW_ORDER[1:], models[1:])}
     rec["metrics"] = metrics
     rec["diagnostics"] = diag
     seconds = time.perf_counter() - t0
 
     csv_rows = []
-    for phase in ("in", "out"):
-        if phase not in metrics:
-            continue
-        m = metrics[phase]
+    for phase, m in metrics.items():
         csv_rows.append([ds.name, cfg.pipeline, subband, seed, phase,
                          f"{m['acc']:.6f}", f"{m['nmi']:.6f}", f"{m['rand']:.6f}",
                          f"{m['f']:.6f}", f"{m['purity']:.6f}", f"{m['ce']:.6f}",
@@ -386,18 +342,14 @@ def emit_report(results, append=False):
         writer.writerows(results["metrics_rows"])
 
     trace_path = out_dir / "trace.csv"
-    rows = results["trace_rows"]
+    header = ["seed", "order", "subband", "ce"]
     if results["pipeline"] == "wp-mera":
-        header = ["seed", "iteration"] + [f"res_{n}" for n in FIVE_VIEW_ORDER] + \
-                 ["fit_error", "mu"]
-    else:
-        header = ["seed", "order", "subband", "ce"]
+        header = ["seed", *MERA_TRACE_HEADER]
     with open(trace_path, mode, newline="") as fh:
         writer = csv.writer(fh)
         if not (append and trace_path.stat().st_size > 0):
             writer.writerow(header)
-        for row in rows:
-            writer.writerow([row.get(k, "") for k in header])
+        writer.writerows(results["trace_rows"])
 
     paths = [report_path, metrics_path, trace_path]
     grid_rows = [(run["seed"], row)
@@ -421,7 +373,10 @@ def emit_report(results, append=False):
 # subcommand implementations
 
 def _read_labels_csv(path):
-    vals = [int(line) for line in Path(path).read_text().split()]
+    try:
+        vals = [int(line) for line in Path(path).read_text().split()]
+    except ValueError as exc:
+        raise LabelingError(f"{path}: {exc}") from None
     return np.asarray(vals, dtype=np.int64)
 
 
@@ -519,11 +474,8 @@ def _cmd_mera(args):
     _write_labels_csv(out_dir / "labels.csv", part.labels)
     with open(out_dir / "trace.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iteration"] + [f"res_{n}" for n in FIVE_VIEW_ORDER]
-                        + ["fit_error", "mu"])
-        for t in trace:
-            writer.writerow([t["iteration"], *t["view_residuals"],
-                             t["fit_error"], t["mu"]])
+        writer.writerow(MERA_TRACE_HEADER)
+        writer.writerows(_mera_trace_row(t) for t in trace)
     if ds.labels is not None:
         print(json.dumps(_metrics_dict(ds.labels, part.labels), sort_keys=True))
 
@@ -531,10 +483,12 @@ def _cmd_mera(args):
 def _cmd_oos(args):
     in_ds = column_normalize(load_bundle(args.in_data))
     out_ds = column_normalize(load_bundle(args.out_data))
-    labels = _read_labels_csv(args.labels) if args.labels else in_ds.labels
-    if labels is None:
+    if args.labels:  # checked as bundle labels are: one per point, no empty class
+        in_ds = Dataset(data=in_ds.data, img_h=in_ds.img_h, img_w=in_ds.img_w,
+                        labels=_read_labels_csv(args.labels))
+    if in_ds.labels is None:
         raise ConfigError("need in-sample labels (--labels or labeled bundle)")
-    part = Partition(labels=labels, C=int(np.max(labels)) + 1)
+    part = Partition(labels=in_ds.labels, C=in_ds.C)
     model = estimate_bases(in_ds.data, part, args.d)
     oos_labels = assign_oos_batch(out_ds.data, model)
     out_dir = Path(args.out_dir)
@@ -549,6 +503,8 @@ def _cmd_oos(args):
 def _cmd_eval(args):
     truth = _read_labels_csv(args.truth)
     pred = _read_labels_csv(args.pred)
+    if truth.size != pred.size:
+        raise ConsistencyError(f"{truth.size} true labels but {pred.size} predicted")
     m = _metrics_dict(truth, pred)
     text = json.dumps(m, indent=2, sort_keys=True) + "\n"
     if args.out:
@@ -560,7 +516,12 @@ _RUN_OVERRIDES = ("pipeline", "levels", "d", "output_dir")
 
 
 def _cmd_run(args):
-    raw = json.loads(Path(args.config).read_text())
+    try:
+        raw = json.loads(Path(args.config).read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{args.config}: invalid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{args.config}: config must be a JSON object")
     for key in _RUN_OVERRIDES:
         val = getattr(args, key.replace("-", "_"), None)
         if val is not None:

@@ -61,11 +61,12 @@ class Dataset:
             labels = np.array(self.labels, dtype=np.int64)
             if labels.shape != (data.shape[1],):
                 raise ConsistencyError("labels length must equal N")
-            if labels.size and labels.min() < 0:
-                raise ConsistencyError("labels must be nonnegative")
             if labels.size:
-                counts = np.bincount(labels)
-                if np.any(counts == 0):
+                if labels.min() < 0:
+                    raise ConsistencyError("labels must be nonnegative")
+                # C <= N when every cluster is nonempty; checked first so a
+                # corrupt label word cannot make bincount allocate gigabytes
+                if labels.max() >= labels.size or np.any(np.bincount(labels) == 0):
                     raise ConsistencyError("every cluster in {0..C-1} must be nonempty")
             labels.setflags(write=False)
             object.__setattr__(self, "labels", labels)
@@ -183,7 +184,7 @@ def _read_idx(path, expected_magic, ndim):
             f"{path}: magic 0x{magic:08x}, expected 0x{expected_magic:08x}"
         )
     dims = struct.unpack(f">{ndim}I", raw[4:header])
-    count = int(np.prod(dims))
+    count = math.prod(dims)
     if len(raw) - header != count:
         raise ConsistencyError(
             f"{path}: payload is {len(raw) - header} bytes, dims {dims} imply {count}"
@@ -247,6 +248,8 @@ def _read_pgm(path):
         raise FormatError(f"{path}: non-numeric PGM header fields") from None
     if not (0 < maxval <= 255):
         raise FormatError(f"{path}: maxval {maxval} outside (0, 255]")
+    if width < 1 or height < 1:
+        raise FormatError(f"{path}: image size {width}x{height} is not positive")
     count = width * height
     if len(raw) - pos < count:
         raise ConsistencyError(f"{path}: PGM payload shorter than {count} bytes")
@@ -290,18 +293,25 @@ def load_pgm_dir(directory, class_from, name=None):
     return Dataset(data=data, img_h=shape[0], img_w=shape[1], labels=labels, name=name)
 
 
+def unit_columns(X):
+    """Column-normalize a raw matrix; zero columns are an error."""
+    X = np.asarray(X, dtype=np.float64)
+    norms = np.linalg.norm(X, axis=0)
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise DegenerateColumnError(f"zero column(s) at indices {zero[:8].tolist()}")
+    return X / norms
+
+
 def column_normalize(ds):
     """Rescale every column to unit Euclidean norm; metadata is preserved.
 
     A zero column is an error: downstream solvers divide by column norms.
     """
-    norms = np.linalg.norm(ds.data, axis=0)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise DegenerateColumnError(
-            f"{ds.name or 'dataset'}: zero column(s) at indices {zero[:8].tolist()}"
-        )
-    return ds.with_data(ds.data / norms)
+    try:
+        return ds.with_data(unit_columns(ds.data))
+    except DegenerateColumnError as exc:
+        raise DegenerateColumnError(f"{ds.name or 'dataset'}: {exc}") from None
 
 
 def split(ds, spec):

@@ -21,6 +21,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConsistencyError, ConvergenceError, NoGridError, ParameterError
+from .solvers import _shrink_columns
 
 ALM_MU0 = 1e-4
 ALM_RHO = 1.5
@@ -238,12 +239,6 @@ def unify_views(tensor):
     return Z.mean(axis=2)
 
 
-def _row_shrink(M, tau):
-    norms = np.linalg.norm(M, axis=1)
-    scale = np.maximum(0.0, 1.0 - tau / np.where(norms > 0, norms, 1.0))
-    return M * scale[:, None]
-
-
 def mera_mvsc(views, lam, R, tol=1e-6, max_iter=200, sweeps=2, trace=None):
     """Multi-view self-expressive clustering with a low-rank MERA prior.
 
@@ -293,7 +288,7 @@ def mera_mvsc(views, lam, R, tol=1e-6, max_iter=200, sweeps=2, trace=None):
         for v, Xv in enumerate(views):
             rhs = Xv.T @ (Xv - E[v] + M1[v] / mu) + Zhat[:, :, v] - M2[:, :, v] / mu
             Z[:, :, v] = cho_solve(factor[v], rhs)
-            E[v] = _row_shrink(Xv - Xv @ Z[:, :, v] + M1[v] / mu, lam / mu)
+            E[v] = _shrink_columns((Xv - Xv @ Z[:, :, v] + M1[v] / mu).T, lam / mu).T
         consensus = reshape_to_5d(Z + M2 / mu, shape)
         factors = mera_fit(consensus, R, max_iter=sweeps,
                            init=factors, tol=0.0)

@@ -3,26 +3,14 @@ the five-view MERA flow. Used by subband selection, the CLI, and demos."""
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .datasets import Dataset
-from .errors import DegenerateColumnError, ParameterError
+from .datasets import Dataset, unit_columns
+from .errors import ParameterError
 from .graph import affinity_from_representation, ipd_threshold, spectral_clustering
 from .mera import mera_mvsc, unify_views
 from .solvers import SolverSpec
 # assign_multiview_batch lives in subspace; the CLI and the demos import it here
-from .subspace import assign_multiview_batch, assign_oos_batch, estimate_bases  # noqa: F401
+from .subspace import assign_multiview_batch  # noqa: F401
 from .wavelet import haar_analysis_2d
-
-
-def unit_columns(X):
-    """Column-normalize a raw matrix; zero columns are an error."""
-    X = np.asarray(X, dtype=np.float64)
-    norms = np.linalg.norm(X, axis=0)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise DegenerateColumnError(f"zero column(s) at indices {zero[:8].tolist()}")
-    return X / norms
 
 
 @dataclass(frozen=True)
@@ -56,12 +44,15 @@ class WpMeraPipeline:
     max_iter: int = 200
     sweeps: int = 2
 
+    def fit(self, ds, C, seed=0, trace=None):
+        """:func:`run_wp_mera` of a dataset with these parameters; returns
+        (partition, self-representation tensor, views)."""
+        return run_wp_mera(ds, C, lam=self.lam, R=self.R, seed=seed, tol=self.tol,
+                           max_iter=self.max_iter, sweeps=self.sweeps, trace=trace)
+
     def run(self, X, C, seed=0):
         carrier = Dataset(data=X, img_h=self.img_h, img_w=self.img_w)
-        part, _, _ = run_wp_mera(carrier, C, lam=self.lam, R=self.R, seed=seed,
-                                 tol=self.tol, max_iter=self.max_iter,
-                                 sweeps=self.sweeps)
-        return part.labels
+        return self.fit(carrier, C, seed)[0].labels
 
 
 def five_views(ds):
@@ -91,14 +82,3 @@ def run_wp_mera(ds, C, lam, R, seed=0, tol=1e-6, max_iter=200, sweeps=2,
     W = affinity_from_representation(unify_views(tensor))
     part = spectral_clustering(W, C, seed)
     return part, tensor, views
-
-
-def multiview_models(views, part, d):
-    """One ClusterModel per view, estimated from a shared partition."""
-    return [estimate_bases(Xv, part, d) for Xv in views]
-
-
-def oos_single_view(in_X, part, d, out_X):
-    """Estimate bases on in-sample columns and assign out-of-sample ones."""
-    model = estimate_bases(in_X, part, d)
-    return assign_oos_batch(out_X, model), model

@@ -6,6 +6,7 @@ iterative convex programs (ADMM / inexact ALM); NSN and RTSC are greedy
 neighborhood constructions. All are deterministic.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,8 +39,10 @@ class SolverSpec:
         for key in _REQUIRED_PARAMS[self.kind]:
             if key not in self.params:
                 raise ParameterError(f"{self.kind} requires parameter {key!r}")
-            if key in ("alpha", "lambda", "k", "d_max", "q") and self.params[key] <= 0:
-                raise ParameterError(f"{self.kind} parameter {key!r} must be positive")
+            value = self.params[key]
+            if not isinstance(value, numbers.Real) or value <= 0:
+                raise ParameterError(f"{self.kind} parameter {key!r} must be positive, "
+                                     f"got {value!r}")
         if self.kind == "NSN" and self.params["d_max"] > self.params["k"]:
             raise ParameterError("NSN needs d_max <= k")
         if self.tol <= 0:

@@ -139,11 +139,11 @@ def node_matrix(ds, path):
     """D x N coefficient matrix of a single subband of ``ds``.
 
     Computes only the ancestors of ``path`` instead of a full decomposition;
-    path '' returns the data itself.
+    path '' returns the read-only data itself, in its own memory layout.
     """
     level = subband_level(path)
     if level == 0:
-        return ds.data.copy()
+        return ds.data
     _check_size(ds.img_h, ds.img_w, level)
     cube = ds.images()
     for j, ch in enumerate(path, start=1):

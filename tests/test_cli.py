@@ -377,7 +377,69 @@ class TestErrorExits:
                                         "pipeline": "nope"})
 
 
+def _write(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+def _oos_argv(tmp_path, labels):
+    data = str(tmp_path / "data.wpsc")
+    return ["oos", "--in-data", data, "--out-data", data, "--d", "2", "--labels",
+            _write(tmp_path / "labels.csv", "\n".join(map(str, labels)) + "\n")]
+
+
+def _run_argv(tmp_path, **overrides):
+    cfg = base_config(tmp_path, **overrides)
+    return ["run", "--config", _write(tmp_path / "cfg.json", json.dumps(cfg))]
+
+
+# case -> (exit code, argv built from the test's directory and the bundle labels)
+BAD_INPUTS = {
+    "oos-labels-not-integer": (3, lambda t, y: _oos_argv(t, ["1.5", *y[1:]])),
+    "oos-labels-short": (3, lambda t, y: _oos_argv(t, y[:-1])),
+    "oos-labels-long": (3, lambda t, y: _oos_argv(t, [*y, 0])),
+    "oos-labels-gap": (3, lambda t, y: _oos_argv(t, [2 * v for v in y])),
+    "eval-labels-length": (3, lambda t, y: [
+        "eval", "--truth", _write(t / "truth.csv", "0\n1\n"),
+        "--pred", _write(t / "pred.csv", "0\n1\n1\n")]),
+    "eval-labels-not-integer": (3, lambda t, y: [
+        "eval", "--truth", _write(t / "truth.csv", "0\n1\n"),
+        "--pred", _write(t / "pred.csv", "0\none\n")]),
+    "config-invalid-json": (2, lambda t, y: ["run", "--config", _write(t / "c.json", "{")]),
+    "config-not-object": (2, lambda t, y: ["run", "--config", _write(t / "c.json", "[1]")]),
+    "config-d": (2, lambda t, y: _run_argv(t, d="x")),
+    "config-in-fraction": (2, lambda t, y: _run_argv(t, split={"in_fraction": "x"})),
+    "config-mera-rank": (2, lambda t, y: _run_argv(t, pipeline="wp-mera",
+                                                   mera={"lambda": 10, "R": "x"})),
+    "config-seeds": (2, lambda t, y: _run_argv(t, seeds=["a"])),
+    "config-uos-size": (2, lambda t, y: _run_argv(t, dataset={
+        "kind": "synthetic", "uos": {"C": "x", "d": 1, "D": 16, "n_per_cluster": 6}})),
+    "param-not-number": (2, lambda t, y: [
+        "cluster", "--data", str(t / "data.wpsc"), "--solver", "SSC",
+        "--param", "alpha=abc", "--out-dir", str(t / "c")]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_without_traceback(tmp_path, case):
+    code, argv = BAD_INPUTS[case]
+    _, ds = synth_bundle(tmp_path)
+    env = {**os.environ, "PYTHONPATH": str(Path(wpsc.__file__).parents[1])}
+    cmd = [sys.executable, "-m", "wpsc.cli", *argv(tmp_path, ds.labels.tolist())]
+    out = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    assert out.returncode == code, out.stderr
+    assert "Traceback" not in out.stderr
+
+
 class TestRunExperimentApi:
+    def test_echo_drops_empty_sections(self, tmp_path):
+        echo = ExperimentConfig.from_dict(base_config(tmp_path)).echo()
+        assert "mera" not in echo and "grid" not in echo
+        assert echo["solver"] == {"kind": "SSC", "params": {"alpha": 10},
+                                  "tol": 1e-6, "max_iter": 200}
+        assert echo["split"] == {"in_fraction": 0.8, "seed": 0}
+        assert json.loads(json.dumps(echo))["seeds"] == [0]
+
     def test_emit_report_paths(self, tmp_path):
         synth_bundle(tmp_path, n_per_cluster=15)
         cfg = ExperimentConfig.from_dict(base_config(tmp_path))

@@ -1,7 +1,10 @@
+import contextlib
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wpsc
 from wpsc.bundle import load_bundle, save_bundle
@@ -207,6 +210,11 @@ class TestPgmLoader:
         with pytest.raises(LabelingError):
             load_pgm_dir(tmp_path, r"obj(\d+)")
 
+    def test_nonpositive_size_is_format_error(self, tmp_path):
+        (tmp_path / "c1.pgm").write_bytes(b"P5\n-2 2\n255\n" + bytes(4))
+        with pytest.raises(FormatError):
+            load_pgm_dir(tmp_path, r"c(\d+)")
+
     def test_maxval_scaling(self, tmp_path):
         img = np.full((4, 4), 100)
         _write_pgm(tmp_path / "c1.pgm", img, maxval=100)
@@ -255,8 +263,73 @@ class TestDatasetInvariants:
         with pytest.raises(ConsistencyError):
             Dataset(data=np.ones((4, 3)), img_h=2, img_w=2,
                     labels=np.array([0, 2, 2]))
+        # a corrupt bundle label word must be rejected before np.bincount,
+        # which would allocate one counter per value up to 2**32
+        with pytest.raises(ConsistencyError):
+            Dataset(data=np.ones((4, 3)), img_h=2, img_w=2,
+                    labels=np.array([0, 1, 2 ** 32 - 16]))
 
     def test_data_read_only(self):
         ds = Dataset(data=np.ones((4, 2)), img_h=2, img_w=2)
         with pytest.raises(ValueError):
             ds.data[0, 0] = 5.0
+
+
+_BUNDLE = (b"WPSC1\n" + struct.pack("<IIIIB", 4, 6, 2, 2, 1)
+           + np.arange(1.0, 25.0).tobytes()
+           + np.array([0, 1, 2, 0, 1, 2], dtype="<u4").tobytes())
+_IDX_IMAGES = struct.pack(">IIII", 0x00000803, 3, 2, 2) + bytes(range(1, 13))
+_IDX_LABELS = struct.pack(">II", 0x00000801, 3) + bytes([0, 1, 0])
+_PGM = b"P5\n2 2\n255\n" + bytes([1, 2, 3, 4])
+
+
+def _overwrite(raw, edits):
+    buf = bytearray(raw)
+    for i, value in edits:
+        buf[i] = value
+    return bytes(buf)
+
+
+def corrupted(raw):
+    """``raw`` cut short, or with one to four of its bytes overwritten
+    (often by a sign, a zero or a separator, which text headers parse)."""
+    cut = st.integers(0, len(raw) - 1).map(lambda n: raw[:n])
+    byte = st.integers(0, 255) | st.sampled_from(b"-0 \n")
+    edits = st.lists(st.tuples(st.integers(0, len(raw) - 1), byte),
+                     min_size=1, max_size=4)
+    return cut | edits.map(lambda e: _overwrite(raw, e))
+
+
+fuzz = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+class TestCorruptInputs:
+    """Truncated or overwritten input bytes raise only wpsc.errors types."""
+
+    @fuzz
+    @given(raw=corrupted(_BUNDLE))
+    def test_bundle(self, tmp_path_factory, raw):
+        path = tmp_path_factory.getbasetemp() / "fuzz.wpsc"
+        path.write_bytes(raw)
+        with contextlib.suppress(wpsc.errors.Error):
+            load_bundle(path)
+
+    @fuzz
+    @given(pair=st.tuples(corrupted(_IDX_IMAGES), st.just(_IDX_LABELS))
+           | st.tuples(st.just(_IDX_IMAGES), corrupted(_IDX_LABELS)))
+    def test_idx(self, tmp_path_factory, pair):
+        base = tmp_path_factory.getbasetemp()
+        (base / "fuzz-images").write_bytes(pair[0])
+        (base / "fuzz-labels").write_bytes(pair[1])
+        with contextlib.suppress(wpsc.errors.Error):
+            load_idx(base / "fuzz-images", base / "fuzz-labels")
+
+    @fuzz
+    @given(raw=corrupted(_PGM))
+    def test_pgm(self, tmp_path_factory, raw):
+        directory = tmp_path_factory.getbasetemp() / "fuzz-pgm"
+        directory.mkdir(exist_ok=True)
+        (directory / "c1.pgm").write_bytes(raw)
+        (directory / "c2.pgm").write_bytes(_PGM)
+        with contextlib.suppress(wpsc.errors.Error):
+            load_pgm_dir(directory, r"c(\d)")

@@ -231,7 +231,7 @@ class TestMeraMvsc:
     def test_five_view_oos_gap_small(self):
         # out-of-sample accuracy tracks in-sample accuracy on a noisy split
         from wpsc.datasets import SplitSpec, split
-        from wpsc.pipeline import assign_multiview_batch, five_views, multiview_models
+        from wpsc.pipeline import assign_multiview_batch, five_views
 
         gaps = []
         for seed in range(4):
@@ -240,7 +240,7 @@ class TestMeraMvsc:
             part, tensor, views = wpsc.run_wp_mera(ins, ds.C, lam=10.0, R=12,
                                                    seed=seed)
             in_acc = wpsc.evaluate(ins.labels, part.labels).acc
-            models = multiview_models(views, part, 2)
+            models = [wpsc.estimate_bases(Xv, part, 2) for Xv in views]
             out_pred = assign_multiview_batch(five_views(outs), models)
             out_acc = wpsc.evaluate(outs.labels, out_pred).acc
             gaps.append(abs(in_acc - out_acc))

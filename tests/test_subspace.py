@@ -131,6 +131,7 @@ class TestAssignOos:
         expect = reference_labels(X, model)
         assert np.array_equal(assign_oos_batch(X, model), expect)
         assert np.array_equal(assign_oos_batch(np.asfortranarray(X), model), expect)
+        assert np.array_equal(assign_multiview_batch([X], [model]), expect)
         assert [assign_oos(X[:, i], model) for i in range(5)] == expect[:5].tolist()
         dist = subspace_distances(X, model)
         ref = np.stack([reference_distances(X[:, i], model) for i in range(500)], 1)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wpsc.bundle import load_bundle, save_bundle
 from wpsc.datasets import Dataset, UosSpec, generate_uos
 from wpsc.errors import DepthError, SizeError
 from wpsc.wavelet import (
@@ -139,6 +140,18 @@ class TestWpDecompose:
         for path in ("A", "D", "AH", "DV"):
             assert np.allclose(node_matrix(ds, path), wp[path], atol=1e-14)
         assert np.array_equal(node_matrix(ds, ""), ds.data)
+
+    def test_root_node_is_the_loaded_data(self, tmp_path):
+        # bundles load column-major; the root node keeps that layout, since
+        # the single-view pipeline's diagnostics depend on it to the last bit
+        ds = generate_uos(UosSpec(C=2, d=2, D=64, n_per_cluster=4, seed=4))
+        save_bundle(ds, tmp_path / "ds.wpsc")
+        loaded = load_bundle(tmp_path / "ds.wpsc")
+        X = node_matrix(loaded, "")
+        assert np.array_equal(X, ds.data)
+        assert X is loaded.data
+        assert X.flags.f_contiguous and not X.flags.c_contiguous
+        assert not X.flags.writeable
 
     def test_column_wise_consistency(self):
         # decomposing the matrix equals decomposing each image separately
