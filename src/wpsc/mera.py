@@ -14,6 +14,7 @@ top core is the adjoint contraction of Y and the alternating Procrustes
 sweeps decrease the fit error monotonically.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -54,7 +55,9 @@ class MeraShape:
 @dataclass
 class MeraFactors:
     """Network factors; ``fit_errors`` and ``isometry_defects`` log the
-    per-sweep Frobenius error and worst orthonormality deviation."""
+    per-sweep Frobenius error and worst orthonormality deviation, and
+    ``contraction`` holds :func:`mera_contract` of the factors as they were
+    when the last fit error was measured (None before that)."""
 
     W1: np.ndarray
     W2: np.ndarray
@@ -62,6 +65,7 @@ class MeraFactors:
     B: np.ndarray
     fit_errors: list = field(default_factory=list)
     isometry_defects: list = field(default_factory=list)
+    contraction: np.ndarray | None = None
 
     def isometry_defect(self):
         """Worst deviation of the factor unfoldings from orthonormality."""
@@ -146,11 +150,24 @@ def reshape_from_5d(Y, shape):
     return Y.reshape((shape.N, shape.N, shape.V), order="F")
 
 
+@functools.lru_cache(maxsize=128)
+def _einsum_path(spec, shapes):
+    # only the shapes enter the greedy search, so zero-stride stand-ins do
+    stand_ins = [np.broadcast_to(0.0, s) for s in shapes]
+    return tuple(np.einsum_path(spec, *stand_ins, optimize=True)[0])
+
+
+def _einsum(spec, *operands):
+    """``np.einsum(spec, *operands, optimize=True)`` with the greedy path
+    searched once per spec and operand shapes."""
+    path = _einsum_path(spec, tuple(op.shape for op in operands))
+    return np.einsum(spec, *operands, optimize=path)
+
+
 def mera_contract(factors, shape=None):
     """Evaluate the network: layer tensor contracted with the top core."""
-    Yhat = np.einsum("xar,bdes,abyz,rs->xyzde",
-                     factors.W1, factors.W2, factors.U1, factors.B,
-                     optimize=True)
+    Yhat = _einsum("xar,bdes,abyz,rs->xyzde",
+                   factors.W1, factors.W2, factors.U1, factors.B)
     if shape is not None and Yhat.shape != shape.dims:
         raise ParameterError(f"contracted shape {Yhat.shape} != {shape.dims}")
     return Yhat
@@ -158,8 +175,8 @@ def mera_contract(factors, shape=None):
 
 def _top_core(Y, factors):
     # adjoint of the layer map applied to Y: the optimal core for fixed factors
-    return np.einsum("xyzde,xar,bdes,abyz->rs",
-                     Y, factors.W1, factors.W2, factors.U1, optimize=True)
+    return _einsum("xyzde,xar,bdes,abyz->rs",
+                   Y, factors.W1, factors.W2, factors.U1)
 
 
 def _procrustes(env, rows_shape):
@@ -169,7 +186,8 @@ def _procrustes(env, rows_shape):
 
 
 def _fit_error(Y, factors):
-    return float(np.linalg.norm(Y - mera_contract(factors)))
+    factors.contraction = mera_contract(factors)
+    return float(np.linalg.norm(Y - factors.contraction))
 
 
 def _hosvd_init(Y, R):
@@ -212,14 +230,14 @@ def mera_fit(Y, R, tol=1e-8, max_iter=100, init=None, check_tol=1e-8):
     err = _fit_error(Y, factors)
     factors.fit_errors = [err]
     for _ in range(max_iter):
-        env_u = np.einsum("xyzde,xar,bdes,rs->abyz",
-                          Y, factors.W1, factors.W2, factors.B, optimize=True)
+        env_u = _einsum("xyzde,xar,bdes,rs->abyz",
+                        Y, factors.W1, factors.W2, factors.B)
         factors.U1 = _procrustes(env_u, env_u.shape[:2])
-        env_w1 = np.einsum("xyzde,bdes,abyz,rs->xar",
-                           Y, factors.W2, factors.U1, factors.B, optimize=True)
+        env_w1 = _einsum("xyzde,bdes,abyz,rs->xar",
+                         Y, factors.W2, factors.U1, factors.B)
         factors.W1 = _procrustes(env_w1, env_w1.shape[:2])
-        env_w2 = np.einsum("xyzde,xar,abyz,rs->bdes",
-                           Y, factors.W1, factors.U1, factors.B, optimize=True)
+        env_w2 = _einsum("xyzde,xar,abyz,rs->bdes",
+                         Y, factors.W1, factors.U1, factors.B)
         factors.W2 = _procrustes(env_w2, env_w2.shape[:3])
         factors.B = _top_core(Y, factors)
         factors.check(check_tol)
@@ -267,8 +285,12 @@ def mera_mvsc(views, lam, R, tol=1e-6, max_iter=200, sweeps=2, trace=None):
     N = views[0].shape[1]
     if any(Xv.shape[1] != N for Xv in views):
         raise ParameterError("all views must share the number of columns N")
-    if lam <= 0:
-        raise ParameterError("lambda must be positive")
+    if not all(np.isfinite(Xv).all() for Xv in views):
+        raise ParameterError("MERA views must be finite")
+    if not (math.isfinite(lam) and lam > 0):
+        raise ParameterError(f"lambda must be positive and finite, got {lam}")
+    if max_iter < 1:
+        raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
     V = len(views)
     A_dim, Q_dim = choose_grid(N)
     shape = MeraShape(A_dim=A_dim, Q_dim=Q_dim, V=V, R=R)
@@ -285,20 +307,28 @@ def mera_mvsc(views, lam, R, tol=1e-6, max_iter=200, sweeps=2, trace=None):
     mu = ALM_MU0
     factors = None
     for it in range(max_iter):
+        gaps = []
         for v, Xv in enumerate(views):
             rhs = Xv.T @ (Xv - E[v] + M1[v] / mu) + Zhat[:, :, v] - M2[:, :, v] / mu
             Z[:, :, v] = cho_solve(factor[v], rhs)
-            E[v] = _shrink_columns((Xv - Xv @ Z[:, :, v] + M1[v] / mu).T, lam / mu).T
+            P = Xv - Xv @ Z[:, :, v]
+            E[v] = _shrink_columns((P + M1[v] / mu).T, lam / mu).T
+            gaps.append(P - E[v])
         consensus = reshape_to_5d(Z + M2 / mu, shape)
         factors = mera_fit(consensus, R, max_iter=sweeps,
                            init=factors, tol=0.0)
-        Zhat = reshape_from_5d(mera_contract(factors, shape), shape)
-        gaps = [Xv - Xv @ Z[:, :, v] - E[v] for v, Xv in enumerate(views)]
+        Zhat = reshape_from_5d(factors.contraction, shape)
         res_views = [float(np.abs(g).max()) for g in gaps]
-        res_consensus = float(np.abs(Z - Zhat).max())
+        gap_consensus = Z - Zhat
+        res_consensus = float(np.abs(gap_consensus).max())
+        # E and the gaps are row-major whatever the layout of the views
+        # (bundles load column-major), so M1 is rebound to a row-major sum:
+        # an in-place update of a column-major M1 is a strided copy. The
+        # views keep the caller's layout, because small BLAS kernels sum in
+        # an order that depends on the operand layouts
         for v in range(V):
-            M1[v] += mu * gaps[v]
-        M2 += mu * (Z - Zhat)
+            M1[v] = M1[v] + mu * gaps[v]
+        M2 += mu * gap_consensus
         if trace is not None:
             trace.append({
                 "iteration": it,

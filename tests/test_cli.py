@@ -135,6 +135,34 @@ class TestRun:
         assert main(["run", "--config", str(cfg_path)]) == 0
         assert (tmp_path / "out" / "report.json").read_bytes() == first
 
+    def test_blas_thread_count_moves_only_final_fit_error(self, tmp_path):
+        # 32x32 images make the MERA GEMMs large enough for OpenBLAS to split
+        # them over two threads; both runs write to the same output path
+        path, _ = synth_bundle(tmp_path, D=1024, noise_sigma=0.05)
+        cfg = base_config(tmp_path, pipeline="wp-mera",
+                          mera={"lambda": 10.0, "R": 12})
+        del cfg["solver"]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        reports, labels = [], []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": str(Path(wpsc.__file__).parents[1]),
+                   **{k: threads for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                           "MKL_NUM_THREADS")}}
+            for argv in (["run", "--config", str(cfg_path)],
+                         ["mera", "--data", str(path), "--lam", "10", "--rank", "12",
+                          "--out-dir", str(tmp_path / "m")]):
+                out = subprocess.run([sys.executable, "-m", "wpsc.cli", *argv],
+                                     env=env, capture_output=True, text=True)
+                assert out.returncode == 0, out.stderr
+            reports.append(json.loads((tmp_path / "out" / "report.json").read_text()))
+            labels.append((tmp_path / "m" / "labels.csv").read_text())
+        assert labels[0] == labels[1]
+        for report in reports:
+            for run in report["runs"]:
+                del run["convergence"]["final_fit_error"]
+        assert reports[0] == reports[1]
+
     def test_prime_in_sample_fails_fast(self, tmp_path):
         # 3 clusters x ceil(0.8*12)=10 -> 30; with 0.9 -> ceil=11 -> 33=3*11
         # use one cluster sized so n_in is prime
@@ -411,6 +439,12 @@ BAD_INPUTS = {
     "config-in-fraction": (2, lambda t, y: _run_argv(t, split={"in_fraction": "x"})),
     "config-mera-rank": (2, lambda t, y: _run_argv(t, pipeline="wp-mera",
                                                    mera={"lambda": 10, "R": "x"})),
+    "config-mera-max-iter": (2, lambda t, y: _run_argv(t, pipeline="wp-mera",
+                                                       mera={"lambda": 10, "R": 12,
+                                                             "max_iter": 0})),
+    "config-mera-lambda-nan": (2, lambda t, y: _run_argv(t, pipeline="wp-mera",
+                                                         mera={"lambda": float("nan"),
+                                                               "R": 12})),
     "config-seeds": (2, lambda t, y: _run_argv(t, seeds=["a"])),
     "config-uos-size": (2, lambda t, y: _run_argv(t, dataset={
         "kind": "synthetic", "uos": {"C": "x", "d": 1, "D": 16, "n_per_cluster": 6}})),

@@ -1,12 +1,19 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 import wpsc
 from conftest import make_uos
 from wpsc.errors import ConvergenceError, NoGridError, ParameterError
 from wpsc.mera import (
+    ALM_MU0,
+    ALM_MU_MAX,
+    ALM_RHO,
+    FIVE_VIEW_ORDER,
     MeraFactors,
     MeraShape,
+    SelfRepTensor,
+    _einsum,
     choose_grid,
     mera_contract,
     mera_fit,
@@ -14,6 +21,16 @@ from wpsc.mera import (
     reshape_from_5d,
     reshape_to_5d,
     unify_views,
+)
+from wpsc.pipeline import five_views
+from wpsc.solvers import _shrink_columns
+
+MERA_SPECS = (
+    "xar,bdes,abyz,rs->xyzde",
+    "xyzde,xar,bdes,abyz->rs",
+    "xyzde,xar,bdes,rs->abyz",
+    "xyzde,bdes,abyz,rs->xar",
+    "xyzde,xar,abyz,rs->bdes",
 )
 
 
@@ -36,6 +53,67 @@ def contract_oracle(f):
                                                 * f.U1[a, b, y, z] * f.B[r, s])
                         out[x, y, z, d, e] = acc
     return out
+
+
+def reference_mera_mvsc(views, lam, R, tol=1e-6, max_iter=200, sweeps=2, trace=None):
+    """The ADMM loop of ``mera_mvsc`` before it kept one memory layout,
+    reused ``Xv @ Z`` for the gaps and took the fit's last contraction:
+    a verbatim copy, kept as the bit-for-bit reference."""
+    if not views:
+        raise ParameterError("need at least one view")
+    views = [np.asarray(Xv, dtype=np.float64) for Xv in views]
+    N = views[0].shape[1]
+    if any(Xv.shape[1] != N for Xv in views):
+        raise ParameterError("all views must share the number of columns N")
+    if lam <= 0:
+        raise ParameterError("lambda must be positive")
+    V = len(views)
+    A_dim, Q_dim = choose_grid(N)
+    shape = MeraShape(A_dim=A_dim, Q_dim=Q_dim, V=V, R=R)
+    if R > min(N, N * V):
+        raise ParameterError(f"R = {R} exceeds min unfolding rank {N}")
+
+    gram = [Xv.T @ Xv for Xv in views]
+    factor = [cho_factor(G + np.eye(N)) for G in gram]
+    Z = np.zeros((N, N, V))
+    Zhat = np.zeros((N, N, V))
+    E = [np.zeros_like(Xv) for Xv in views]
+    M1 = [np.zeros_like(Xv) for Xv in views]
+    M2 = np.zeros((N, N, V))
+    mu = ALM_MU0
+    factors = None
+    for it in range(max_iter):
+        for v, Xv in enumerate(views):
+            rhs = Xv.T @ (Xv - E[v] + M1[v] / mu) + Zhat[:, :, v] - M2[:, :, v] / mu
+            Z[:, :, v] = cho_solve(factor[v], rhs)
+            E[v] = _shrink_columns((Xv - Xv @ Z[:, :, v] + M1[v] / mu).T, lam / mu).T
+        consensus = reshape_to_5d(Z + M2 / mu, shape)
+        factors = mera_fit(consensus, R, max_iter=sweeps,
+                           init=factors, tol=0.0)
+        Zhat = reshape_from_5d(mera_contract(factors, shape), shape)
+        gaps = [Xv - Xv @ Z[:, :, v] - E[v] for v, Xv in enumerate(views)]
+        res_views = [float(np.abs(g).max()) for g in gaps]
+        res_consensus = float(np.abs(Z - Zhat).max())
+        for v in range(V):
+            M1[v] += mu * gaps[v]
+        M2 += mu * (Z - Zhat)
+        if trace is not None:
+            trace.append({
+                "iteration": it,
+                "view_residuals": res_views,
+                "residual_fro": float(np.sqrt(sum(np.sum(g ** 2) for g in gaps))),
+                "residual_consensus": res_consensus,
+                "fit_error": factors.fit_errors[-1],
+                "mu": mu,
+            })
+        mu = min(mu * ALM_RHO, ALM_MU_MAX)
+        if max(res_views) < tol and res_consensus < tol:
+            names = FIVE_VIEW_ORDER if V == 5 else ()
+            return SelfRepTensor(Z=Zhat, view_names=names)
+    raise ConvergenceError(
+        f"MERA multi-view ADMM did not converge in {max_iter} iterations",
+        residuals={"data": max(res_views), "consensus": res_consensus},
+    )
 
 
 def random_isometric_factors(dims, R, seed):
@@ -132,6 +210,18 @@ class TestContract:
         f = random_isometric_factors((2, 2, 2, 2, 2), 2, seed=5)
         assert np.abs(mera_contract(f) - contract_oracle(f)).max() <= 1e-12
 
+    @pytest.mark.parametrize("dims,R", [((3, 4, 3, 4, 5), 4), ((6, 10, 6, 10, 5), 12)])
+    def test_cached_path_einsum_matches_optimize_true(self, dims, R):
+        # twice per spec: the first call searches the path, the second reuses it
+        f = random_isometric_factors(dims, R, seed=13)
+        Y = np.random.default_rng(14).standard_normal(dims)
+        operands = {"xyzde": Y, "xar": f.W1, "bdes": f.W2, "abyz": f.U1, "rs": f.B}
+        for spec in MERA_SPECS:
+            ops = [operands[term] for term in spec.split("->")[0].split(",")]
+            expected = np.einsum(spec, *ops, optimize=True)
+            for _ in range(2):
+                assert np.array_equal(_einsum(spec, *ops), expected), spec
+
 
 class TestMeraFit:
     def test_zero_tensor_zero_error(self):
@@ -154,6 +244,11 @@ class TestMeraFit:
         factors = mera_fit(Y, R=4)
         rel = factors.fit_errors[-1] / np.linalg.norm(Y)
         assert rel <= 1e-8
+
+    def test_keeps_contraction_of_final_factors(self):
+        rng = np.random.default_rng(15)
+        factors = mera_fit(rng.standard_normal((3, 3, 3, 3, 4)), R=5, max_iter=3)
+        assert np.array_equal(factors.contraction, mera_contract(factors))
 
     def test_isometry_invariants_after_fit(self):
         rng = np.random.default_rng(8)
@@ -251,6 +346,35 @@ class TestMeraMvsc:
         with pytest.raises(ConvergenceError) as exc:
             mera_mvsc([ds.data] * 5, lam=10.0, R=6, max_iter=2)
         assert "data" in exc.value.residuals
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_matches_reference_loop_bit_for_bit(self, seed, order):
+        ds = make_uos(C=3, d=2, D=256, n=12, sigma=0.05, seed=seed)
+        views = [np.asarray(Xv, order=order) for Xv in five_views(ds)]
+        got_trace, ref_trace = [], []
+        got = mera_mvsc(views, lam=10.0, R=12, trace=got_trace)
+        ref = reference_mera_mvsc(views, lam=10.0, R=12, trace=ref_trace)
+        assert np.array_equal(got.Z, ref.Z)
+        assert got.view_names == ref.view_names
+        assert len(got_trace) == len(ref_trace) > 1
+        assert repr(got_trace) == repr(ref_trace)
+
+    @pytest.mark.parametrize("kw", [{"max_iter": 0}, {"max_iter": -1},
+                                    {"lam": float("nan")}, {"lam": float("inf")}])
+    def test_bad_parameter_is_parameter_error(self, kw):
+        ds = make_uos(C=3, d=2, D=40, n=12, seed=2)
+        args = {"lam": 10.0, "R": 6, **kw}
+        with pytest.raises(ParameterError):
+            mera_mvsc([ds.data] * 5, **args)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_view_is_parameter_error(self, bad):
+        ds = make_uos(C=3, d=2, D=40, n=12, seed=2)
+        X = ds.data.copy()
+        X[3, 7] = bad
+        with pytest.raises(ParameterError, match="finite"):
+            mera_mvsc([ds.data, X], lam=10.0, R=6)
 
     def test_prime_n_no_grid(self):
         rng = np.random.default_rng(12)
