@@ -40,8 +40,7 @@ for path, ce in trace.evaluated:
 print(f"stopped because: {trace.stopped_reason}")
 
 best_X = node_matrix(ds, trace.chosen)
-subband_pred = pipe.run(best_X, ds.C, seed=0)
-subband_acc = wpsc.evaluate(ds.labels, subband_pred).acc
+subband_acc = wpsc.evaluate(ds.labels, trace.labels).acc  # the descent's run of it
 print(f"\nSSC accuracy on subband {trace.chosen!r}: {subband_acc:.3f}")
 
 # geometric explanation: the low-pass subband moves the (estimated)

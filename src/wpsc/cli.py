@@ -96,8 +96,10 @@ class ExperimentConfig:
                       output_dir=raw.get("output_dir", "out"),
                       normalize=bool(raw.get("normalize", True)),
                       export_bundles=bool(raw.get("export_bundles", False)))
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad config value: {exc!r}") from exc
+        if not isinstance(cfg.output_dir, str):
+            raise ConfigError(f"output_dir must be a path string, got {cfg.output_dir!r}")
         if pipeline == "wp-mera":
             _mera_fields(cfg.mera)
         elif solver is None:
@@ -129,6 +131,13 @@ class ExperimentConfig:
 
 def load_dataset(spec):
     """Materialize the dataset named by a config 'dataset' section."""
+
+    def text(key, optional=False):
+        value = spec.get(key)
+        if not (isinstance(value, str) or (optional and value is None)):
+            raise ConfigError(f"{kind} dataset needs a string {key!r}, got {value!r}")
+        return value
+
     kind = spec.get("kind")
     if kind == "synthetic":
         u = spec.get("uos", {})
@@ -146,14 +155,12 @@ def load_dataset(spec):
             data=ds.data, img_h=ds.img_h, img_w=ds.img_w, labels=ds.labels,
             name=spec["name"])
     if kind == "bundle":
-        return load_bundle(spec["path"], name=spec.get("name"))
+        return load_bundle(text("path"), name=spec.get("name"))
     if kind == "idx":
-        return load_idx(spec["images"], spec.get("labels"), name=spec.get("name"))
+        return load_idx(text("images"), text("labels", optional=True),
+                        name=spec.get("name"))
     if kind == "pgm_dir":
-        if "class_regex" not in spec:
-            raise ConfigError("pgm_dir dataset needs class_regex")
-        return load_pgm_dir(spec["path"], spec["class_regex"],
-                            name=spec.get("name"))
+        return load_pgm_dir(text("path"), text("class_regex"), name=spec.get("name"))
     raise ConfigError(f"unknown dataset kind {kind!r}")
 
 
@@ -164,8 +171,8 @@ def _mera_fields(p):
             raise ConfigError(f"wp-mera pipeline needs mera.{key}")
     out = {"lam": p["lambda"], "R": p["R"], "tol": p.get("tol", 1e-6),
            "max_iter": p.get("max_iter", 200), "sweeps": p.get("sweeps", 2)}
-    if not all(isinstance(v, numbers.Real) for v in out.values()):
-        raise ConfigError(f"mera parameters must be numbers, got {p}")
+    if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in out.values()):
+        raise ConfigError(f"mera parameters must be finite numbers, got {p}")
     return {**out, **{k: int(out[k]) for k in ("R", "max_iter", "sweeps")}}
 
 
@@ -226,13 +233,17 @@ def _run_seed(cfg, ds, seed):
     else:
         subband = ""
         if cfg.pipeline == "wp-single":
+            # the descent clusters with C = max label + 1, which the stratified
+            # split keeps equal to ds.C, so its run of the chosen node is the fit
+            assert in_ds.labels.max() + 1 == C, "the split lost a cluster"
             sel = select_subband(in_ds, cfg.levels, pipe, seed)
             subband = sel.chosen
             rec["selection"] = {"evaluated": [[p, ce] for p, ce in sel.evaluated],
                                 "stopped_reason": sel.stopped_reason}
             trace_rows += [[seed, i, p, ce] for i, (p, ce) in enumerate(sel.evaluated)]
         X = node_matrix(in_ds, subband)
-        part = Partition(labels=pipe.run(X, C, seed), C=C)
+        labels = sel.labels if cfg.pipeline == "wp-single" else pipe.run(X, C, seed)
+        part = Partition(labels=labels, C=C)
         in_views = [unit_columns(X)]
     rec["subband"] = subband
     metrics = {"in": _metrics_dict(in_ds.labels, part.labels)}

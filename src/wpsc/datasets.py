@@ -5,6 +5,7 @@ plus image geometry and optional integer cluster labels.
 """
 
 import math
+import numbers
 import re
 import struct
 from dataclasses import dataclass, field
@@ -106,7 +107,7 @@ class SplitSpec:
     def __post_init__(self):
         if not (0.0 < self.in_fraction <= 1.0):
             raise ParameterError("in_fraction must lie in (0, 1]")
-        if self.seed < 0:
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
             raise ParameterError("seed must be a nonnegative integer")
 
 
@@ -268,7 +269,10 @@ def load_pgm_dir(directory, class_from, name=None):
     paths = sorted(p for p in directory.iterdir() if p.suffix.lower() == ".pgm")
     if not paths:
         raise EmptyInputError(f"{directory}: no .pgm files found")
-    pattern = re.compile(class_from)
+    try:
+        pattern = re.compile(class_from)
+    except re.error as exc:
+        raise ParameterError(f"bad class regex {class_from!r}: {exc}") from None
     images, raw_labels = [], []
     shape = None
     for p in paths:
@@ -279,13 +283,13 @@ def load_pgm_dir(directory, class_from, name=None):
             raise ConsistencyError(
                 f"{p.name}: image is {img.shape}, others are {shape}"
             )
-        m = pattern.search(p.name)
-        if m is None or not m.groups():
+        try:  # no match, no group 1, or a group 1 that is not an integer
+            raw_labels.append(int(pattern.search(p.name)[1]))
+        except (IndexError, TypeError, ValueError):
             raise LabelingError(
                 f"{p.name}: file name does not match class regex {class_from!r}"
-            )
+            ) from None
         images.append(img.reshape(-1))
-        raw_labels.append(int(m.group(1)))
     data = np.stack(images, axis=1)
     labels = _relabel(np.asarray(raw_labels, dtype=np.int64), directory)
     if name is None:

@@ -99,40 +99,74 @@ def spectral_clustering(W, C, seed=0):
 def kmeans(points, k, seed, restarts=KMEANS_RESTARTS, max_iter=KMEANS_MAX_ITER):
     """Seeded k-means with k-means++ initialization and best-inertia restarts.
 
-    Restart r uses RNG seed ``seed + r`` so parallel execution can
-    reproduce the sequential result.
+    The restarts are seeded together, restart r from its own generator
+    ``np.random.default_rng(seed + r)``, and each restart's first Lloyd step
+    reuses the distances its seeding computed. The restart with the smallest
+    inertia wins, the earliest on ties.
     """
+    centers, dists = _plusplus_seeds(points, k, seed, restarts)
     best_labels, best_inertia = None, np.inf
     for r in range(restarts):
-        rng = np.random.default_rng(seed + r)
-        labels, inertia = _kmeans_once(points, k, rng, max_iter)
+        labels, inertia = _lloyd(points, centers[r], dists[r], max_iter)
         if inertia < best_inertia:
             best_labels, best_inertia = labels, inertia
     return best_labels
 
 
-def _plusplus_init(points, k, rng):
-    n = points.shape[0]
-    centers = np.empty((k, points.shape[1]))
-    centers[0] = points[rng.integers(n)]
-    d2 = ((points - centers[0]) ** 2).sum(axis=1)
-    for c in range(1, k):
-        total = d2.sum()
-        if total > 0:
-            idx = rng.choice(n, p=d2 / total)
+def _plusplus_seeds(points, k, seed, restarts):
+    """k-means++ centers of all restarts, drawn in one batched pass.
+
+    Restart r's generator sees the calls one-at-a-time seeding makes:
+    ``integers(n)`` for the first center, then one ``random()`` per further
+    center (``integers(n)`` again once all mass sits on chosen centers).
+    Returns the (R, k, m) centers and the (R, n, k) squared distances of
+    every point to every center.
+    """
+    n, m = points.shape
+    rngs = [np.random.default_rng(seed + r) for r in range(restarts)]
+    centers = np.empty((restarts, k, m))
+    dists = np.empty((restarts, n, k))
+    idx = np.array([rng.integers(n) for rng in rngs], dtype=np.int64)
+    for c in range(k):
+        centers[:, c] = points[idx]
+        col = ((points[None, :, :] - centers[:, c, None, :]) ** 2).sum(axis=2)
+        dists[:, :, c] = col
+        d2 = col if c == 0 else np.minimum(d2, col)
+        if c + 1 < k:
+            idx = _draw(d2, rngs)
+    return centers, dists
+
+
+def _draw(d2, rngs):
+    """Row r's next center, as ``rngs[r].choice(n, p=d2[r] / total)`` draws
+    it: ``choice`` maps one ``random()`` through the normalized cdf with
+    ``searchsorted(side="right")``, which on a nondecreasing cdf is the count
+    of entries <= u."""
+    n = d2.shape[1]
+    total = d2.sum(axis=1)
+    live = total > 0
+    u = np.zeros(len(rngs))
+    idx = np.empty(len(rngs), dtype=np.int64)
+    for r, rng in enumerate(rngs):
+        if live[r]:
+            u[r] = rng.random()
         else:  # all remaining mass sits on chosen centers
-            idx = rng.integers(n)
-        centers[c] = points[idx]
-        d2 = np.minimum(d2, ((points - centers[c]) ** 2).sum(axis=1))
-    return centers
+            idx[r] = rng.integers(n)
+    with np.errstate(invalid="ignore"):  # 0/0 on the rows without mass
+        cdf = (d2 / total[:, None]).cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+    return np.where(live, (cdf <= u[:, None]).sum(axis=1), idx)
 
 
-def _kmeans_once(points, k, rng, max_iter):
-    n = points.shape[0]
-    centers = _plusplus_init(points, k, rng)
+def _lloyd(points, centers, d2, max_iter):
+    """Lloyd iterations of one restart from its seeded ``centers`` (updated
+    in place) and their (n, k) squared distances ``d2``; returns the labels
+    and the inertia."""
+    n, k = d2.shape
     labels = np.full(n, -1, dtype=np.int64)
-    for _ in range(max_iter):
-        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    for it in range(max_iter):
+        if it:
+            d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_labels = d2.argmin(axis=1)
         counts = np.bincount(new_labels, minlength=k)
         if not counts.all():

@@ -206,10 +206,11 @@ def mera_fit(Y, R, tol=1e-8, max_iter=100, init=None, check_tol=1e-8):
     """Fit MERA factors to a 5-way tensor by alternating Procrustes sweeps.
 
     Starts from the truncated HOSVD of the paired-mode unfoldings (or from
-    ``init``), then per sweep updates U1, W1, W2 via the SVD of their
-    environment tensors and recomputes the top core. Stops when the
-    relative fit improvement drops below ``tol`` or after ``max_iter``
-    sweeps. Isometry invariants are verified every sweep.
+    ``init``, whose kept contraction then gives the first fit error), then
+    per sweep updates U1, W1, W2 via the SVD of their environment tensors
+    and recomputes the top core. Stops when the relative fit improvement
+    drops below ``tol`` or after ``max_iter`` sweeps. Isometry invariants
+    are verified every sweep.
     """
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim != 5 or Y.shape[0] != Y.shape[2] or Y.shape[1] != Y.shape[3]:
@@ -224,10 +225,14 @@ def mera_fit(Y, R, tol=1e-8, max_iter=100, init=None, check_tol=1e-8):
     else:
         if init.B.shape != (R, R):
             raise ParameterError("warm start has a different rank")
+        # the factors are copied unchanged, so their contraction still holds
         factors = MeraFactors(W1=init.W1.copy(), W2=init.W2.copy(),
-                              U1=init.U1.copy(), B=init.B.copy())
+                              U1=init.U1.copy(), B=init.B.copy(),
+                              contraction=init.contraction)
     factors.check(check_tol)
-    err = _fit_error(Y, factors)
+    if factors.contraction is None:
+        factors.contraction = mera_contract(factors)
+    err = float(np.linalg.norm(Y - factors.contraction))
     factors.fit_errors = [err]
     for _ in range(max_iter):
         env_u = _einsum("xyzde,xar,bdes,rs->abyz",

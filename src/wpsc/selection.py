@@ -2,7 +2,7 @@
 hyperparameter grid search."""
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,12 +17,14 @@ class SelectionTrace:
 
     ``evaluated`` lists (path, CE) in evaluation order; ``stopped_reason``
     is 'parent-better' when the parent beat its best child, 'max-depth'
-    when a child was accepted without further descent.
+    when a child was accepted without further descent. ``labels`` is the
+    partition the pipeline gave the chosen node during the search.
     """
 
     evaluated: tuple
     chosen: str
     stopped_reason: str
+    labels: np.ndarray = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -58,10 +60,14 @@ def mera_default_grid(n_val_subsets=10, val_size_per_cluster=50, seed=0):
 
 def clustering_error(X, labels, pipeline, seed=0):
     """CE = 1 - ACC of the pipeline's partition against the given labels."""
+    return _scored_run(X, labels, pipeline, seed)[0]
+
+
+def _scored_run(X, labels, pipeline, seed):
+    """(CE, predicted labels) of one pipeline run with C = max label + 1."""
     labels = np.asarray(labels)
-    C = int(labels.max()) + 1
-    pred = pipeline.run(X, C, seed)
-    return 1.0 - evaluate(labels, pred).acc
+    pred = pipeline.run(X, int(labels.max()) + 1, seed)
+    return 1.0 - evaluate(labels, pred).acc, pred
 
 
 def select_subband(ds, J, pipeline, seed=0):
@@ -78,12 +84,15 @@ def select_subband(ds, J, pipeline, seed=0):
         raise ParameterError("subband selection needs a labeled validation set")
     if J < 1:
         raise ParameterError("J must be >= 1")
-    evaluated = []
+    evaluated, preds = [], {}
 
     def ce_of(path):
-        ce = clustering_error(node_matrix(ds, path), ds.labels, pipeline, seed)
+        ce, preds[path] = _scored_run(node_matrix(ds, path), ds.labels, pipeline, seed)
         evaluated.append((path, ce))
         return ce
+
+    def stop(chosen, reason):
+        return SelectionTrace(tuple(evaluated), chosen, reason, preds[chosen])
 
     parent, parent_ce = "", ce_of("")
     for j in range(1, J + 1):
@@ -93,11 +102,11 @@ def select_subband(ds, J, pipeline, seed=0):
             if ce < best_ce:
                 best_child, best_ce = parent + ch, ce
         if parent_ce < best_ce:
-            return SelectionTrace(tuple(evaluated), parent, "parent-better")
+            return stop(parent, "parent-better")
         if best_ce < parent_ce and j < J:
             parent, parent_ce = best_child, best_ce
             continue
-        return SelectionTrace(tuple(evaluated), best_child, "max-depth")
+        return stop(best_child, "max-depth")
     raise AssertionError("unreachable")
 
 
@@ -115,10 +124,11 @@ def scan_all_subbands(ds, J, pipeline, seed=0):
     paths = [""]
     for j in range(1, J + 1):
         paths += ["".join(p) for p in itertools.product(ALPHABET, repeat=j)]
-    evaluated = [(p, clustering_error(node_matrix(ds, p), ds.labels,
-                                      pipeline, seed)) for p in paths]
+    runs = {p: _scored_run(node_matrix(ds, p), ds.labels, pipeline, seed)
+            for p in paths}
+    evaluated = [(p, ce) for p, (ce, _) in runs.items()]
     chosen = min(evaluated, key=lambda pair: pair[1])[0]
-    return SelectionTrace(tuple(evaluated), chosen, "exhaustive")
+    return SelectionTrace(tuple(evaluated), chosen, "exhaustive", runs[chosen][1])
 
 
 def stratified_subsets(labels, n_subsets, size_per_cluster, seed):

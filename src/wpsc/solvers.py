@@ -6,6 +6,7 @@ iterative convex programs (ADMM / inexact ALM); NSN and RTSC are greedy
 neighborhood constructions. All are deterministic.
 """
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -40,15 +41,20 @@ class SolverSpec:
             if key not in self.params:
                 raise ParameterError(f"{self.kind} requires parameter {key!r}")
             value = self.params[key]
-            if not isinstance(value, numbers.Real) or value <= 0:
-                raise ParameterError(f"{self.kind} parameter {key!r} must be positive, "
-                                     f"got {value!r}")
+            if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
+                raise ParameterError(f"{self.kind} parameter {key!r} must be positive "
+                                     f"and finite, got {value!r}")
         if self.kind == "NSN" and self.params["d_max"] > self.params["k"]:
             raise ParameterError("NSN needs d_max <= k")
-        if self.tol <= 0:
-            raise ParameterError("tol must be positive")
+        if not (isinstance(self.tol, numbers.Real) and 0 < self.tol < math.inf):
+            raise ParameterError(f"tol must be positive and finite, got {self.tol!r}")
         if self.max_iter is None:
             object.__setattr__(self, "max_iter", _DEFAULT_MAX_ITER[self.kind])
+        elif not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 0:
+            raise ParameterError(f"max_iter must be a nonnegative integer, "
+                                 f"got {self.max_iter!r}")
+        elif self.max_iter == 0 and _DEFAULT_MAX_ITER[self.kind]:  # an iterative solver
+            raise ParameterError(f"{self.kind} needs max_iter >= 1")
 
     def solve(self, X):
         """Run the configured solver on a column-data matrix."""

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wpsc
 from wpsc.bundle import load_bundle, save_bundle
@@ -224,6 +226,19 @@ class TestRun:
         assert len(run["selection"]["evaluated"]) in (5, 9)
         rows = list(csv.DictReader(open(tmp_path / "out" / "trace.csv")))
         assert len(rows) == len(run["selection"]["evaluated"])
+
+    def test_wp_single_solves_each_node_once(self, tmp_path, monkeypatch):
+        # the final fit reuses the descent's labels of the chosen subband
+        synth_bundle(tmp_path, n_per_cluster=15)
+        solves = []
+        real = wpsc.SolverSpec.solve
+        monkeypatch.setattr(wpsc.SolverSpec, "solve",
+                            lambda spec, X: solves.append(1) or real(spec, X))
+        results = run_experiment(ExperimentConfig.from_dict(
+            base_config(tmp_path, pipeline="wp-single", levels=2)))
+        run = results["report"]["runs"][0]
+        assert len(solves) == len(run["selection"]["evaluated"])
+        assert run["metrics"]["in"]["acc"] == 1.0
 
     def test_wp_single_on_pgm_directory(self, tmp_path):
         # 5-class PGM fixture: distinct smooth patterns per class
@@ -463,6 +478,94 @@ def test_bad_input_exits_without_traceback(tmp_path, case):
     out = subprocess.run(cmd, env=env, capture_output=True, text=True)
     assert out.returncode == code, out.stderr
     assert "Traceback" not in out.stderr
+
+
+# Malformed values per config slot: wrong types, non-finite numbers and
+# out-of-range numbers. None of them may escape main as a raw exception.
+_junk = st.one_of(
+    st.none(),
+    st.text(alphabet="abcxyz", min_size=1, max_size=4),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+    st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+)
+_not_a_string = st.one_of(st.none(), st.integers(), st.floats(),
+                          st.lists(st.integers(), max_size=2))
+BAD_CONFIG_VALUES = {
+    ("d",): st.one_of(_junk, st.integers(max_value=0)),
+    ("levels",): st.one_of(_junk, st.integers(max_value=0)),
+    ("split", "in_fraction"): st.one_of(
+        _junk, st.floats(max_value=0.0), st.floats(min_value=1.0, exclude_min=True)),
+    ("split", "seed"): st.one_of(_junk, st.integers(max_value=-1),
+                                 st.floats(0.1, 0.9)),
+    ("seeds",): st.one_of(_junk, st.just([]), st.lists(_junk, min_size=1, max_size=2),
+                          st.integers(max_value=-1).map(lambda v: [v])),
+    ("pipeline",): st.one_of(_junk, st.text(max_size=8)).filter(
+        lambda v: v not in ("single", "wp-single", "wp-mera")),
+    ("solver", "kind"): st.one_of(_junk, st.text(max_size=4)).filter(
+        lambda v: v not in ("SSC", "LRR", "NSN", "RTSC")),
+    ("solver", "params", "alpha"): st.one_of(_junk, st.integers(max_value=0),
+                                             st.floats(max_value=0.0)),
+    ("solver", "tol"): st.one_of(_junk.filter(lambda v: v is not None),
+                                 st.floats(max_value=0.0)),
+    ("solver", "max_iter"): st.one_of(_junk.filter(lambda v: v is not None),
+                                      st.integers(max_value=0), st.floats(0.1, 0.9)),
+    ("dataset", "kind"): st.one_of(_junk, st.text(max_size=8)).filter(
+        lambda v: v not in ("synthetic", "bundle", "idx", "pgm_dir")),
+    ("dataset", "path"): st.one_of(_not_a_string,
+                                   st.text("abc", min_size=1).map(lambda v: f"missing/{v}")),
+    ("output_dir",): _not_a_string,
+    ("mera", "lambda"): st.one_of(_junk, st.floats(max_value=0.0)),
+    ("mera", "R"): st.one_of(_junk, st.integers(max_value=0)),
+    ("mera", "max_iter"): st.one_of(_junk, st.integers(max_value=0)),
+}
+BAD_PARAMS = st.one_of(
+    st.sampled_from(["alpha", "alpha=", "=10", "alpha=NaN", "alpha=Infinity",
+                     "alpha=-Infinity", "alpha=1e999", "alpha=null", "alpha=[1]",
+                     "alpha={}", "alpha=0", "alpha=-3"]),
+    st.text(alphabet="abcxyz=", max_size=8),
+    st.floats(max_value=0.0).map(lambda v: f"alpha={v!r}"),
+)
+fuzz = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    synth_bundle(path, C=2, d=1, D=16, n_per_cluster=6)
+    return path
+
+
+def _assert_clean_exit(argv):
+    try:
+        code = main(argv)
+    except BaseException as exc:  # SystemExit included: main must return
+        pytest.fail(f"{type(exc).__name__} escaped main: {exc!r}")
+    assert code in (2, 3, 4)
+
+
+class TestMalformedInputFuzz:
+    @fuzz
+    @given(data=st.data(), slot=st.sampled_from(sorted(BAD_CONFIG_VALUES)))
+    def test_run_config_value(self, fuzz_dir, data, slot):
+        value = data.draw(BAD_CONFIG_VALUES[slot], label=".".join(slot))
+        cfg = base_config(fuzz_dir, d=1)
+        if slot[0] == "mera":
+            cfg.update(pipeline="wp-mera", mera={"lambda": 10, "R": 2})
+        section = cfg
+        for key in slot[:-1]:
+            section = section[key]
+        section[slot[-1]] = value
+        path = fuzz_dir / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        _assert_clean_exit(["run", "--config", str(path)])
+
+    @fuzz
+    @given(params=st.lists(BAD_PARAMS, min_size=1, max_size=2))
+    def test_cluster_param(self, fuzz_dir, params):
+        _assert_clean_exit(["cluster", "--data", str(fuzz_dir / "data.wpsc"),
+                            "--solver", "SSC", "--out-dir", str(fuzz_dir / "c"),
+                            *(f"--param={p}" for p in params)])
 
 
 class TestRunExperimentApi:

@@ -26,6 +26,7 @@ from wpsc.errors import (
     FormatError,
     InfeasibleSpecError,
     LabelingError,
+    ParameterError,
 )
 
 
@@ -209,6 +210,17 @@ class TestPgmLoader:
         _write_pgm(tmp_path / "noclass.pgm", np.zeros((4, 4)))
         with pytest.raises(LabelingError):
             load_pgm_dir(tmp_path, r"obj(\d+)")
+
+    @pytest.mark.parametrize("regex", [r"(obj)", r"o(x)?", r"obj"])
+    def test_regex_without_integer_group(self, tmp_path, regex):
+        _write_pgm(tmp_path / "obj1.pgm", np.zeros((4, 4)))
+        with pytest.raises(LabelingError):
+            load_pgm_dir(tmp_path, regex)
+
+    def test_invalid_regex_is_parameter_error(self, tmp_path):
+        _write_pgm(tmp_path / "obj1.pgm", np.zeros((4, 4)))
+        with pytest.raises(ParameterError):
+            load_pgm_dir(tmp_path, r"obj(\d+")
 
     def test_nonpositive_size_is_format_error(self, tmp_path):
         (tmp_path / "c1.pgm").write_bytes(b"P5\n-2 2\n255\n" + bytes(4))

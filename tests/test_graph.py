@@ -2,12 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wpsc.graph as graph_mod
 from wpsc.errors import ParameterError
 from wpsc.graph import (
     Partition,
-    _plusplus_init,
     affinity_from_representation,
     ipd_threshold,
     kmeans,
@@ -136,6 +137,24 @@ class TestPartition:
             Partition(labels=np.array([0, 3]), C=2)
 
 
+# Reference k-means++ seeding, one restart at a time through rng.choice; the
+# library's batched seeding must draw the same centers from the same streams.
+def _plusplus_init(points, k, rng):
+    n = points.shape[0]
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[rng.integers(n)]
+    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    for c in range(1, k):
+        total = d2.sum()
+        if total > 0:
+            idx = rng.choice(n, p=d2 / total)
+        else:  # all remaining mass sits on chosen centers
+            idx = rng.integers(n)
+        centers[c] = points[idx]
+        d2 = np.minimum(d2, ((points - centers[c]) ** 2).sum(axis=1))
+    return centers
+
+
 # Reference k-means with per-cluster loops for the count check and the
 # center update; the library's vectorized bookkeeping must match it bit for bit.
 def reference_kmeans_once(points, k, rng, max_iter):
@@ -181,6 +200,17 @@ def blobs(seed, k, dim, n_per, spread):
     return pts[rng.permutation(len(pts))]
 
 
+def library_restart(points, k, seed, r, max_iter):
+    """Restart r of ``kmeans(points, k, seed)``: the batched seeding of
+    restarts 0..r, then restart r's Lloyd loop."""
+    centers, dists = graph_mod._plusplus_seeds(points, k, seed, r + 1)
+    return graph_mod._lloyd(points, centers[r], dists[r], max_iter)
+
+
+def same_inertia(a, b):
+    return a == b or (np.isnan(a) and np.isnan(b))
+
+
 class TestKmeans:
     @pytest.mark.parametrize("seed,k,dim,spread", [
         (0, 3, 2, 0.1), (1, 5, 4, 0.5), (2, 20, 20, 0.3), (3, 4, 3, 2.0),
@@ -188,12 +218,12 @@ class TestKmeans:
     def test_matches_loop_reference(self, seed, k, dim, spread):
         pts = blobs(seed, k, dim, 15, spread)
         for r in range(3):
-            got = graph_mod._kmeans_once(pts, k, np.random.default_rng(r), 300)
+            got = library_restart(pts, k, 0, r, 300)
             want = reference_kmeans_once(pts, k, np.random.default_rng(r), 300)
             assert np.array_equal(got[0], want[0]) and got[1] == want[1]
         assert np.array_equal(kmeans(pts, k, seed), reference_kmeans(pts, k, seed))
         # stopped by max_iter rather than by converged labels
-        got = graph_mod._kmeans_once(pts, k, np.random.default_rng(9), 1)
+        got = library_restart(pts, k, 9, 0, 1)
         want = reference_kmeans_once(pts, k, np.random.default_rng(9), 1)
         assert np.array_equal(got[0], want[0]) and got[1] == want[1]
 
@@ -213,9 +243,75 @@ class TestKmeans:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             for r in range(5):
-                got = graph_mod._kmeans_once(pts, 6, np.random.default_rng(r), 300)
+                got = library_restart(pts, 6, 0, r, 300)
                 want = reference_kmeans_once(pts, 6, np.random.default_rng(r), 300)
                 assert np.array_equal(got[0], want[0])
-                assert got[1] == want[1] or (np.isnan(got[1]) and np.isnan(want[1]))
+                assert same_inertia(got[1], want[1])
             assert np.array_equal(kmeans(pts, 6, 0), reference_kmeans(pts, 6, 0))
         assert repairs
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 40), k=st.integers(1, 8), dim=st.integers(2, 12),
+           seed=st.integers(0, 2**32), restarts=st.integers(1, 4),
+           distinct=st.integers(0, 5), max_iter=st.sampled_from([1, 300]),
+           order=st.sampled_from("CF"))
+    def test_matches_reference_property(self, n, k, dim, seed, restarts,
+                                        distinct, max_iter, order):
+        # distinct > 0 draws the points from that many rows, so the seeding
+        # runs out of mass and takes its integers(n) branch
+        k = min(k, n)
+        rng = np.random.default_rng(seed)
+        pts = rng.standard_normal((n, dim))
+        if distinct:
+            pts = pts[rng.integers(distinct, size=n) % n]
+        pts = np.asarray(pts, order=order)
+        centers, dists = graph_mod._plusplus_seeds(pts, k, seed, restarts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for r in range(restarts):
+                got = graph_mod._lloyd(pts, centers[r], dists[r], max_iter)
+                want = reference_kmeans_once(
+                    pts, k, np.random.default_rng(seed + r), max_iter)
+                assert np.array_equal(got[0], want[0])
+                assert same_inertia(got[1], want[1])
+            assert np.array_equal(
+                kmeans(pts, k, seed, restarts=restarts, max_iter=max_iter),
+                reference_kmeans(pts, k, seed, restarts=restarts, max_iter=max_iter))
+
+    def test_draw_matches_generator_choice(self):
+        # one stream per row; half the rows put the stream's next uniform u
+        # exactly on a cdf entry, where only side="right" counts the tie, and
+        # one row has no mass left (the integers(n) fallback)
+        n, rows = 37, 1000
+        d2 = np.random.default_rng(99).random((rows, n))
+        d2[d2 < 0.3] = 0.0
+        for s in range(0, rows, 2):
+            u = np.random.default_rng(s).random()
+            d2[s] = 0.0
+            d2[s, [3, 11]] = u, 1.0 - u  # both exact: u is a multiple of 2**-53
+        d2[7] = 0.0
+        rngs = [np.random.default_rng(s) for s in range(rows)]
+        got = graph_mod._draw(d2, rngs)
+        ties = 0
+        for s in range(rows):
+            ref = np.random.default_rng(s)
+            total = d2[s].sum()
+            want = ref.choice(n, p=d2[s] / total) if total > 0 else ref.integers(n)
+            assert got[s] == want, s
+            assert rngs[s].bit_generator.state == ref.bit_generator.state, s
+            ties += s % 2 == 0 and want == 11  # u <= cdf[3..10] < cdf[11]
+        assert ties == rows // 2
+
+    def test_first_lloyd_step_uses_seeded_distances(self):
+        pts = blobs(4, 3, 2, 10, 0.1)
+        n = pts.shape[0]
+        centers, dists = graph_mod._plusplus_seeds(pts, 3, 0, 2)
+        for r in range(2):  # the Lloyd step's own distance formula, bit for bit
+            want = ((pts[:, None, :] - centers[r][None, :, :]) ** 2).sum(axis=2)
+            assert np.array_equal(dists[r], want)
+        # the first step assigns by the distances it is given
+        planted = np.arange(n) % 3
+        fake = np.ones((n, 3))
+        fake[np.arange(n), planted] = 0.0
+        labels, _ = graph_mod._lloyd(pts, centers[0], fake, 1)
+        assert np.array_equal(labels, planted)

@@ -250,6 +250,23 @@ class TestMeraFit:
         factors = mera_fit(rng.standard_normal((3, 3, 3, 3, 4)), R=5, max_iter=3)
         assert np.array_equal(factors.contraction, mera_contract(factors))
 
+    def test_warm_start_reuses_kept_contraction(self, monkeypatch):
+        import wpsc.mera as mera_mod
+        rng = np.random.default_rng(16)
+        Y = rng.standard_normal((3, 3, 3, 3, 4))
+        start = mera_fit(Y, R=5, max_iter=2)
+        Y2 = Y + 0.1 * rng.standard_normal(Y.shape)
+        cold = mera_fit(Y2, R=5, max_iter=2, tol=0.0,
+                        init=MeraFactors(start.W1, start.W2, start.U1, start.B))
+        calls = []
+        real = mera_mod.mera_contract
+        monkeypatch.setattr(mera_mod, "mera_contract",
+                            lambda *a: calls.append(1) or real(*a))
+        warm = mera_fit(Y2, R=5, max_iter=2, tol=0.0, init=start)
+        assert len(calls) == 2  # one per sweep, none for the warm start
+        assert warm.fit_errors == cold.fit_errors
+        assert np.array_equal(warm.contraction, cold.contraction)
+
     def test_isometry_invariants_after_fit(self):
         rng = np.random.default_rng(8)
         Y = rng.standard_normal((3, 3, 3, 3, 4))

@@ -142,6 +142,25 @@ class TestSelectSubband:
         with pytest.raises(ParameterError):
             select_subband(unlabeled, 2, PlantedCePipeline(ds, {"": 0.0}))
 
+    @pytest.mark.parametrize("ce,chosen", [
+        ({"": 0.05, "A": 0.2, "H": 0.3, "V": 0.3, "D": 0.4}, ""),
+        ({"": 0.5, "A": 0.4, "H": 0.45, "V": 0.5, "D": 0.5,
+          "AA": 0.2, "AH": 0.3, "AV": 0.35, "AD": 0.5}, "AA"),
+    ])
+    def test_keeps_labels_of_chosen_node(self, ce, chosen):
+        ds = planted_ds()
+        pipe = PlantedCePipeline(ds, ce)
+        trace = select_subband(ds, 2, pipe)
+        assert trace.chosen == chosen
+        assert np.array_equal(trace.labels, pipe.run(node_matrix(ds, chosen), 2))
+
+    def test_kept_labels_equal_a_rerun_of_the_real_pipeline(self):
+        ds = wpsc.column_normalize(checkerboard_noise_uos(seed=0))
+        pipe = wpsc.SingleViewPipeline(wpsc.SolverSpec("SSC", {"alpha": 10}))
+        trace = select_subband(ds, 2, pipe, seed=3)
+        rerun = pipe.run(node_matrix(ds, trace.chosen), ds.C, 3)
+        assert np.array_equal(trace.labels, rerun)
+
     def test_checkerboard_noise_prefers_lowpass(self):
         # real pipeline sanity check on one seed (the statistical 8/10
         # version runs in the acceptance suite)
@@ -234,6 +253,8 @@ class TestExhaustiveScan:
         assert len(trace.evaluated) == 21
         assert trace.chosen == "DH"
         assert trace.stopped_reason == "exhaustive"
+        assert np.array_equal(trace.labels,
+                              PlantedCePipeline(ds, ce).run(node_matrix(ds, "DH"), 2))
 
 
 class TestStratifiedSubsets:
