@@ -88,18 +88,23 @@ class ExperimentConfig:
             sp = raw.get("split", {})
             cfg = cls(dataset=dict(raw["dataset"]), pipeline=pipeline, solver=solver,
                       levels=int(raw.get("levels", 2)), d=int(raw.get("d", 9)),
-                      ipd=bool(raw.get("ipd", False)),
+                      ipd=raw.get("ipd", False),
                       split=SplitSpec(in_fraction=sp.get("in_fraction", 1.0),
                                       seed=sp.get("seed", 0)),
                       mera=dict(raw.get("mera", {})), grid=grid,
                       seeds=tuple(raw.get("seeds", (0,))),
                       output_dir=raw.get("output_dir", "out"),
-                      normalize=bool(raw.get("normalize", True)),
-                      export_bundles=bool(raw.get("export_bundles", False)))
+                      normalize=raw.get("normalize", True),
+                      export_bundles=raw.get("export_bundles", False))
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad config value: {exc!r}") from exc
         if not isinstance(cfg.output_dir, str):
             raise ConfigError(f"output_dir must be a path string, got {cfg.output_dir!r}")
+        for key in ("ipd", "normalize", "export_bundles"):
+            if not isinstance(getattr(cfg, key), bool):
+                raise ConfigError(f"{key} must be true or false, got {getattr(cfg, key)!r}")
+        if not isinstance(cfg.dataset.get("name", ""), str):
+            raise ConfigError(f"dataset.name must be a string, got {cfg.dataset['name']!r}")
         if pipeline == "wp-mera":
             _mera_fields(cfg.mera)
         elif solver is None:

@@ -19,10 +19,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConsistencyError, ConvergenceError, NoGridError, ParameterError
-from .solvers import _shrink_columns
 
 ALM_MU0 = 1e-4
 ALM_RHO = 1.5
@@ -267,7 +265,13 @@ def mera_mvsc(views, lam, R, tol=1e-6, max_iter=200, sweeps=2, trace=None):
 
     Augmented-Lagrangian ADMM over per-view representation matrices Z^v,
     per-view errors E^v (row-wise l2,1 shrinkage), and the MERA factors
-    fitted to the reshaped consensus tensor. Deterministic.
+    fitted to the reshaped consensus tensor. The view constraints
+    X^v = X^v Z^v + E^v keep their dual in scaled form, W^v = M1^v / mu
+    (Boyd et al. 2011, section 3.1.1): with S = X^v - X^v Z^v + W^v, the
+    E-step is E^v = S * s row-wise with s = max(0, 1 - (lam/mu) / ||S_row||),
+    and the dual step W^v <- (W^v + gap) * mu / mu_next is M1 += mu * gap
+    divided by the next mu. Deterministic, and the output does not depend
+    on the memory layout of the views.
 
     Parameters
     ----------
@@ -286,7 +290,7 @@ def mera_mvsc(views, lam, R, tol=1e-6, max_iter=200, sweeps=2, trace=None):
     """
     if not views:
         raise ParameterError("need at least one view")
-    views = [np.asarray(Xv, dtype=np.float64) for Xv in views]
+    views = [np.ascontiguousarray(Xv, dtype=np.float64) for Xv in views]
     N = views[0].shape[1]
     if any(Xv.shape[1] != N for Xv in views):
         raise ParameterError("all views must share the number of columns N")
@@ -302,48 +306,57 @@ def mera_mvsc(views, lam, R, tol=1e-6, max_iter=200, sweeps=2, trace=None):
     if R > min(N, N * V):
         raise ParameterError(f"R = {R} exceeds min unfolding rank {N}")
 
-    gram = [Xv.T @ Xv for Xv in views]
-    factor = [cho_factor(G + np.eye(N)) for G in gram]
+    # G + I has all eigenvalues >= 1, so the explicit inverse is accurate
+    inverse = [np.linalg.inv(Xv.T @ Xv + np.eye(N)) for Xv in views]
     Z = np.zeros((N, N, V))
     Zhat = np.zeros((N, N, V))
     E = [np.zeros_like(Xv) for Xv in views]
-    M1 = [np.zeros_like(Xv) for Xv in views]
+    W = [np.zeros_like(Xv) for Xv in views]
+    work = [np.empty_like(Xv) for Xv in views]
     M2 = np.zeros((N, N, V))
     mu = ALM_MU0
     factors = None
     for it in range(max_iter):
-        gaps = []
+        mu_next = min(mu * ALM_RHO, ALM_MU_MAX)
+        res_views, sq_views = [], []
         for v, Xv in enumerate(views):
-            rhs = Xv.T @ (Xv - E[v] + M1[v] / mu) + Zhat[:, :, v] - M2[:, :, v] / mu
-            Z[:, :, v] = cho_solve(factor[v], rhs)
-            P = Xv - Xv @ Z[:, :, v]
-            E[v] = _shrink_columns((P + M1[v] / mu).T, lam / mu).T
-            gaps.append(P - E[v])
+            S = work[v]
+            np.subtract(Xv, E[v], out=S)
+            S += W[v]
+            Zv = inverse[v] @ (Xv.T @ S + Zhat[:, :, v] - M2[:, :, v] / mu)
+            Z[:, :, v] = Zv
+            # S = (Xv - Xv Z) + W, shrunk row-wise into E
+            np.matmul(Xv, Zv, out=S)
+            np.subtract(Xv, S, out=S)
+            S += W[v]
+            norms = np.sqrt(np.einsum("dn,dn->d", S, S))
+            keep = np.maximum(0.0, 1.0 - (lam / mu) / np.where(norms > 0, norms, 1.0))
+            np.multiply(S, keep[:, None], out=E[v])
+            # S (1 - s) = W + gap; the gap goes into the old dual's buffer
+            S *= (1.0 - keep)[:, None]
+            gap = np.subtract(S, W[v], out=W[v])
+            res_views.append(float(np.abs(gap).max()))
+            sq_views.append(float(np.vdot(gap, gap)))
+            # M1 += mu * gap, stored divided by the next mu
+            S *= mu / mu_next
+            W[v], work[v] = S, gap
         consensus = reshape_to_5d(Z + M2 / mu, shape)
         factors = mera_fit(consensus, R, max_iter=sweeps,
                            init=factors, tol=0.0)
         Zhat = reshape_from_5d(factors.contraction, shape)
-        res_views = [float(np.abs(g).max()) for g in gaps]
         gap_consensus = Z - Zhat
         res_consensus = float(np.abs(gap_consensus).max())
-        # E and the gaps are row-major whatever the layout of the views
-        # (bundles load column-major), so M1 is rebound to a row-major sum:
-        # an in-place update of a column-major M1 is a strided copy. The
-        # views keep the caller's layout, because small BLAS kernels sum in
-        # an order that depends on the operand layouts
-        for v in range(V):
-            M1[v] = M1[v] + mu * gaps[v]
         M2 += mu * gap_consensus
         if trace is not None:
             trace.append({
                 "iteration": it,
                 "view_residuals": res_views,
-                "residual_fro": float(np.sqrt(sum(np.sum(g ** 2) for g in gaps))),
+                "residual_fro": math.sqrt(sum(sq_views)),
                 "residual_consensus": res_consensus,
                 "fit_error": factors.fit_errors[-1],
                 "mu": mu,
             })
-        mu = min(mu * ALM_RHO, ALM_MU_MAX)
+        mu = mu_next
         if max(res_views) < tol and res_consensus < tol:
             names = FIVE_VIEW_ORDER if V == 5 else ()
             return SelfRepTensor(Z=Zhat, view_names=names)

@@ -419,6 +419,20 @@ class TestErrorExits:
             ExperimentConfig.from_dict({"dataset": {"kind": "synthetic"},
                                         "pipeline": "nope"})
 
+    @pytest.mark.parametrize("slot,value", [
+        *((slot, value) for slot in (("ipd",), ("normalize",), ("export_bundles",))
+          for value in ("false", 0, 1, None)),
+        *((("dataset", "name"), value) for value in (0, 1, None)),
+    ], ids=lambda v: ".".join(v) if isinstance(v, tuple) else json.dumps(v))
+    def test_config_flag_and_name_types_checked(self, tmp_path, slot, value):
+        # bool() coercion once made "ipd": "false" switch IPD on and exit 0
+        cfg = base_config(tmp_path)
+        section = cfg if len(slot) == 1 else cfg[slot[0]]
+        section[slot[-1]] = value
+        with pytest.raises(ConfigError, match=slot[-1]):
+            ExperimentConfig.from_dict(cfg)
+        assert main(["run", "--config", _write(tmp_path / "cfg.json", json.dumps(cfg))]) == 2
+
 
 def _write(path, text):
     path.write_text(text)
@@ -491,6 +505,8 @@ _junk = st.one_of(
 )
 _not_a_string = st.one_of(st.none(), st.integers(), st.floats(),
                           st.lists(st.integers(), max_size=2))
+_not_a_bool = st.one_of(_junk, st.integers(), st.floats(),
+                        st.sampled_from(["false", "true", "0", "1"]))
 BAD_CONFIG_VALUES = {
     ("d",): st.one_of(_junk, st.integers(max_value=0)),
     ("levels",): st.one_of(_junk, st.integers(max_value=0)),
@@ -515,6 +531,10 @@ BAD_CONFIG_VALUES = {
     ("dataset", "path"): st.one_of(_not_a_string,
                                    st.text("abc", min_size=1).map(lambda v: f"missing/{v}")),
     ("output_dir",): _not_a_string,
+    ("ipd",): _not_a_bool,
+    ("normalize",): _not_a_bool,
+    ("export_bundles",): _not_a_bool,
+    ("dataset", "name"): _not_a_string,
     ("mera", "lambda"): st.one_of(_junk, st.floats(max_value=0.0)),
     ("mera", "R"): st.one_of(_junk, st.integers(max_value=0)),
     ("mera", "max_iter"): st.one_of(_junk, st.integers(max_value=0)),

@@ -58,7 +58,7 @@ def contract_oracle(f):
 def reference_mera_mvsc(views, lam, R, tol=1e-6, max_iter=200, sweeps=2, trace=None):
     """The ADMM loop of ``mera_mvsc`` before it kept one memory layout,
     reused ``Xv @ Z`` for the gaps and took the fit's last contraction:
-    a verbatim copy, kept as the bit-for-bit reference."""
+    a verbatim copy, kept as the reference."""
     if not views:
         raise ParameterError("need at least one view")
     views = [np.asarray(Xv, dtype=np.float64) for Xv in views]
@@ -366,16 +366,55 @@ class TestMeraMvsc:
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("order", ["C", "F"])
-    def test_matches_reference_loop_bit_for_bit(self, seed, order):
+    def test_matches_reference_loop(self, seed, order):
+        # the scaled dual and the explicit inverse change rounding only:
+        # measured rel. max|dZ| 1.7e-13, same iterations and labels
         ds = make_uos(C=3, d=2, D=256, n=12, sigma=0.05, seed=seed)
         views = [np.asarray(Xv, order=order) for Xv in five_views(ds)]
         got_trace, ref_trace = [], []
         got = mera_mvsc(views, lam=10.0, R=12, trace=got_trace)
         ref = reference_mera_mvsc(views, lam=10.0, R=12, trace=ref_trace)
-        assert np.array_equal(got.Z, ref.Z)
-        assert got.view_names == ref.view_names
         assert len(got_trace) == len(ref_trace) > 1
-        assert repr(got_trace) == repr(ref_trace)
+        assert got.view_names == ref.view_names
+        rel = np.abs(got.Z - ref.Z).max() / np.abs(ref.Z).max()
+        assert rel <= 1e-11
+
+        def labels(tensor):
+            W = wpsc.affinity_from_representation(unify_views(tensor))
+            return wpsc.spectral_clustering(W, 3, 0).labels
+
+        assert np.array_equal(labels(got), labels(ref))
+
+    def test_output_independent_of_view_layout(self):
+        ds = make_uos(C=3, d=2, D=256, n=12, sigma=0.05, seed=0)
+        runs = []
+        for order in ("C", "F"):
+            views = [np.asarray(Xv, order=order) for Xv in five_views(ds)]
+            copies = [Xv.copy() for Xv in views]
+            trace = []
+            tensor = mera_mvsc(views, lam=10.0, R=12, trace=trace)
+            assert all(np.array_equal(a, b) for a, b in zip(views, copies))
+            runs.append((tensor.Z, repr(trace)))
+        assert np.array_equal(runs[0][0], runs[1][0])
+        assert runs[0][1] == runs[1][1]
+
+    def test_matches_reference_loop_past_mu_cap(self):
+        # mu reaches ALM_MU_MAX near iteration 80, where the dual rescale
+        # factor mu / mu_next becomes 1
+        ds = make_uos(C=3, d=2, D=256, n=12, sigma=0.05, seed=0)
+        views = five_views(ds)
+        got_trace, ref_trace = [], []
+        for solve, trace in ((mera_mvsc, got_trace),
+                             (reference_mera_mvsc, ref_trace)):
+            with pytest.raises(ConvergenceError):
+                solve(views, lam=10.0, R=12, tol=0.0, max_iter=100, trace=trace)
+        assert len(got_trace) == len(ref_trace) == 100
+        assert got_trace[-1]["mu"] == ALM_MU_MAX
+        for got, ref in zip(got_trace, ref_trace):
+            assert np.allclose(got["view_residuals"], ref["view_residuals"],
+                               rtol=0.0, atol=1e-12)
+            for key in ("residual_consensus", "fit_error"):
+                assert got[key] == pytest.approx(ref[key], rel=0.0, abs=1e-12)
 
     @pytest.mark.parametrize("kw", [{"max_iter": 0}, {"max_iter": -1},
                                     {"lam": float("nan")}, {"lam": float("inf")}])
