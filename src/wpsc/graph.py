@@ -3,7 +3,7 @@
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
+from numpy.linalg import eigh
 
 from .errors import ParameterError
 
@@ -76,8 +76,9 @@ def spectral_clustering(W, C, seed=0):
 
     Embeds points with the eigenvectors of the C smallest eigenvalues of
     L = I - D^{-1/2} W D^{-1/2} (isolated vertices get a tiny degree
-    floor), row-normalizes, and runs seeded k-means++ with 20 restarts;
-    the restart with the best inertia wins. Deterministic given seed.
+    floor; the first C columns of numpy's full ``eigh``), row-normalizes,
+    and runs seeded k-means++ with 20 restarts; the restart with the best
+    inertia wins. Deterministic given seed.
     """
     W = _check_affinity(W)
     n = W.shape[0]
@@ -89,7 +90,7 @@ def spectral_clustering(W, C, seed=0):
     inv_sqrt = 1.0 / np.sqrt(deg)
     L = -W * np.outer(inv_sqrt, inv_sqrt)
     L[np.diag_indices(n)] += 1.0
-    _, vecs = eigh(L, subset_by_index=[0, C - 1])
+    vecs = eigh(L)[1][:, :C]
     norms = np.linalg.norm(vecs, axis=1)
     emb = vecs / np.where(norms > 0, norms, 1.0)[:, None]
     labels = kmeans(emb, C, seed)
@@ -102,8 +103,10 @@ def kmeans(points, k, seed, restarts=KMEANS_RESTARTS, max_iter=KMEANS_MAX_ITER):
     The restarts are seeded together, restart r from its own generator
     ``np.random.default_rng(seed + r)``, and each restart's first Lloyd step
     reuses the distances its seeding computed. The restart with the smallest
-    inertia wins, the earliest on ties.
+    inertia wins, the earliest on ties. The points are taken in column-major
+    order, so the labels do not depend on their memory layout.
     """
+    points = np.asfortranarray(points)
     centers, dists = _plusplus_seeds(points, k, seed, restarts)
     best_labels, best_inertia = None, np.inf
     for r in range(restarts):

@@ -4,10 +4,10 @@ All five metrics live in [0, 1] and are invariant under bijective
 relabeling of either argument.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ParameterError
 
@@ -36,10 +36,11 @@ def _contingency(truth, pred):
 def evaluate(truth, pred):
     """Score a predicted labeling against ground truth.
 
-    ACC maximizes the match fraction over label bijections (Hungarian
-    assignment on the contingency table); NMI uses sqrt(H_t * H_p)
-    normalization; Rand and F count agreeing pairs; purity takes the
-    dominant truth class per predicted cluster.
+    ACC maximizes the match fraction over label bijections: the Hungarian
+    method with potentials on the contingency table, in numpy
+    (``_max_matching``). NMI uses sqrt(H_t * H_p) normalization; Rand and F
+    count agreeing pairs; purity takes the dominant truth class per
+    predicted cluster.
     """
     truth = np.asarray(truth).ravel()
     pred = np.asarray(pred).ravel()
@@ -50,7 +51,7 @@ def evaluate(truth, pred):
         raise ParameterError("need at least 2 points")
     M = _contingency(truth, pred)
 
-    rows, cols = linear_sum_assignment(M, maximize=True)
+    rows, cols = _max_matching(M)
     acc = M[rows, cols].sum() / n
 
     pt = M.sum(axis=1) / n
@@ -81,6 +82,53 @@ def evaluate(truth, pred):
                          f_score=float(f), purity=float(purity))
 
 
+def _max_matching(M):
+    """Rows and columns of a maximum-weight matching of a nonnegative table.
+
+    The Hungarian method with potentials (Kuhn 1955), one shortest
+    augmenting path per row, O(k^3) for k = max(M.shape), with the inner
+    loop vectorized over columns. A rectangular table is padded with zeros
+    to k x k, and the pairs of padding are dropped, so min(r, c) pairs
+    remain, sorted by row. The sums and differences of integer counts held
+    in float64 are exact, so the optimum is too.
+    """
+    r, c = M.shape
+    k = max(r, c)
+    cost = np.zeros((k, k))
+    cost[:r, :c] = -M  # minimize the negated counts
+    u = np.zeros(k)  # row potentials
+    v = np.zeros(k + 1)  # column potentials; column k is the root of each path
+    row_of = np.full(k + 1, -1)  # row matched to each column
+    for i in range(k):
+        row_of[k] = i
+        j0 = k
+        minv = np.full(k, np.inf)  # least reduced cost into each column
+        way = np.full(k, k)  # previous column on the shortest path
+        used = np.zeros(k + 1, dtype=bool)
+        while row_of[j0] != -1:
+            used[j0] = True
+            i0 = row_of[j0]
+            free = np.flatnonzero(~used[:k])
+            cur = cost[i0, free] - u[i0] - v[free]
+            better = cur < minv[free]
+            minv[free[better]] = cur[better]
+            way[free[better]] = j0
+            j1 = free[np.argmin(minv[free])]
+            delta = minv[j1]
+            done = np.flatnonzero(used)
+            u[row_of[done]] += delta
+            v[done] -= delta
+            minv[free] -= delta
+            j0 = j1
+        while j0 != k:  # flip the matching along the path
+            j1 = way[j0]
+            row_of[j0] = row_of[j1]
+            j0 = j1
+    col_of = np.argsort(row_of[:k])  # every row is matched: a permutation
+    rows = np.flatnonzero(col_of[:r] < c)
+    return rows, col_of[rows]
+
+
 def wilcoxon_signed_rank(a, b):
     """Two-sided Wilcoxon signed-rank test p-value for paired samples.
 
@@ -89,10 +137,6 @@ def wilcoxon_signed_rank(a, b):
     the normal approximation with tie and continuity corrections. Requires
     at least 5 nonzero differences.
     """
-    # imported here: scipy.stats costs about 0.5 s of every start-up and
-    # only the Wilcoxon test needs it
-    from scipy.stats import norm, rankdata
-
     a = np.asarray(a, dtype=np.float64).ravel()
     b = np.asarray(b, dtype=np.float64).ravel()
     if a.shape != b.shape:
@@ -104,15 +148,18 @@ def wilcoxon_signed_rank(a, b):
         return 1.0
     if n < 5:
         raise ParameterError("need >= 5 nonzero differences")
-    ranks = rankdata(np.abs(diff))
+    # average ranks: a group of c tied values ending at rank R (the running
+    # count) shares the mean rank R - (c - 1) / 2
+    _, group, tie_counts = np.unique(np.abs(diff), return_inverse=True,
+                                     return_counts=True)
+    ranks = (np.cumsum(tie_counts) - (tie_counts - 1) / 2.0)[group]
     w_plus = float(ranks[diff > 0].sum())
     mean = n * (n + 1) / 4.0
     var = n * (n + 1) * (2 * n + 1) / 24.0
-    _, tie_counts = np.unique(ranks, return_counts=True)
     var -= float(np.sum(tie_counts ** 3 - tie_counts)) / 48.0
     if var <= 0:
         return 1.0
     dev = w_plus - mean
     z = (dev - 0.5 * np.sign(dev)) / np.sqrt(var)
-    p = 2.0 * norm.sf(abs(z))
+    p = math.erfc(abs(z) / math.sqrt(2.0))  # two-sided normal tail
     return float(min(max(p, np.nextafter(0, 1)), 1.0))

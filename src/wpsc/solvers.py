@@ -11,7 +11,6 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConvergenceError, DegenerateDataError, ParameterError
 
@@ -129,7 +128,7 @@ def solve_ssc(X, alpha, mode="noise", affine=False, tol=1e-6, max_iter=200,
         M += rho * np.ones((N, N))
     # M >= rho I and rho = lam, so cond(M) <= 1 + ||X||^2 (+ N when affine)
     # and the explicit inverse is accurate
-    Minv = cho_solve(cho_factor(M), np.eye(N))
+    Minv = np.linalg.inv(M)
 
     lam_err = None
     if mode == "outlier":
@@ -207,7 +206,8 @@ def solve_lrr(X, lam, tol=1e-6, max_iter=500, objective_trace=None):
         raise ParameterError("max_iter must be >= 1")
     mu, rho, mu_max = 1e-3, 1.1, 1e10
     XtX = X.T @ X
-    factor = cho_factor(XtX + np.eye(N))
+    # XtX + I has all eigenvalues >= 1: invert it once, one GEMM per step
+    inv = np.linalg.inv(XtX + np.eye(N))
     Z = np.zeros((N, N))
     J = np.zeros((N, N))
     E = np.zeros_like(X)
@@ -215,7 +215,7 @@ def solve_lrr(X, lam, tol=1e-6, max_iter=500, objective_trace=None):
     Y2 = np.zeros((N, N))
     for _ in range(max_iter):
         J = _svt(Z + Y2 / mu, 1.0 / mu)
-        Z = cho_solve(factor, XtX - X.T @ E + J + (X.T @ Y1 - Y2) / mu)
+        Z = inv @ (XtX - X.T @ E + J + (X.T @ Y1 - Y2) / mu)
         E = _shrink_columns(X - X @ Z + Y1 / mu, lam / mu)
         res_data = X - X @ Z - E
         Y1 += mu * res_data

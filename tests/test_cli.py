@@ -604,3 +604,67 @@ class TestRunExperimentApi:
         paths = emit_report(results)
         for p in paths:
             assert p.exists()
+
+
+# Runs in a fresh interpreter in which importing scipy, or any scipy.*
+# module, raises ImportError; argv lists come as JSON in sys.argv[1].
+_NO_SCIPY_CHILD = """
+import importlib.abc, json, sys
+
+class BlockScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"import of {name} blocked")
+        return None
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+sys.meta_path.insert(0, BlockScipy())
+import wpsc.cli
+after_import = loaded()
+codes = [wpsc.cli.main(argv) for argv in json.loads(sys.argv[1])]
+p = wpsc.wilcoxon_signed_rank([1, 2, 3, 4, 5, 6], [0, 0, 0, 0, 0, 0])
+print(json.dumps({"after_import": after_import, "codes": codes, "p": p,
+                  "after_run": loaded()}))
+"""
+
+
+def test_run_path_loads_no_scipy(tmp_path):
+    # numpy is the only runtime dependency: neither importing the CLI nor a
+    # run of any pipeline, nor eval, may load a scipy module
+    _, ds = synth_bundle(tmp_path, n_per_cluster=16)
+    grid = {"values": {"q": [3, 5]}, "n_val_subsets": 2, "val_size_per_cluster": 8}
+    configs = {
+        "ssc": {},
+        "lrr": {"solver": {"kind": "LRR", "params": {"lambda": 10}}},
+        "nsn": {"solver": {"kind": "NSN", "params": {"k": 4, "d_max": 2}}},
+        "rtsc-grid": {"solver": {"kind": "RTSC", "params": {"q": 4}}, "grid": grid},
+        "wp-single": {"pipeline": "wp-single", "levels": 1},
+        "wp-mera": {"pipeline": "wp-mera", "mera": {"lambda": 10, "R": 12},
+                    "split": {"in_fraction": 0.75, "seed": 0}},
+    }
+    argvs = []
+    for name, overrides in configs.items():
+        cfg = base_config(tmp_path, output_dir=str(tmp_path / name), **overrides)
+        if name == "wp-mera":
+            del cfg["solver"]
+        argvs.append(["run", "--config", _write(tmp_path / f"{name}.json",
+                                                 json.dumps(cfg))])
+    labels = "\n".join(map(str, ds.labels)) + "\n"
+    argvs.append(["eval", "--truth", _write(tmp_path / "truth.csv", labels),
+                  "--pred", _write(tmp_path / "pred.csv", labels),
+                  "--out", str(tmp_path / "eval.json")])
+    env = {**os.environ, "PYTHONPATH": str(Path(wpsc.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", _NO_SCIPY_CHILD, json.dumps(argvs)],
+                         env=env, cwd=tmp_path, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert result["after_import"] == []
+    assert result["codes"] == [0] * len(argvs), out.stderr
+    assert 0.0 < result["p"] < 0.05
+    assert result["after_run"] == []
+    for name in configs:
+        report = json.loads((tmp_path / name / "report.json").read_text())
+        assert report["runs"][0]["metrics"]["in"]["acc"] > 0.5, name
+    assert json.loads((tmp_path / "eval.json").read_text())["acc"] == 1.0

@@ -278,6 +278,26 @@ class TestKmeans:
                 kmeans(pts, k, seed, restarts=restarts, max_iter=max_iter),
                 reference_kmeans(pts, k, seed, restarts=restarts, max_iter=max_iter))
 
+    @pytest.mark.parametrize("k,dim", [(3, 2), (5, 9), (20, 20)])
+    def test_labels_independent_of_layout(self, k, dim, monkeypatch):
+        # from 8 coordinates on, row-major points make the (n, k, m) distance
+        # sums reduce in another order, so k-means takes every input in
+        # column-major order
+        layouts = []
+        real = graph_mod._lloyd
+
+        def spy(points, *args):
+            layouts.append(points.flags.f_contiguous)
+            return real(points, *args)
+
+        monkeypatch.setattr(graph_mod, "_lloyd", spy)
+        for seed in range(4):
+            pts = blobs(seed, k, dim, 15, 0.4)
+            c_order, f_order = np.ascontiguousarray(pts), np.asfortranarray(pts)
+            assert c_order.flags.c_contiguous and f_order.flags.f_contiguous
+            assert np.array_equal(kmeans(c_order, k, seed), kmeans(f_order, k, seed))
+        assert layouts and all(layouts)
+
     def test_draw_matches_generator_choice(self):
         # one stream per row; half the rows put the stream's next uniform u
         # exactly on a cdf entry, where only side="right" counts the tie, and

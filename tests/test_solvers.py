@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from conftest import make_uos
 from wpsc.errors import ConvergenceError, DegenerateDataError, ParameterError
-from wpsc.solvers import SolverSpec, solve_lrr, solve_nsn, solve_rtsc, solve_ssc
+from wpsc.solvers import (
+    SolverSpec,
+    _shrink_columns,
+    _svt,
+    solve_lrr,
+    solve_nsn,
+    solve_rtsc,
+    solve_ssc,
+)
 
 
 def lasso_oracle(X, i, lam):
@@ -117,11 +126,61 @@ class TestSsc:
                     assert abs(Z[i, j]) < 1e-6
 
 
+def reference_solve_lrr(X, lam, tol=1e-6, max_iter=500, objective_trace=None):
+    """Reference LRR loop: ``solve_lrr`` with a Cholesky factor of X'X + I
+    and one ``cho_solve`` per iteration in place of the explicit inverse."""
+    X = np.asarray(X, dtype=np.float64)
+    N = X.shape[1]
+    mu, rho, mu_max = 1e-3, 1.1, 1e10
+    XtX = X.T @ X
+    factor = cho_factor(XtX + np.eye(N))
+    Z = np.zeros((N, N))
+    J = np.zeros((N, N))
+    E = np.zeros_like(X)
+    Y1 = np.zeros_like(X)
+    Y2 = np.zeros((N, N))
+    for _ in range(max_iter):
+        J = _svt(Z + Y2 / mu, 1.0 / mu)
+        Z = cho_solve(factor, XtX - X.T @ E + J + (X.T @ Y1 - Y2) / mu)
+        E = _shrink_columns(X - X @ Z + Y1 / mu, lam / mu)
+        res_data = X - X @ Z - E
+        Y1 += mu * res_data
+        Y2 += mu * (Z - J)
+        mu = min(mu * rho, mu_max)
+        if objective_trace is not None:
+            nuc = float(np.linalg.svd(J, compute_uv=False).sum())
+            feas = X - X @ J
+            objective_trace.append(nuc + lam * float(np.linalg.norm(feas, axis=0).sum()))
+        r1 = np.abs(X - X @ J - E).max()
+        r2 = np.abs(Z - J).max()
+        if max(r1, r2) < tol:
+            return J
+    raise ConvergenceError(
+        f"LRR did not converge in {max_iter} iterations",
+        residuals={"data": r1, "coupling": r2},
+    )
+
+
 class TestLrr:
     def _low_rank_data(self, seed, D=30, N=40, r=3):
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((D, r)) @ rng.standard_normal((r, N))
         return X / np.linalg.norm(X, axis=0), r
+
+    @pytest.mark.parametrize("case", ["low-rank", "uos-noisy", "uos-outlier-lambda"])
+    def test_matches_cholesky_reference(self, case):
+        # one GEMM with (X'X + I)^-1 per iteration in place of a cho_solve
+        if case == "low-rank":
+            X, lam = self._low_rank_data(5)[0], 10.0
+        elif case == "uos-noisy":
+            X, lam = make_uos(C=3, d=3, D=40, n=15, sigma=0.1, seed=1).data, 1.0
+        else:
+            X, lam = make_uos(C=4, d=2, D=30, n=12, sigma=0.3, seed=2).data, 0.3
+        got_trace, want_trace = [], []
+        got = solve_lrr(X, lam, objective_trace=got_trace)
+        want = reference_solve_lrr(X, lam, objective_trace=want_trace)
+        assert len(got_trace) == len(want_trace)
+        assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
 
     def test_noiseless_closed_form(self):
         # the noiseless large-lambda solution is the shape-interaction matrix
