@@ -45,20 +45,16 @@ from .pipeline import (
     five_views,
     run_wp_mera,
 )
-from .selection import Grid, SelectionTrace, clustering_error, grid_search, select_subband
+from .selection import Grid, SelectionTrace, grid_search, select_subband
 from .solvers import SolverSpec, solve_lrr, solve_nsn, solve_rtsc, solve_ssc
 from .subspace import (
     DIGIT_SUBSPACE_DIM,
     FACE_OBJECT_SUBSPACE_DIM,
     ClusterModel,
-    assign_oos,
-    assign_oos_batch,
-    assign_oos_multiview,
+    assign_multiview_batch,
     average_affinity,
     estimate_bases,
-    load_cluster_model,
     mean_principal_angle,
-    save_cluster_model,
     subspace_affinity,
 )
 from .wavelet import (

@@ -31,18 +31,14 @@ def save_bundle(ds, path):
 
 def save_matrix(M, path):
     """Export a bare matrix (e.g. a representation or affinity) for
-    inspection, using the bundle layout with 1 x rows geometry."""
+    inspection, using the bundle layout with 1 x rows geometry; read it
+    back with ``load_bundle(path).data``."""
     from .datasets import Dataset
 
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2:
         raise ConsistencyError("save_matrix expects a 2-D matrix")
     save_bundle(Dataset(data=M, img_h=1, img_w=M.shape[0]), path)
-
-
-def load_matrix(path):
-    """Inverse of :func:`save_matrix`; returns a bare ndarray."""
-    return load_bundle(path).data
 
 
 def load_bundle(path, name=None):

@@ -25,19 +25,14 @@ from .datasets import (Dataset, SplitSpec, UosSpec, column_normalize, generate_u
                        load_pgm_dir, split, unit_columns)
 from .errors import (ConfigError, ConsistencyError, ConvergenceError, DataError, Error,
                      LabelingError)
-from .graph import Partition, affinity_from_representation, ipd_threshold, spectral_clustering
+from .graph import Partition, affinity_from_representation, spectral_clustering
 from .mera import FIVE_VIEW_ORDER, choose_grid, unify_views
 from .metrics import evaluate
-from .pipeline import (
-    SingleViewPipeline,
-    WpMeraPipeline,
-    assign_multiview_batch,
-    five_views,
-    run_wp_mera,
-)
+from .pipeline import SingleViewPipeline, WpMeraPipeline, five_views, run_wp_mera
 from .selection import Grid, grid_search, select_subband
 from .solvers import SolverSpec
-from .subspace import assign_oos_batch, average_affinity, estimate_bases, mean_principal_angle
+from .subspace import (assign_multiview_batch, average_affinity, estimate_bases,
+                       mean_principal_angle)
 from .wavelet import node_matrix, wp_decompose
 
 METRICS_HEADER = ["dataset", "pipeline", "subband", "seed", "phase",
@@ -349,40 +344,32 @@ def emit_report(results, append=False):
         json.dumps(results["report"], indent=2, sort_keys=True) + "\n")
 
     metrics_path = out_dir / "metrics.csv"
-    write_header = not (append and metrics_path.exists())
-    mode = "a" if append else "w"
-    with open(metrics_path, mode, newline="") as fh:
-        writer = csv.writer(fh)
-        if write_header:
-            writer.writerow(METRICS_HEADER)
-        writer.writerows(results["metrics_rows"])
-
+    _write_csv(metrics_path, METRICS_HEADER, results["metrics_rows"], append)
     trace_path = out_dir / "trace.csv"
     header = ["seed", "order", "subband", "ce"]
     if results["pipeline"] == "wp-mera":
         header = ["seed", *MERA_TRACE_HEADER]
-    with open(trace_path, mode, newline="") as fh:
-        writer = csv.writer(fh)
-        if not (append and trace_path.stat().st_size > 0):
-            writer.writerow(header)
-        writer.writerows(results["trace_rows"])
+    _write_csv(trace_path, header, results["trace_rows"], append)
 
     paths = [report_path, metrics_path, trace_path]
-    grid_rows = [(run["seed"], row)
+    grid_rows = [[run["seed"], json.dumps(row["params"], sort_keys=True),
+                  f"{row['mean_acc']:.6f}", ";".join(f"{a:.6f}" for a in row["accs"])]
                  for run in results["report"]["runs"] if "grid" in run
                  for row in run["grid"]["table"]]
     if grid_rows:
-        grid_path = out_dir / "grid.csv"
-        with open(grid_path, mode, newline="") as fh:
-            writer = csv.writer(fh)
-            if not (append and grid_path.stat().st_size > 0):
-                writer.writerow(["seed", "params", "mean_acc", "accs"])
-            for seed, row in grid_rows:
-                writer.writerow([seed, json.dumps(row["params"], sort_keys=True),
-                                 f"{row['mean_acc']:.6f}",
-                                 ";".join(f"{a:.6f}" for a in row["accs"])])
-        paths.append(grid_path)
+        paths.append(out_dir / "grid.csv")
+        _write_csv(paths[-1], ["seed", "params", "mean_acc", "accs"], grid_rows, append)
     return tuple(paths)
+
+
+def _write_csv(path, header, rows, append=False):
+    """Write ``rows`` to the CSV file ``path``, or append them to it; the
+    header goes in only when the file is empty."""
+    with open(path, "a" if append else "w", newline="") as fh:
+        writer = csv.writer(fh)
+        if fh.tell() == 0:
+            writer.writerow(header)
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +383,28 @@ def _read_labels_csv(path):
     return np.asarray(vals, dtype=np.int64)
 
 
-def _write_labels_csv(path, labels):
-    Path(path).write_text("\n".join(str(int(v)) for v in labels) + "\n")
+def _load_normalized(path, C=None, needs_C=False):
+    """The bundle at ``path``, column-normalized, and its cluster count:
+    ``C`` (the ``--C`` option) if given, else the number of label classes
+    (None if unlabeled). With ``needs_C``, unlabeled data need ``C``."""
+    ds = column_normalize(load_bundle(path))
+    if needs_C and ds.labels is None and C is None:
+        raise ConfigError("unlabeled data: pass --C")
+    return ds, C or ds.C
+
+
+def _emit_labels(path, labels, truth):
+    """Write ``labels`` to the CSV file ``path``, one per line; print their
+    metrics against ``truth`` and return them, or, without truth, print
+    where the labels went and return None."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join(str(int(v)) for v in labels) + "\n")
+    if truth is None:
+        print(f"wrote {path}")
+        return None
+    m = _metrics_dict(truth, labels)
+    print(json.dumps(m, sort_keys=True))
+    return m
 
 
 def _cmd_synth(args):
@@ -433,87 +440,58 @@ def _solver_from_args(args):
 
 
 def _cmd_cluster(args):
-    ds = column_normalize(load_bundle(args.data))
-    if ds.labels is None and args.C is None:
-        raise ConfigError("unlabeled data: pass --C")
-    C = args.C or ds.C
+    ds, C = _load_normalized(args.data, args.C, needs_C=True)
     pipe = SingleViewPipeline(solver=_solver_from_args(args), ipd_d=args.ipd_d)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.export_matrix:
-        M = pipe.solver.solve(unit_columns(ds.data))
-        if pipe.ipd_d is not None:
-            M = ipd_threshold(M, pipe.ipd_d)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        M = pipe.representation(ds.data)
         save_matrix(M, out_dir / "representation.wpsc")
         W = affinity_from_representation(M)
         save_matrix(W, out_dir / "affinity.wpsc")
         labels = spectral_clustering(W, C, args.seed).labels
     else:
         labels = pipe.run(ds.data, C, args.seed)
-    _write_labels_csv(out_dir / "labels.csv", labels)
-    if ds.labels is not None:
-        m = _metrics_dict(ds.labels, labels)
+    m = _emit_labels(out_dir / "labels.csv", labels, ds.labels)
+    if m is not None:
         (out_dir / "metrics.json").write_text(json.dumps(m, indent=2, sort_keys=True) + "\n")
-        print(json.dumps(m, sort_keys=True))
-    else:
-        print(f"wrote {out_dir / 'labels.csv'}")
 
 
 def _cmd_select_subband(args):
     from .selection import scan_all_subbands
 
-    ds = column_normalize(load_bundle(args.data))
+    ds, _ = _load_normalized(args.data)
     pipe = SingleViewPipeline(solver=_solver_from_args(args), ipd_d=args.ipd_d)
     chooser = scan_all_subbands if args.exhaustive else select_subband
     sel = chooser(ds, args.levels, pipe, args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "selection.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["order", "subband", "ce"])
-        for i, (p, ce) in enumerate(sel.evaluated):
-            writer.writerow([i, p, f"{ce:.6f}"])
+    _write_csv(out_dir / "selection.csv", ["order", "subband", "ce"],
+               ([i, p, f"{ce:.6f}"] for i, (p, ce) in enumerate(sel.evaluated)))
     print(f"chosen subband: {sel.chosen!r} ({sel.stopped_reason}); "
           f"{len(sel.evaluated)} evaluations")
 
 
 def _cmd_mera(args):
-    ds = column_normalize(load_bundle(args.data))
-    if ds.labels is None and args.C is None:
-        raise ConfigError("unlabeled data: pass --C")
-    C = args.C or ds.C
+    ds, C = _load_normalized(args.data, args.C, needs_C=True)
     trace = []
-    part, tensor, _ = run_wp_mera(ds, C, lam=args.lam, R=args.rank,
-                                  seed=args.seed, trace=trace)
+    part, _, _ = run_wp_mera(ds, C, lam=args.lam, R=args.rank, seed=args.seed, trace=trace)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_labels_csv(out_dir / "labels.csv", part.labels)
-    with open(out_dir / "trace.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MERA_TRACE_HEADER)
-        writer.writerows(_mera_trace_row(t) for t in trace)
-    if ds.labels is not None:
-        print(json.dumps(_metrics_dict(ds.labels, part.labels), sort_keys=True))
+    _emit_labels(out_dir / "labels.csv", part.labels, ds.labels)
+    _write_csv(out_dir / "trace.csv", MERA_TRACE_HEADER, map(_mera_trace_row, trace))
 
 
 def _cmd_oos(args):
-    in_ds = column_normalize(load_bundle(args.in_data))
-    out_ds = column_normalize(load_bundle(args.out_data))
+    in_ds, _ = _load_normalized(args.in_data)
+    out_ds, _ = _load_normalized(args.out_data)
     if args.labels:  # checked as bundle labels are: one per point, no empty class
         in_ds = Dataset(data=in_ds.data, img_h=in_ds.img_h, img_w=in_ds.img_w,
                         labels=_read_labels_csv(args.labels))
     if in_ds.labels is None:
         raise ConfigError("need in-sample labels (--labels or labeled bundle)")
-    part = Partition(labels=in_ds.labels, C=in_ds.C)
-    model = estimate_bases(in_ds.data, part, args.d)
-    oos_labels = assign_oos_batch(out_ds.data, model)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_labels_csv(out_dir / "oos_labels.csv", oos_labels)
-    if out_ds.labels is not None:
-        print(json.dumps(_metrics_dict(out_ds.labels, oos_labels), sort_keys=True))
-    else:
-        print(f"wrote {out_dir / 'oos_labels.csv'}")
+    model = estimate_bases(in_ds.data, Partition(labels=in_ds.labels, C=in_ds.C), args.d)
+    _emit_labels(Path(args.out_dir) / "oos_labels.csv",
+                 assign_multiview_batch([out_ds.data], [model]), out_ds.labels)
 
 
 def _cmd_eval(args):
@@ -528,7 +506,8 @@ def _cmd_eval(args):
     print(json.dumps(m, sort_keys=True))
 
 
-_RUN_OVERRIDES = ("pipeline", "levels", "d", "output_dir")
+# config keys that the ``run`` flags of the same dest override
+_RUN_OVERRIDES = ("pipeline", "levels", "d", "seeds", "ipd", "output_dir")
 
 
 def _cmd_run(args):
@@ -539,13 +518,8 @@ def _cmd_run(args):
     if not isinstance(raw, dict):
         raise ConfigError(f"{args.config}: config must be a JSON object")
     for key in _RUN_OVERRIDES:
-        val = getattr(args, key.replace("-", "_"), None)
-        if val is not None:
-            raw[key] = val
-    if args.seed is not None:
-        raw["seeds"] = args.seed
-    if args.ipd is not None:
-        raw["ipd"] = args.ipd
+        if getattr(args, key) is not None:
+            raw[key] = getattr(args, key)
     cfg = ExperimentConfig.from_dict(raw)
     try:
         results = run_experiment(cfg)
@@ -630,7 +604,7 @@ def build_parser():
     p.add_argument("--pipeline", choices=PIPELINES, default=None)
     p.add_argument("--levels", type=int, default=None)
     p.add_argument("--d", type=int, default=None)
-    p.add_argument("--seed", type=int, action="append", default=None,
+    p.add_argument("--seed", dest="seeds", type=int, action="append", default=None,
                    help="override config seeds (repeatable)")
     p.add_argument("--ipd", action=argparse.BooleanOptionalAction, default=None)
     p.add_argument("--output-dir", dest="output_dir", default=None)

@@ -8,7 +8,7 @@ import math
 import numbers
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -216,11 +216,9 @@ def load_idx(images_path, labels_path=None, name=None):
 
 def _relabel(raw, origin):
     """Map arbitrary integer class ids onto contiguous {0..C-1}."""
-    uniq = np.unique(raw)
-    lookup = {int(v): i for i, v in enumerate(uniq)}
-    if len(lookup) < 1:
+    if raw.size == 0:
         raise LabelingError(f"{origin}: no class ids found")
-    return np.array([lookup[int(v)] for v in raw], dtype=np.int64)
+    return np.unique(raw, return_inverse=True)[1].astype(np.int64)
 
 
 def _read_pgm(path):

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .datasets import most_square_shape
 from .errors import ConsistencyError, ConvergenceError, NoGridError, ParameterError
 
 ALM_MU0 = 1e-4
@@ -78,10 +79,10 @@ class MeraFactors:
         ]
         return float(max(defects))
 
-    def check(self, tol=1e-8):
+    def check(self):
         defect = self.isometry_defect()
         self.isometry_defects.append(defect)
-        if defect > tol:
+        if defect > 1e-8:
             raise ConsistencyError(
                 f"MERA factor unfoldings deviate from isometry by {defect:.3e}"
             )
@@ -117,13 +118,10 @@ def choose_grid(N):
     """
     if N < 4:
         raise ParameterError("need N >= 4")
-    best = None
-    for a in range(2, int(math.isqrt(N)) + 1):
-        if N % a == 0:
-            best = a
-    if best is None:
+    A, Q = most_square_shape(N)
+    if A < 2:
         raise NoGridError(f"N = {N} admits no A x Q grid with A, Q >= 2")
-    return best, N // best
+    return A, Q
 
 
 def reshape_to_5d(Z, shape):
@@ -162,13 +160,10 @@ def _einsum(spec, *operands):
     return np.einsum(spec, *operands, optimize=path)
 
 
-def mera_contract(factors, shape=None):
+def mera_contract(factors):
     """Evaluate the network: layer tensor contracted with the top core."""
-    Yhat = _einsum("xar,bdes,abyz,rs->xyzde",
+    return _einsum("xar,bdes,abyz,rs->xyzde",
                    factors.W1, factors.W2, factors.U1, factors.B)
-    if shape is not None and Yhat.shape != shape.dims:
-        raise ParameterError(f"contracted shape {Yhat.shape} != {shape.dims}")
-    return Yhat
 
 
 def _top_core(Y, factors):
@@ -200,7 +195,7 @@ def _hosvd_init(Y, R):
     return factors
 
 
-def mera_fit(Y, R, tol=1e-8, max_iter=100, init=None, check_tol=1e-8):
+def mera_fit(Y, R, tol=1e-8, max_iter=100, init=None):
     """Fit MERA factors to a 5-way tensor by alternating Procrustes sweeps.
 
     Starts from the truncated HOSVD of the paired-mode unfoldings (or from
@@ -208,7 +203,7 @@ def mera_fit(Y, R, tol=1e-8, max_iter=100, init=None, check_tol=1e-8):
     per sweep updates U1, W1, W2 via the SVD of their environment tensors
     and recomputes the top core. Stops when the relative fit improvement
     drops below ``tol`` or after ``max_iter`` sweeps. Isometry invariants
-    are verified every sweep.
+    are verified every sweep, to 1e-8.
     """
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim != 5 or Y.shape[0] != Y.shape[2] or Y.shape[1] != Y.shape[3]:
@@ -227,7 +222,7 @@ def mera_fit(Y, R, tol=1e-8, max_iter=100, init=None, check_tol=1e-8):
         factors = MeraFactors(W1=init.W1.copy(), W2=init.W2.copy(),
                               U1=init.U1.copy(), B=init.B.copy(),
                               contraction=init.contraction)
-    factors.check(check_tol)
+    factors.check()
     if factors.contraction is None:
         factors.contraction = mera_contract(factors)
     err = float(np.linalg.norm(Y - factors.contraction))
@@ -243,7 +238,7 @@ def mera_fit(Y, R, tol=1e-8, max_iter=100, init=None, check_tol=1e-8):
                          Y, factors.W1, factors.U1, factors.B)
         factors.W2 = _procrustes(env_w2, env_w2.shape[:3])
         factors.B = _top_core(Y, factors)
-        factors.check(check_tol)
+        factors.check()
         new_err = _fit_error(Y, factors)
         factors.fit_errors.append(new_err)
         if err - new_err < tol * max(err, 1e-300):

@@ -8,7 +8,8 @@ from .errors import ParameterError
 from .graph import affinity_from_representation, ipd_threshold, spectral_clustering
 from .mera import mera_mvsc, unify_views
 from .solvers import SolverSpec
-# assign_multiview_batch lives in subspace; the CLI and the demos import it here
+# assign_multiview_batch lives in subspace; the benchmark's span tracer
+# (bench/spans.py) looks it up here to time out-of-sample assignment
 from .subspace import assign_multiview_batch  # noqa: F401
 from .wavelet import haar_analysis_2d
 
@@ -20,12 +21,17 @@ class SingleViewPipeline:
     solver: SolverSpec
     ipd_d: int | None = None
 
-    def run(self, X, C, seed=0):
-        """Cluster the columns of X into C groups; returns a label vector."""
+    def representation(self, X):
+        """Self-representation of the unit-norm columns of X, IPD-thresholded
+        when ``ipd_d`` is set."""
         M = self.solver.solve(unit_columns(X))
         if self.ipd_d is not None:
             M = ipd_threshold(M, self.ipd_d)
-        W = affinity_from_representation(M)
+        return M
+
+    def run(self, X, C, seed=0):
+        """Cluster the columns of X into C groups; returns a label vector."""
+        W = affinity_from_representation(self.representation(X))
         return spectral_clustering(W, C, seed).labels
 
 

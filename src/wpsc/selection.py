@@ -58,11 +58,6 @@ def mera_default_grid(n_val_subsets=10, val_size_per_cluster=50, seed=0):
                 val_size_per_cluster=val_size_per_cluster, seed=seed)
 
 
-def clustering_error(X, labels, pipeline, seed=0):
-    """CE = 1 - ACC of the pipeline's partition against the given labels."""
-    return _scored_run(X, labels, pipeline, seed)[0]
-
-
 def _scored_run(X, labels, pipeline, seed):
     """(CE, predicted labels) of one pipeline run with C = max label + 1."""
     labels = np.asarray(labels)

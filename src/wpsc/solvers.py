@@ -190,7 +190,8 @@ def solve_lrr(X, lam, tol=1e-6, max_iter=500, objective_trace=None):
     Solves min ||Z||_* + lam ||E||_{2,1} s.t. X = XZ + E (column-wise
     l2,1 norm: corrupted samples). Returns the singular-value-thresholded
     iterate, so trailing singular values of the result are exactly zero.
-    Raises ConvergenceError (with residuals) if max_iter is exhausted.
+    Raises ConvergenceError (with the last residuals) if max_iter is
+    exhausted or an SVD of the iterate fails to converge.
 
     If ``objective_trace`` is a list, the original objective evaluated at
     the feasible point induced by the low-rank iterate (E := X - XJ) is
@@ -209,12 +210,16 @@ def solve_lrr(X, lam, tol=1e-6, max_iter=500, objective_trace=None):
     # XtX + I has all eigenvalues >= 1: invert it once, one GEMM per step
     inv = np.linalg.inv(XtX + np.eye(N))
     Z = np.zeros((N, N))
-    J = np.zeros((N, N))
     E = np.zeros_like(X)
     Y1 = np.zeros_like(X)
     Y2 = np.zeros((N, N))
-    for _ in range(max_iter):
-        J = _svt(Z + Y2 / mu, 1.0 / mu)
+    r1 = r2 = np.inf
+    for it in range(max_iter):
+        try:
+            J = _svt(Z + Y2 / mu, 1.0 / mu)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"LRR stopped at iteration {it}: {exc}",
+                                   residuals={"data": r1, "coupling": r2}) from exc
         Z = inv @ (XtX - X.T @ E + J + (X.T @ Y1 - Y2) / mu)
         E = _shrink_columns(X - X @ Z + Y1 / mu, lam / mu)
         res_data = X - X @ Z - E

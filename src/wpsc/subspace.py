@@ -108,20 +108,9 @@ def subspace_distances(X, model):
     return dist
 
 
-def assign_oos(x, model):
-    """Label of the subspace closest to x (ties go to the smallest index)."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1, 1)
-    return int(subspace_distances(x, model)[:, 0].argmin())
-
-
-def assign_oos_batch(X, model):
-    """Vector of closest-subspace labels for the columns of X (ties go to
-    the smallest index)."""
-    return subspace_distances(X, model).argmin(axis=0).astype(np.int64, copy=False)
-
-
 def assign_multiview_batch(view_matrices, models):
-    """Multi-view OOS labels for column-aligned view matrices.
+    """Out-of-sample labels for column-aligned view matrices, one model per
+    view; a single-view assignment is ``assign_multiview_batch([X], [model])``.
 
     Each column takes the cluster at the smallest distance over all views,
     with ties broken toward the earlier view, then the smaller cluster.
@@ -139,13 +128,6 @@ def assign_multiview_batch(view_matrices, models):
     # gives the earlier view, then the smaller cluster
     clusters = np.concatenate([np.arange(m.C, dtype=np.int64) for m in models])
     return clusters[np.concatenate(dists).argmin(axis=0)]
-
-
-def assign_oos_multiview(x_views, models):
-    """Label from the view whose best subspace is globally closest (ties
-    go to the earlier view, then the smaller cluster)."""
-    columns = [np.asarray(x, dtype=np.float64).reshape(-1, 1) for x in x_views]
-    return int(assign_multiview_batch(columns, models)[0])
 
 
 def _check_orthonormal(U, tag):
@@ -183,44 +165,6 @@ def average_affinity(model):
         for j in range(i + 1, C):
             total += subspace_affinity(model.bases[i], model.bases[j])
     return 2.0 * total / (C * (C - 1))
-
-
-def save_cluster_model(model, path):
-    """Serialize means and bases as one matrix bundle for later OOS reuse.
-
-    Column layout: for each cluster in order, the mean followed by its
-    basis columns; the bundle's label vector stores the owning cluster.
-    """
-    from .bundle import save_bundle
-    from .datasets import Dataset
-
-    cols, owners = [], []
-    for c in range(model.C):
-        cols.append(model.means[c][:, None])
-        cols.append(model.bases[c])
-        owners += [c] * (1 + model.bases[c].shape[1])
-    data = np.concatenate(cols, axis=1)
-    ds = Dataset(data=data, img_h=1, img_w=data.shape[0],
-                 labels=np.asarray(owners), name="cluster-model")
-    save_bundle(ds, path)
-
-
-def load_cluster_model(path):
-    """Inverse of :func:`save_cluster_model`."""
-    from .bundle import load_bundle
-
-    ds = load_bundle(path)
-    if ds.labels is None:
-        raise ConsistencyError(f"{path}: bundle has no cluster ownership labels")
-    means, bases = [], []
-    for c in range(ds.C):
-        cols = ds.data[:, ds.labels == c]
-        if cols.shape[1] < 1:
-            raise ConsistencyError(f"{path}: cluster {c} has no columns")
-        means.append(cols[:, 0])
-        bases.append(cols[:, 1:])
-    d = max((b.shape[1] for b in bases), default=0)
-    return ClusterModel(means=np.stack(means), bases=bases, d=d)
 
 
 def mean_principal_angle(affinity):

@@ -192,8 +192,8 @@ def test_c09_out_of_sample():
         model = wpsc.estimate_bases(unit_columns(ins.data),
                                     Partition(labels=in_labels, C=ds.C), 5)
         oos_acc = wpsc.evaluate(
-            outs.labels, wpsc.assign_oos_batch(unit_columns(outs.data),
-                                               model)).acc
+            outs.labels, wpsc.assign_multiview_batch([unit_columns(outs.data)],
+                                                     [model])).acc
         # noisy: in/out gap stays small on average
         gaps = []
         for seed in range(10):
@@ -204,8 +204,8 @@ def test_c09_out_of_sample():
             model = wpsc.estimate_bases(unit_columns(ins.data),
                                         Partition(labels=in_labels, C=ds.C), 5)
             out_acc = wpsc.evaluate(
-                outs.labels, wpsc.assign_oos_batch(unit_columns(outs.data),
-                                                   model)).acc
+                outs.labels, wpsc.assign_multiview_batch([unit_columns(outs.data)],
+                                                         [model])).acc
             gaps.append(abs(in_acc - out_acc))
         mean_gap = float(np.mean(gaps))
     ok = oos_acc == 1.0 and mean_gap <= 0.05 and sw.seconds < 180.0

@@ -95,6 +95,21 @@ class TestSubcommands:
         assert metrics["acc"] == 1.0
         assert (tmp_path / "m" / "trace.csv").exists()
 
+    def test_mera_unlabeled_prints_path(self, tmp_path, capsys):
+        # like cluster and oos: no truth to score, so it names the labels file
+        from wpsc.datasets import Dataset
+        _, ds = synth_bundle(tmp_path)
+        path = tmp_path / "bare.wpsc"
+        save_bundle(Dataset(data=ds.data, img_h=ds.img_h, img_w=ds.img_w), path)
+        out = tmp_path / "m"
+        assert main(["mera", "--data", str(path), "--lam", "10", "--rank", "12",
+                     "--out-dir", str(out)]) == 2
+        assert main(["mera", "--data", str(path), "--lam", "10", "--rank", "12",
+                     "--C", "3", "--out-dir", str(out)]) == 0
+        assert capsys.readouterr().out.strip().splitlines()[-1] == f"wrote {out / 'labels.csv'}"
+        assert len((out / "labels.csv").read_text().split()) == ds.N
+        assert (out / "trace.csv").read_text().startswith("iteration,")
+
     def test_oos_command(self, tmp_path, capsys):
         from wpsc.datasets import SplitSpec, split
         path, ds = synth_bundle(tmp_path, n_per_cluster=20)
@@ -202,6 +217,20 @@ class TestRun:
                         if line.startswith("dataset,")]
         assert len(header_lines) == 1
 
+    def test_append_into_empty_files_writes_headers(self, tmp_path):
+        # an existing but empty file gets its header, whichever file it is
+        synth_bundle(tmp_path, n_per_cluster=15)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "metrics.csv").touch()
+        (out / "trace.csv").touch()
+        assert main([*_run_argv(tmp_path, pipeline="wp-single", levels=1), "--append"]) == 0
+        for name, first in (("metrics.csv", "dataset"), ("trace.csv", "seed")):
+            lines = (out / name).read_text().splitlines()
+            assert lines[0].startswith(first + ","), name
+            assert sum(line.startswith(first + ",") for line in lines) == 1, name
+            assert len(lines) > 1, name
+
     def test_flag_overrides(self, tmp_path):
         synth_bundle(tmp_path, n_per_cluster=15)
         cfg_path = tmp_path / "cfg.json"
@@ -272,16 +301,26 @@ class TestRun:
         assert [r["subband"] for r in rows][:1] == [""]
 
     def test_cluster_export_matrix(self, tmp_path, capsys):
-        from wpsc.bundle import load_matrix
         path, ds = synth_bundle(tmp_path)
         rc = main(["cluster", "--data", str(path), "--solver", "SSC",
                    "--param", "alpha=10", "--export-matrix",
                    "--out-dir", str(tmp_path / "c")])
         assert rc == 0
-        Z = load_matrix(tmp_path / "c" / "representation.wpsc")
-        W = load_matrix(tmp_path / "c" / "affinity.wpsc")
+        Z = load_bundle(tmp_path / "c" / "representation.wpsc").data
+        W = load_bundle(tmp_path / "c" / "affinity.wpsc").data
         assert Z.shape == (ds.N, ds.N) and W.shape == (ds.N, ds.N)
         assert np.array_equal(W, W.T)
+
+    def test_cluster_export_matrix_keeps_labels(self, tmp_path, capsys):
+        # the export path must cluster exactly as the plain path does, IPD included
+        path, _ = synth_bundle(tmp_path, noise_sigma=0.1)
+        argv = ["cluster", "--data", str(path), "--solver", "SSC",
+                "--param", "alpha=10", "--ipd-d", "3", "--seed", "1"]
+        assert main([*argv, "--out-dir", str(tmp_path / "plain")]) == 0
+        assert main([*argv, "--export-matrix", "--out-dir", str(tmp_path / "export")]) == 0
+        plain = (tmp_path / "plain" / "labels.csv").read_bytes()
+        assert plain == (tmp_path / "export" / "labels.csv").read_bytes()
+        assert len(plain.split()) == 36
 
     def test_export_bundles(self, tmp_path):
         synth_bundle(tmp_path, n_per_cluster=15)
@@ -378,6 +417,18 @@ class TestErrorExits:
         assert report["config"]["mera"] == {"lambda": 1e-4, "R": 3}
         conv = report["runs"][0]["convergence"]
         assert conv["lambda"] == 1e-4 and conv["R"] == 3
+
+    def test_lrr_svd_failure_exits_4(self, tmp_path, capsys, monkeypatch):
+        def failing_svd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        synth_bundle(tmp_path)
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        argv = _run_argv(tmp_path, solver={"kind": "LRR", "params": {"lambda": 10}})
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("convergence error:") and "LRR" in err
+        assert "residuals=" in err and "Traceback" not in err
 
     def test_bad_config_exits_2(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -632,7 +683,7 @@ print(json.dumps({"after_import": after_import, "codes": codes, "p": p,
 
 def test_run_path_loads_no_scipy(tmp_path):
     # numpy is the only runtime dependency: neither importing the CLI nor a
-    # run of any pipeline, nor eval, may load a scipy module
+    # run of any pipeline, nor any other subcommand, may load a scipy module
     _, ds = synth_bundle(tmp_path, n_per_cluster=16)
     grid = {"values": {"q": [3, 5]}, "n_val_subsets": 2, "val_size_per_cluster": 8}
     configs = {
@@ -651,6 +702,16 @@ def test_run_path_loads_no_scipy(tmp_path):
             del cfg["solver"]
         argvs.append(["run", "--config", _write(tmp_path / f"{name}.json",
                                                  json.dumps(cfg))])
+    data = str(tmp_path / "data.wpsc")
+    ssc = ["--data", data, "--solver", "SSC", "--param", "alpha=10"]
+    argvs += [
+        ["cluster", *ssc, "--export-matrix", "--out-dir", str(tmp_path / "cluster")],
+        ["select-subband", *ssc, "--levels", "1", "--out-dir", str(tmp_path / "select")],
+        ["mera", "--data", data, "--lam", "10", "--rank", "12",
+         "--out-dir", str(tmp_path / "mera")],
+        ["oos", "--in-data", data, "--out-data", data, "--d", "2",
+         "--out-dir", str(tmp_path / "oos")],
+    ]
     labels = "\n".join(map(str, ds.labels)) + "\n"
     argvs.append(["eval", "--truth", _write(tmp_path / "truth.csv", labels),
                   "--pred", _write(tmp_path / "pred.csv", labels),
@@ -667,4 +728,8 @@ def test_run_path_loads_no_scipy(tmp_path):
     for name in configs:
         report = json.loads((tmp_path / name / "report.json").read_text())
         assert report["runs"][0]["metrics"]["in"]["acc"] > 0.5, name
+    for name in ("cluster", "mera", "oos"):
+        assert (tmp_path / name / ("oos_labels.csv" if name == "oos" else "labels.csv")).exists()
+    assert (tmp_path / "cluster" / "affinity.wpsc").exists()
+    assert (tmp_path / "select" / "selection.csv").exists()
     assert json.loads((tmp_path / "eval.json").read_text())["acc"] == 1.0

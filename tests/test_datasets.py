@@ -169,6 +169,19 @@ class TestIdxLoader:
         with pytest.raises(FormatError):
             load_idx(tmp_path / "bad")
 
+    def test_relabel_matches_lookup_reference(self):
+        # class ids map to their rank among the distinct ids, in input order
+        from wpsc.datasets import _relabel
+        rng = np.random.default_rng(2)
+        for n, hi in ((1, 5), (50, 3), (200, 10**9)):
+            raw = rng.integers(-hi, hi, size=n)
+            lookup = {int(v): i for i, v in enumerate(np.unique(raw))}
+            got = _relabel(raw, "ids")
+            assert got.dtype == np.int64
+            assert got.tolist() == [lookup[int(v)] for v in raw]
+        with pytest.raises(LabelingError, match="no class ids"):
+            _relabel(np.array([], dtype=np.int64), "ids")
+
     def test_count_mismatch(self, tmp_path):
         rng = np.random.default_rng(1)
         self._write_idx_images(tmp_path / "imgs", rng.integers(0, 255, (3, 4, 4)))

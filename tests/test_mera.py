@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
@@ -90,7 +92,7 @@ def reference_mera_mvsc(views, lam, R, tol=1e-6, max_iter=200, sweeps=2, trace=N
         consensus = reshape_to_5d(Z + M2 / mu, shape)
         factors = mera_fit(consensus, R, max_iter=sweeps,
                            init=factors, tol=0.0)
-        Zhat = reshape_from_5d(mera_contract(factors, shape), shape)
+        Zhat = reshape_from_5d(mera_contract(factors), shape)
         gaps = [Xv - Xv @ Z[:, :, v] - E[v] for v, Xv in enumerate(views)]
         res_views = [float(np.abs(g).max()) for g in gaps]
         res_consensus = float(np.abs(Z - Zhat).max())
@@ -145,6 +147,16 @@ class TestChooseGrid:
     def test_too_small(self):
         with pytest.raises(ParameterError):
             choose_grid(3)
+
+    def test_matches_divisor_scan(self):
+        # reference: the largest divisor a in [2, isqrt(N)] gives (a, N // a)
+        for N in range(4, 1500):
+            best = max((a for a in range(2, math.isqrt(N) + 1) if N % a == 0), default=None)
+            if best is None:
+                with pytest.raises(NoGridError):
+                    choose_grid(N)
+            else:
+                assert choose_grid(N) == (best, N // best)
 
 
 class TestReshape:

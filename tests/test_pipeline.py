@@ -6,7 +6,7 @@ from conftest import make_uos
 from wpsc.errors import DegenerateColumnError
 from wpsc.graph import Partition, spectral_clustering
 from wpsc.pipeline import SingleViewPipeline, WpMeraPipeline, five_views, unit_columns
-from wpsc.subspace import assign_oos
+from wpsc.subspace import assign_multiview_batch
 
 
 @pytest.mark.parametrize("spec", [
@@ -71,5 +71,5 @@ def test_assign_oos_with_degenerate_cluster():
         means=np.array([[0.0, 0.0], [10.0, 10.0]]),
         bases=[np.zeros((2, 0)), np.zeros((2, 0))],
         d=1)
-    assert assign_oos(np.array([1.0, 1.0]), model) == 0
-    assert assign_oos(np.array([9.0, 9.0]), model) == 1
+    assert assign_multiview_batch([np.array([[1.0], [1.0]])], [model])[0] == 0
+    assert assign_multiview_batch([np.array([[9.0], [9.0]])], [model])[0] == 1

@@ -7,7 +7,7 @@ from wpsc.errors import ParameterError, SplitError
 from wpsc.metrics import evaluate
 from wpsc.selection import (
     Grid,
-    clustering_error,
+    _scored_run,
     grid_search,
     select_subband,
     stratified_subsets,
@@ -53,7 +53,7 @@ class TestClusteringError:
     def test_perfect_pipeline_gives_zero(self):
         ds = planted_ds()
         pipe = PlantedCePipeline(ds, {"": 0.0})
-        assert clustering_error(ds.data, ds.labels, pipe) == 0.0
+        assert _scored_run(ds.data, ds.labels, pipe, 0)[0] == 0.0
 
     def test_random_shuffle_is_half_in_expectation(self):
         # Monte Carlo: CE of shuffled balanced 2-cluster labels ~ 0.5
@@ -69,7 +69,7 @@ class TestClusteringError:
         ds = planted_ds()
         for ce in (0.0, 0.25, 0.5):
             pipe = PlantedCePipeline(ds, {"": ce})
-            got = clustering_error(ds.data, ds.labels, pipe)
+            got, _ = _scored_run(ds.data, ds.labels, pipe, 0)
             assert 0.0 <= got <= 1.0
 
 

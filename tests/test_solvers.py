@@ -217,6 +217,27 @@ class TestLrr:
             solve_lrr(X, 10.0, max_iter=3)
         assert set(exc.value.residuals) == {"data", "coupling"}
 
+    def test_svd_failure_is_convergence_error(self, monkeypatch):
+        # LAPACK's SVD can fail to converge on a finite iterate; that must
+        # surface as a typed error carrying the last residuals
+        X, _ = self._low_rank_data(4)
+        svd, calls = np.linalg.svd, []
+
+        def failing_svd(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        with pytest.raises(ConvergenceError, match="iteration 2") as exc:
+            solve_lrr(X, 10.0)
+        assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+        monkeypatch.undo()
+        with pytest.raises(ConvergenceError) as ref:
+            solve_lrr(X, 10.0, max_iter=2)
+        assert exc.value.residuals == ref.value.residuals
+
     @pytest.mark.xfail(
         reason="inexact ALM with the pinned mu-schedule oscillates by ~1e-3 "
                "near convergence; strict 1e-8-slack monotonicity is unattainable",

@@ -9,9 +9,6 @@ from wpsc.graph import Partition
 from wpsc.pipeline import unit_columns
 from wpsc.subspace import (
     assign_multiview_batch,
-    assign_oos,
-    assign_oos_batch,
-    assign_oos_multiview,
     average_affinity,
     estimate_bases,
     mean_principal_angle,
@@ -111,15 +108,15 @@ class TestAssignOos:
         part = Partition(labels=ds.labels, C=3)
         model = estimate_bases(ds.data, part, 2)
         x = model.means[1] + model.bases[1] @ rng.standard_normal(2)
-        assert assign_oos(x, model) == 1
+        assert assign_multiview_batch([x[:, None]], [model])[0] == 1
 
     def test_tie_goes_to_smallest_index(self):
         # two identical subspaces: distances tie exactly
         U = np.eye(4)[:, :1]
         model = wpsc.ClusterModel(means=np.zeros((2, 4)), bases=[U, U.copy()], d=1)
-        assert assign_oos(np.array([0.0, 1.0, 1.0, 0.0]), model) == 0
+        assert assign_multiview_batch([np.array([[0.0], [1.0], [1.0], [0.0]])], [model])[0] == 0
         X = np.random.default_rng(13).standard_normal((4, 300))
-        assert np.array_equal(assign_oos_batch(X, model), np.zeros(300))
+        assert np.array_equal(assign_multiview_batch([X], [model]), np.zeros(300))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_batch_matches_per_column_reference(self, seed):
@@ -129,10 +126,10 @@ class TestAssignOos:
         model = random_model(rng, D, C, [3, 0, 5, 1, 2, 4])
         X = model.means[rng.integers(C, size=500)].T + rng.standard_normal((D, 500))
         expect = reference_labels(X, model)
-        assert np.array_equal(assign_oos_batch(X, model), expect)
-        assert np.array_equal(assign_oos_batch(np.asfortranarray(X), model), expect)
         assert np.array_equal(assign_multiview_batch([X], [model]), expect)
-        assert [assign_oos(X[:, i], model) for i in range(5)] == expect[:5].tolist()
+        assert np.array_equal(assign_multiview_batch([np.asfortranarray(X)], [model]), expect)
+        assert [assign_multiview_batch([X[:, i:i + 1]], [model])[0]
+                for i in range(5)] == expect[:5].tolist()
         dist = subspace_distances(X, model)
         ref = np.stack([reference_distances(X[:, i], model) for i in range(500)], 1)
         assert dist.shape == (C, 500)
@@ -140,21 +137,21 @@ class TestAssignOos:
 
     def test_zero_columns(self):
         model = random_model(np.random.default_rng(14), 6, 3, [2, 0, 1])
-        labels = assign_oos_batch(np.empty((6, 0)), model)
+        labels = assign_multiview_batch([np.empty((6, 0))], [model])
         assert labels.dtype == np.int64 and labels.shape == (0,)
 
     def test_dimension_mismatch_is_consistency_error(self):
         model = random_model(np.random.default_rng(15), 6, 2, [2, 1])
         with pytest.raises(ConsistencyError, match="D = 6"):
-            assign_oos_batch(np.ones((5, 3)), model)
+            assign_multiview_batch([np.ones((5, 3))], [model])
         with pytest.raises(ConsistencyError):
-            assign_oos(np.ones(7), model)
+            assign_multiview_batch([np.ones((7, 1))], [model])
 
     def test_noiseless_split_oos_perfect(self):
         ds = make_uos(C=4, d=3, D=50, n=20, seed=4)
         ins, outs = split(ds, SplitSpec(0.8, 0))
         model = estimate_bases(ins.data, Partition(labels=ins.labels, C=4), 3)
-        pred = wpsc.assign_oos_batch(outs.data, model)
+        pred = wpsc.assign_multiview_batch([outs.data], [model])
         assert wpsc.evaluate(outs.labels, pred).acc == 1.0
 
     def test_rotation_invariance(self):
@@ -168,7 +165,8 @@ class TestAssignOos:
                    for U in model.bases],
             d=2)
         x = rng.standard_normal(20)
-        assert assign_oos(x, model) == assign_oos(x, rotated)
+        assert (assign_multiview_batch([x[:, None]], [model])[0]
+                == assign_multiview_batch([x[:, None]], [rotated])[0])
 
 
 class TestAssignOosMultiview:
@@ -184,8 +182,8 @@ class TestAssignOosMultiview:
         part = Partition(labels=ds.labels, C=3)
         models = [estimate_bases(ds.data, part, 2)] * 5
         x = ds.data[:, 0]
-        label = assign_oos_multiview([x] * 5, models)
-        assert label == assign_oos(x, models[0])
+        label = assign_multiview_batch([x[:, None]] * 5, models)[0]
+        assert label == assign_multiview_batch([x[:, None]], models[:1])[0]
 
     def test_view_with_smaller_distance_wins(self):
         # view 0 prefers cluster 0 at distance ~0.1; view 1 hits cluster 1 exactly
@@ -196,13 +194,13 @@ class TestAssignOosMultiview:
                                bases=[e[:, 2:3], e[:, 1:2]], d=1)
         x0 = np.array([1.0, 0.0, 0.1])   # distance 0.1 to cluster 0
         x1 = np.array([0.0, 1.0, 0.0])   # distance 0 to cluster 1 in view 1
-        assert assign_oos_multiview([x0, x1], [m0, m1]) == 1
+        assert assign_multiview_batch([x0[:, None], x1[:, None]], [m0, m1])[0] == 1
 
     def test_view_count_mismatch(self):
         ds = make_uos(C=2, d=1, D=9, n=4, seed=7)
         model = estimate_bases(ds.data, Partition(labels=ds.labels, C=2), 1)
         with pytest.raises(ParameterError):
-            assign_oos_multiview([ds.data[:, 0]], [model, model])
+            assign_multiview_batch([ds.data[:, :1]], [model, model])
         with pytest.raises(ParameterError):
             assign_multiview_batch([ds.data], [model, model])
         with pytest.raises(ParameterError):
@@ -218,7 +216,7 @@ class TestAssignOosMultiview:
                  for m in models]
         expect = reference_multiview_labels(views, models)
         assert np.array_equal(assign_multiview_batch(views, models), expect)
-        assert assign_oos_multiview([Xv[:, 0] for Xv in views], models) == expect[0]
+        assert assign_multiview_batch([Xv[:, :1] for Xv in views], models)[0] == expect[0]
 
     def test_zero_columns(self):
         rng = np.random.default_rng(23)
@@ -298,31 +296,6 @@ class TestMeanPrincipalAngle:
             mean_principal_angle(1.1)
 
 
-class TestModelSerialization:
-    def test_round_trip(self, tmp_path):
-        ds = make_uos(C=3, d=2, D=30, n=10, seed=11)
-        part = Partition(labels=ds.labels, C=3)
-        model = estimate_bases(ds.data, part, 2)
-        path = tmp_path / "model.wpsc"
-        wpsc.save_cluster_model(model, path)
-        back = wpsc.load_cluster_model(path)
-        assert back.C == model.C
-        assert np.array_equal(back.means, model.means)
-        for a, b in zip(back.bases, model.bases):
-            assert np.array_equal(a, b)
-
-    def test_reloaded_model_assigns_identically(self, tmp_path):
-        rng = np.random.default_rng(12)
-        ds = make_uos(C=3, d=2, D=30, n=10, seed=12)
-        model = estimate_bases(ds.data, Partition(labels=ds.labels, C=3), 2)
-        path = tmp_path / "model.wpsc"
-        wpsc.save_cluster_model(model, path)
-        back = wpsc.load_cluster_model(path)
-        for _ in range(10):
-            x = rng.standard_normal(30)
-            assert assign_oos(x, model) == assign_oos(x, back)
-
-
 class TestMultiviewTieRules:
     def test_equal_distances_earlier_view_wins(self):
         e = np.eye(3)
@@ -332,7 +305,7 @@ class TestMultiviewTieRules:
         m1 = wpsc.ClusterModel(means=np.zeros((2, 3)),
                                bases=[e[:, 0:1], e[:, 2:3]], d=1)
         x = np.array([1.0, 0.0, 0.0])
-        assert assign_oos_multiview([x, x], [m0, m1]) == 1
+        assert assign_multiview_batch([x[:, None], x[:, None]], [m0, m1])[0] == 1
         X = np.column_stack([x, 2 * x, [0.0, 0.0, 1.0]])
         assert assign_multiview_batch([X, X], [m0, m1]).tolist() == [1, 1, 0]
 
