@@ -38,6 +38,8 @@ from .wavelet import node_matrix, wp_decompose
 METRICS_HEADER = ["dataset", "pipeline", "subband", "seed", "phase",
                   "acc", "nmi", "rand", "f", "purity", "ce", "seconds"]
 MERA_TRACE_HEADER = ["iteration", *(f"res_{n}" for n in FIVE_VIEW_ORDER), "fit_error", "mu"]
+SELECTION_HEADER = ["order", "subband", "ce"]
+GRID_HEADER = ["seed", "params", "mean_acc", "accs"]
 PIPELINES = ("single", "wp-single", "wp-mera")
 MERA_SUBBAND_TAG = "O+A+H+V+D"
 
@@ -343,23 +345,39 @@ def emit_report(results, append=False):
     report_path.write_text(
         json.dumps(results["report"], indent=2, sort_keys=True) + "\n")
 
-    metrics_path = out_dir / "metrics.csv"
-    _write_csv(metrics_path, METRICS_HEADER, results["metrics_rows"], append)
-    trace_path = out_dir / "trace.csv"
-    header = ["seed", "order", "subband", "ce"]
-    if results["pipeline"] == "wp-mera":
-        header = ["seed", *MERA_TRACE_HEADER]
-    _write_csv(trace_path, header, results["trace_rows"], append)
-
-    paths = [report_path, metrics_path, trace_path]
     grid_rows = [[run["seed"], json.dumps(row["params"], sort_keys=True),
                   f"{row['mean_acc']:.6f}", ";".join(f"{a:.6f}" for a in row["accs"])]
                  for run in results["report"]["runs"] if "grid" in run
                  for row in run["grid"]["table"]]
-    if grid_rows:
-        paths.append(out_dir / "grid.csv")
-        _write_csv(paths[-1], ["seed", "params", "mean_acc", "accs"], grid_rows, append)
+    rows = {"metrics.csv": results["metrics_rows"], "trace.csv": results["trace_rows"],
+            "grid.csv": grid_rows}
+    paths = [report_path]
+    for name, header in _csv_headers(results["pipeline"], bool(grid_rows)).items():
+        paths.append(out_dir / name)
+        _write_csv(paths[-1], header, rows[name], append)
     return tuple(paths)
+
+
+def _csv_headers(pipeline, grid):
+    """File name -> header of the CSV files :func:`emit_report` writes."""
+    trace = MERA_TRACE_HEADER if pipeline == "wp-mera" else SELECTION_HEADER
+    return {"metrics.csv": METRICS_HEADER, "trace.csv": ["seed", *trace],
+            **({"grid.csv": GRID_HEADER} if grid else {})}
+
+
+def _check_append(cfg):
+    """Refuse a run whose rows would go under another header in a non-empty
+    CSV file of its output directory (e.g. MERA trace rows under the
+    subband-selection trace of an earlier run)."""
+    for name, header in _csv_headers(cfg.pipeline, cfg.grid is not None).items():
+        path = Path(cfg.output_dir) / name
+        if path.is_file() and path.stat().st_size:
+            # the headers are plain names, which the CSV writer does not quote
+            with open(path, newline="", errors="replace") as fh:
+                found = fh.readline(4096).rstrip("\r\n")
+            if found != ",".join(header):
+                raise ConfigError(f"cannot append to {path}: its header is {found!r}, "
+                                  f"a {cfg.pipeline} run writes {','.join(header)!r}")
 
 
 def _write_csv(path, header, rows, append=False):
@@ -466,7 +484,7 @@ def _cmd_select_subband(args):
     sel = chooser(ds, args.levels, pipe, args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "selection.csv", ["order", "subband", "ce"],
+    _write_csv(out_dir / "selection.csv", SELECTION_HEADER,
                ([i, p, f"{ce:.6f}"] for i, (p, ce) in enumerate(sel.evaluated)))
     print(f"chosen subband: {sel.chosen!r} ({sel.stopped_reason}); "
           f"{len(sel.evaluated)} evaluations")
@@ -521,6 +539,8 @@ def _cmd_run(args):
         if getattr(args, key) is not None:
             raw[key] = getattr(args, key)
     cfg = ExperimentConfig.from_dict(raw)
+    if args.append:
+        _check_append(cfg)
     try:
         results = run_experiment(cfg)
     except Error as exc:

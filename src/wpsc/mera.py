@@ -11,10 +11,15 @@ U1 (I2, I3, I2, I3), and a top core B (R, R):
 
 With isometric factors the layer map is an isometry of B, so the optimal
 top core is the adjoint contraction of Y and the alternating Procrustes
-sweeps decrease the fit error monotonically.
+sweeps decrease the fit error monotonically. Every contraction is a GEMM
+on one unfolding of Y, the (y z) x (x d e) matrix
+
+    Yr[y * I3 + z, (x * I4 + d) * I5 + e] = Y[x, y, z, d, e],
+
+on which the network is Yhat_r = U1^T K, with K = W1 B W2^T regrouped as
+(a b) x (x d e) and U1 read as the (a b) x (y z) matrix.
 """
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -146,53 +151,44 @@ def reshape_from_5d(Y, shape):
     return Y.reshape((shape.N, shape.N, shape.V), order="F")
 
 
-@functools.lru_cache(maxsize=128)
-def _einsum_path(spec, shapes):
-    # only the shapes enter the greedy search, so zero-stride stand-ins do
-    stand_ins = [np.broadcast_to(0.0, s) for s in shapes]
-    return tuple(np.einsum_path(spec, *stand_ins, optimize=True)[0])
+def _unfold(Y):
+    I1, I2, I3, I4, I5 = Y.shape
+    return Y.transpose(1, 2, 0, 3, 4).reshape(I2 * I3, I1 * I4 * I5)
 
 
-def _einsum(spec, *operands):
-    """``np.einsum(spec, *operands, optimize=True)`` with the greedy path
-    searched once per spec and operand shapes."""
-    path = _einsum_path(spec, tuple(op.shape for op in operands))
-    return np.einsum(spec, *operands, optimize=path)
+def _fold(Yr, dims):
+    I1, I2, I3, I4, I5 = dims
+    return Yr.reshape(I2, I3, I1, I4, I5).transpose(2, 0, 1, 3, 4)
+
+
+def _layer(f):
+    # K = W1 B W2^T, (x a) x (b d e), regrouped as (a b) x (x d e)
+    (I1, I2, R), I3 = f.W1.shape, f.W2.shape[0]
+    K = f.W1.reshape(-1, R) @ f.B @ f.W2.reshape(-1, R).T
+    return K.reshape(I1, I2, I3, -1).transpose(1, 2, 0, 3).reshape(I2 * I3, -1)
+
+
+def _disentangle(Yr, f):
+    # Y' = U1 Yr, (a b) x (x d e), regrouped as (x a) x (b d e)
+    (I1, I2, _), I3 = f.W1.shape, f.W2.shape[0]
+    Yp = f.U1.reshape(I2 * I3, -1) @ Yr
+    return Yp.reshape(I2, I3, I1, -1).transpose(2, 0, 1, 3).reshape(I1 * I2, -1)
 
 
 def mera_contract(factors):
-    """Evaluate the network: layer tensor contracted with the top core."""
-    return _einsum("xar,bdes,abyz,rs->xyzde",
-                   factors.W1, factors.W2, factors.U1, factors.B)
+    """Evaluate the network: U1^T K, folded from the unfolding to 5 ways."""
+    dims = factors.W1.shape[:2] + factors.W2.shape[:3]
+    return _fold(factors.U1.reshape(dims[1] * dims[2], -1).T @ _layer(factors), dims)
 
 
-def _top_core(Y, factors):
-    # adjoint of the layer map applied to Y: the optimal core for fixed factors
-    return _einsum("xyzde,xar,bdes,abyz->rs",
-                   Y, factors.W1, factors.W2, factors.U1)
+def _top_core(Yr, f):
+    # W1^T Y' W2, the adjoint of the layer map applied to Yr: the optimal core
+    return f.W1.reshape(-1, len(f.B)).T @ _disentangle(Yr, f) @ f.W2.reshape(-1, len(f.B))
 
 
-def _procrustes(env, rows_shape):
-    mat = env.reshape(int(np.prod(rows_shape)), -1)
-    U, _, Vt = np.linalg.svd(mat, full_matrices=False)
-    return (U @ Vt).reshape(env.shape)
-
-
-def _fit_error(Y, factors):
-    factors.contraction = mera_contract(factors)
-    return float(np.linalg.norm(Y - factors.contraction))
-
-
-def _hosvd_init(Y, R):
-    I1, I2, I3, I4, I5 = Y.shape
-    mat = Y.reshape(I1 * I2, I3 * I4 * I5)
-    U, _, Vt = np.linalg.svd(mat, full_matrices=False)
-    W1 = U[:, :R].reshape(I1, I2, R)
-    W2 = Vt[:R].T.reshape(I3, I4, I5, R)
-    U1 = np.eye(I2 * I3).reshape(I2, I3, I2, I3)
-    factors = MeraFactors(W1=W1, W2=W2, U1=U1, B=np.zeros((R, R)))
-    factors.B = _top_core(Y, factors)
-    return factors
+def _procrustes(env):
+    U, _, Vt = np.linalg.svd(env, full_matrices=False)
+    return U @ Vt
 
 
 def mera_fit(Y, R, tol=1e-8, max_iter=100, init=None):
@@ -200,7 +196,7 @@ def mera_fit(Y, R, tol=1e-8, max_iter=100, init=None):
 
     Starts from the truncated HOSVD of the paired-mode unfoldings (or from
     ``init``, whose kept contraction then gives the first fit error), then
-    per sweep updates U1, W1, W2 via the SVD of their environment tensors
+    per sweep updates U1, W1, W2 via the SVD of their environment matrices
     and recomputes the top core. Stops when the relative fit improvement
     drops below ``tol`` or after ``max_iter`` sweeps. Isometry invariants
     are verified every sweep, to 1e-8.
@@ -210,36 +206,40 @@ def mera_fit(Y, R, tol=1e-8, max_iter=100, init=None):
         raise ParameterError("expected a 5-way tensor with I1 = I3, I2 = I4")
     I1, I2, I3, I4, I5 = Y.shape
     if not 1 <= R <= min(I1 * I2, I3 * I4 * I5):
-        raise ParameterError(
-            f"R = {R} outside [1, {min(I1 * I2, I3 * I4 * I5)}]"
-        )
-    if init is None:
-        factors = _hosvd_init(Y, R)
+        raise ParameterError(f"R = {R} outside [1, {min(I1 * I2, I3 * I4 * I5)}]")
+    Yr = _unfold(Y)
+    if init is None:  # truncated HOSVD of the (x y) x (z d e) unfolding
+        U, _, Vt = np.linalg.svd(Y.reshape(I1 * I2, I3 * I4 * I5), full_matrices=False)
+        factors = MeraFactors(U[:, :R].reshape(I1, I2, R), Vt[:R].T.reshape(I3, I4, I5, R),
+                              np.eye(I2 * I3).reshape(I2, I3, I2, I3), np.zeros((R, R)))
+        factors.B = _top_core(Yr, factors)
     else:
-        if init.B.shape != (R, R):
-            raise ParameterError("warm start has a different rank")
+        need = ((I1, I2, R), (I3, I4, I5, R), (I2, I3, I2, I3), (R, R))
+        if tuple(np.shape(a) for a in (init.W1, init.W2, init.U1, init.B)) != need:
+            raise ParameterError(f"warm start does not fit a {Y.shape} tensor at R = {R}")
         # the factors are copied unchanged, so their contraction still holds
-        factors = MeraFactors(W1=init.W1.copy(), W2=init.W2.copy(),
-                              U1=init.U1.copy(), B=init.B.copy(),
-                              contraction=init.contraction)
+        factors = MeraFactors(init.W1.copy(), init.W2.copy(), init.U1.copy(),
+                              init.B.copy(), contraction=init.contraction)
     factors.check()
     if factors.contraction is None:
         factors.contraction = mera_contract(factors)
-    err = float(np.linalg.norm(Y - factors.contraction))
+    err = float(np.linalg.norm(Yr - _unfold(factors.contraction)))
     factors.fit_errors = [err]
+    K = _layer(factors)
     for _ in range(max_iter):
-        env_u = _einsum("xyzde,xar,bdes,rs->abyz",
-                        Y, factors.W1, factors.W2, factors.B)
-        factors.U1 = _procrustes(env_u, env_u.shape[:2])
-        env_w1 = _einsum("xyzde,bdes,abyz,rs->xar",
-                         Y, factors.W2, factors.U1, factors.B)
-        factors.W1 = _procrustes(env_w1, env_w1.shape[:2])
-        env_w2 = _einsum("xyzde,xar,abyz,rs->bdes",
-                         Y, factors.W1, factors.U1, factors.B)
-        factors.W2 = _procrustes(env_w2, env_w2.shape[:3])
-        factors.B = _top_core(Y, factors)
+        U1 = _procrustes(K @ Yr.T)
+        factors.U1 = U1.reshape(factors.U1.shape)
+        Yp = _disentangle(Yr, factors)
+        W1 = _procrustes(Yp @ factors.W2.reshape(-1, R) @ factors.B.T)
+        W1tYp = W1.T @ Yp  # shared by the W2 environment and the top core
+        W2 = _procrustes(W1tYp.T @ factors.B)
+        factors.W1, factors.W2 = W1.reshape(I1, I2, R), W2.reshape(I3, I4, I5, R)
+        factors.B = W1tYp @ W2
         factors.check()
-        new_err = _fit_error(Y, factors)
+        K = _layer(factors)
+        Yhat_r = U1.T @ K
+        factors.contraction = _fold(Yhat_r, Y.shape)
+        new_err = float(np.linalg.norm(Yr - Yhat_r))
         factors.fit_errors.append(new_err)
         if err - new_err < tol * max(err, 1e-300):
             break

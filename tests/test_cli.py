@@ -231,6 +231,27 @@ class TestRun:
             assert sum(line.startswith(first + ",") for line in lines) == 1, name
             assert len(lines) > 1, name
 
+    def test_append_refuses_other_header(self, tmp_path, monkeypatch):
+        # MERA trace rows would land under the subband-selection header
+        synth_bundle(tmp_path)
+        argv = _run_argv(tmp_path, pipeline="wp-single", levels=1,
+                         mera={"lambda": 10.0, "R": 12})
+        assert main(argv) == 0
+        out = tmp_path / "out"
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        runs = []
+        monkeypatch.setattr("wpsc.cli.run_experiment",
+                            lambda cfg: runs.append(cfg) or run_experiment(cfg))
+        assert main([*argv, "--append", "--pipeline", "wp-mera"]) == 2
+        assert runs == []
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        # the same pipeline still appends
+        assert main([*argv, "--append", "--seed", "1"]) == 0
+        assert len(runs) == 1
+        (out / "trace.csv").write_bytes(b"\xff\xfe\x00garbage")
+        assert main([*argv, "--append"]) == 2
+        assert len(runs) == 1
+
     def test_flag_overrides(self, tmp_path):
         synth_bundle(tmp_path, n_per_cluster=15)
         cfg_path = tmp_path / "cfg.json"

@@ -15,7 +15,8 @@ from wpsc.mera import (
     MeraFactors,
     MeraShape,
     SelfRepTensor,
-    _einsum,
+    _top_core,
+    _unfold,
     choose_grid,
     mera_contract,
     mera_fit,
@@ -26,15 +27,6 @@ from wpsc.mera import (
 )
 from wpsc.pipeline import five_views
 from wpsc.solvers import _shrink_columns
-
-MERA_SPECS = (
-    "xar,bdes,abyz,rs->xyzde",
-    "xyzde,xar,bdes,abyz->rs",
-    "xyzde,xar,bdes,rs->abyz",
-    "xyzde,bdes,abyz,rs->xar",
-    "xyzde,xar,abyz,rs->bdes",
-)
-
 
 def contract_oracle(f):
     """Loop-based network evaluation, independent of einsum."""
@@ -116,6 +108,90 @@ def reference_mera_mvsc(views, lam, R, tol=1e-6, max_iter=200, sweeps=2, trace=N
         f"MERA multi-view ADMM did not converge in {max_iter} iterations",
         residuals={"data": max(res_views), "consensus": res_consensus},
     )
+
+
+def _einsum(spec, *operands):
+    # the greedy path that mera_fit's cached-path einsum took
+    return np.einsum(spec, *operands, optimize=True)
+
+
+def reference_contract(factors):
+    return _einsum("xar,bdes,abyz,rs->xyzde",
+                   factors.W1, factors.W2, factors.U1, factors.B)
+
+
+def _reference_top_core(Y, factors):
+    return _einsum("xyzde,xar,bdes,abyz->rs",
+                   Y, factors.W1, factors.W2, factors.U1)
+
+
+def _reference_procrustes(env, rows_shape):
+    mat = env.reshape(int(np.prod(rows_shape)), -1)
+    U, _, Vt = np.linalg.svd(mat, full_matrices=False)
+    return (U @ Vt).reshape(env.shape)
+
+
+def _reference_fit_error(Y, factors):
+    factors.contraction = reference_contract(factors)
+    return float(np.linalg.norm(Y - factors.contraction))
+
+
+def _reference_hosvd_init(Y, R):
+    I1, I2, I3, I4, I5 = Y.shape
+    mat = Y.reshape(I1 * I2, I3 * I4 * I5)
+    U, _, Vt = np.linalg.svd(mat, full_matrices=False)
+    W1 = U[:, :R].reshape(I1, I2, R)
+    W2 = Vt[:R].T.reshape(I3, I4, I5, R)
+    U1 = np.eye(I2 * I3).reshape(I2, I3, I2, I3)
+    factors = MeraFactors(W1=W1, W2=W2, U1=U1, B=np.zeros((R, R)))
+    factors.B = _reference_top_core(Y, factors)
+    return factors
+
+
+def reference_mera_fit(Y, R, tol=1e-8, max_iter=100, init=None):
+    """``mera_fit`` as it was when every sweep ran five 4-operand einsums
+    on the 5-way tensor: a verbatim copy, with its helpers renamed, kept as
+    the reference."""
+    Y = np.asarray(Y, dtype=np.float64)
+    if Y.ndim != 5 or Y.shape[0] != Y.shape[2] or Y.shape[1] != Y.shape[3]:
+        raise ParameterError("expected a 5-way tensor with I1 = I3, I2 = I4")
+    I1, I2, I3, I4, I5 = Y.shape
+    if not 1 <= R <= min(I1 * I2, I3 * I4 * I5):
+        raise ParameterError(
+            f"R = {R} outside [1, {min(I1 * I2, I3 * I4 * I5)}]"
+        )
+    if init is None:
+        factors = _reference_hosvd_init(Y, R)
+    else:
+        if init.B.shape != (R, R):
+            raise ParameterError("warm start has a different rank")
+        # the factors are copied unchanged, so their contraction still holds
+        factors = MeraFactors(W1=init.W1.copy(), W2=init.W2.copy(),
+                              U1=init.U1.copy(), B=init.B.copy(),
+                              contraction=init.contraction)
+    factors.check()
+    if factors.contraction is None:
+        factors.contraction = reference_contract(factors)
+    err = float(np.linalg.norm(Y - factors.contraction))
+    factors.fit_errors = [err]
+    for _ in range(max_iter):
+        env_u = _einsum("xyzde,xar,bdes,rs->abyz",
+                        Y, factors.W1, factors.W2, factors.B)
+        factors.U1 = _reference_procrustes(env_u, env_u.shape[:2])
+        env_w1 = _einsum("xyzde,bdes,abyz,rs->xar",
+                         Y, factors.W2, factors.U1, factors.B)
+        factors.W1 = _reference_procrustes(env_w1, env_w1.shape[:2])
+        env_w2 = _einsum("xyzde,xar,abyz,rs->bdes",
+                         Y, factors.W1, factors.U1, factors.B)
+        factors.W2 = _reference_procrustes(env_w2, env_w2.shape[:3])
+        factors.B = _reference_top_core(Y, factors)
+        factors.check()
+        new_err = _reference_fit_error(Y, factors)
+        factors.fit_errors.append(new_err)
+        if err - new_err < tol * max(err, 1e-300):
+            break
+        err = new_err
+    return factors
 
 
 def random_isometric_factors(dims, R, seed):
@@ -203,8 +279,7 @@ class TestContract:
             U1=np.eye(4).reshape(2, 2, 2, 2),
             B=np.zeros((4, 4)),
         )
-        from wpsc.mera import _top_core
-        f.B = _top_core(Y, f)
+        f.B = _top_core(_unfold(Y), f)
         assert np.abs(mera_contract(f) - Y).max() <= 1e-12
 
     def test_zero_core_gives_zero(self):
@@ -223,16 +298,19 @@ class TestContract:
         assert np.abs(mera_contract(f) - contract_oracle(f)).max() <= 1e-12
 
     @pytest.mark.parametrize("dims,R", [((3, 4, 3, 4, 5), 4), ((6, 10, 6, 10, 5), 12)])
-    def test_cached_path_einsum_matches_optimize_true(self, dims, R):
-        # twice per spec: the first call searches the path, the second reuses it
+    def test_matches_einsum_reference(self, dims, R):
         f = random_isometric_factors(dims, R, seed=13)
-        Y = np.random.default_rng(14).standard_normal(dims)
-        operands = {"xyzde": Y, "xar": f.W1, "bdes": f.W2, "abyz": f.U1, "rs": f.B}
-        for spec in MERA_SPECS:
-            ops = [operands[term] for term in spec.split("->")[0].split(",")]
-            expected = np.einsum(spec, *ops, optimize=True)
-            for _ in range(2):
-                assert np.array_equal(_einsum(spec, *ops), expected), spec
+        expected = reference_contract(f)
+        assert np.abs(mera_contract(f) - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("dims,R", [((2, 3, 2, 3, 1), 1), ((3, 4, 3, 4, 5), 4),
+                                        ((6, 10, 6, 10, 5), 12)])
+    def test_top_core_is_adjoint_of_contraction(self, dims, R):
+        # <L(B), Y> = <B, L*(Y)> for the layer map L
+        f = random_isometric_factors(dims, R, seed=18)
+        Y = np.random.default_rng(19).standard_normal(dims)
+        lhs = np.vdot(mera_contract(f), Y)
+        assert lhs == pytest.approx(np.vdot(f.B, _top_core(_unfold(Y), f)), rel=1e-12)
 
 
 class TestMeraFit:
@@ -275,7 +353,7 @@ class TestMeraFit:
         monkeypatch.setattr(mera_mod, "mera_contract",
                             lambda *a: calls.append(1) or real(*a))
         warm = mera_fit(Y2, R=5, max_iter=2, tol=0.0, init=start)
-        assert len(calls) == 2  # one per sweep, none for the warm start
+        assert calls == []  # the warm start and the sweeps stay on the unfolding
         assert warm.fit_errors == cold.fit_errors
         assert np.array_equal(warm.contraction, cold.contraction)
 
@@ -284,6 +362,43 @@ class TestMeraFit:
         Y = rng.standard_normal((3, 3, 3, 3, 4))
         factors = mera_fit(Y, R=5, max_iter=20)
         assert factors.isometry_defect() <= 1e-8
+
+    # at (2, 3, 2, 3, 1) and R = 1 the environment of U1 has rank 4 of 6, so
+    # the completion of U1 beyond it is rounding noise in both fits; the
+    # contraction pins the part of U1 that the fit depends on
+    @pytest.mark.parametrize("dims,R,names", [
+        ((6, 10, 6, 10, 5), 12, ("W1", "W2", "U1", "B")),
+        ((3, 4, 3, 4, 2), 5, ("W1", "W2", "U1", "B")),
+        ((2, 3, 2, 3, 1), 1, ("W1", "W2", "B")),
+    ])
+    def test_matches_einsum_reference_fit(self, dims, R, names):
+        rng = np.random.default_rng(20)
+        Y = rng.standard_normal(dims)
+        Y2 = Y + 0.1 * rng.standard_normal(dims)
+
+        def assert_close(got, ref):
+            assert len(got.fit_errors) == len(ref.fit_errors)
+            for name in (*names, "fit_errors", "contraction"):
+                a, b = np.asarray(getattr(got, name)), np.asarray(getattr(ref, name))
+                assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
+
+        cold, ref_cold = mera_fit(Y, R, max_iter=30), reference_mera_fit(Y, R, max_iter=30)
+        assert_close(cold, ref_cold)
+        # both warm starts begin from the reference's factors and contraction
+        start = MeraFactors(ref_cold.W1, ref_cold.W2, ref_cold.U1, ref_cold.B,
+                            contraction=ref_cold.contraction)
+        assert_close(mera_fit(Y2, R, max_iter=2, tol=0.0, init=start),
+                     reference_mera_fit(Y2, R, max_iter=2, tol=0.0, init=start))
+
+    def test_warm_start_of_other_shape_is_parameter_error(self):
+        rng = np.random.default_rng(17)
+        start = mera_fit(rng.standard_normal((3, 4, 3, 4, 2)), R=5, max_iter=2)
+        for dims in [(4, 3, 4, 3, 2), (3, 4, 3, 4, 5), (2, 4, 2, 4, 2)]:
+            with pytest.raises(ParameterError, match="warm start"):
+                mera_fit(rng.standard_normal(dims), R=5, init=start)
+        wrong_u1 = MeraFactors(start.W1, start.W2, np.eye(4).reshape(2, 2, 2, 2), start.B)
+        with pytest.raises(ParameterError, match="warm start"):
+            mera_fit(rng.standard_normal((3, 4, 3, 4, 2)), R=5, init=wrong_u1)
 
     def test_r_too_large(self):
         with pytest.raises(ParameterError):
