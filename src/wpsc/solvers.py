@@ -86,11 +86,21 @@ def solve_ssc(X, alpha, mode="noise", affine=False, tol=1e-6, max_iter=200,
 
     Solves min ||C||_1 + (lam/2) ||X - XC||_F^2 s.t. diag(C) = 0, with
     lam = alpha / mu_e and mu_e = min_i max_{j!=i} |x_i' x_j|. The ADMM
-    penalty is held fixed at lam, so the system M = lam X'X + rho I
-    (+ rho 11' when affine) never changes: M is inverted once and each
-    iteration's linear step costs one N x N GEMM. ``affine`` adds the
-    constraint 1'C = 1'; ``mode='outlier'`` adds an l1 error term E (threshold
-    alpha / min_i max_{j!=i} ||x_j||_1) so that X ~ XC + E.
+    penalty is held fixed at rho = lam, so the system M = lam X'X + rho I
+    (+ rho 11' when affine) never changes: M is inverted once, and with the
+    scaled dual U = Lambda / rho (Boyd et al. 2011, sec. 3.1.1) each
+    iteration is
+
+        A = P + (rho M^-1)(C - U),   P = M^-1 lam X'X,
+        C = T - clip(T, -1/rho, 1/rho),   T = A + U,   diag(C) = 0,
+        U += A - C,
+
+    one N x N GEMM plus element-wise work in reused N x N buffers.
+    ``affine`` adds the constraint 1'C = 1', whose correction to A is the
+    rank-one (rho M^-1 1)(1 - w)' with w the scaled dual of the column sums;
+    ``mode='outlier'`` adds an l1 error term E (threshold
+    alpha / min_i max_{j!=i} ||x_j||_1) so that X ~ XC + E, which subtracts
+    (M^-1 lam X') E from A each iteration.
 
     Parameters
     ----------
@@ -105,7 +115,8 @@ def solve_ssc(X, alpha, mode="noise", affine=False, tol=1e-6, max_iter=200,
 
     Returns
     -------
-    (N, N) representation matrix with an exactly zero diagonal.
+    (N, N) representation matrix with an exactly zero diagonal; its zero
+    entries are +0.0.
     """
     X = np.asarray(X, dtype=np.float64)
     if not np.all(np.isfinite(X)):
@@ -125,40 +136,52 @@ def solve_ssc(X, alpha, mode="noise", affine=False, tol=1e-6, max_iter=200,
     lam_xtx = lam * (X.T @ X)
     M = lam_xtx + rho * np.eye(N)
     if affine:
-        M += rho * np.ones((N, N))
+        M += rho
     # M >= rho I and rho = lam, so cond(M) <= 1 + ||X||^2 (+ N when affine)
     # and the explicit inverse is accurate
     Minv = np.linalg.inv(M)
+    P = Minv @ lam_xtx
+    rMinv = rho * Minv
+    thr = 1.0 / rho
 
-    lam_err = None
     if mode == "outlier":
         norms1 = np.sort(np.abs(X).sum(axis=0))[::-1]
-        mu_err = norms1[1] if N > 1 else norms1[0]
+        mu_err = norms1[1]
         if mu_err == 0.0:
             raise DegenerateDataError("data has no mass for the outlier term")
         lam_err = alpha / mu_err
+        Q = Minv @ (lam * X.T)
+    if affine:
+        rMinv_1 = rMinv.sum(axis=1)
+        w = np.zeros(N)
 
     C = np.zeros((N, N))
     E = np.zeros_like(X)
-    Lam = np.zeros((N, N))
-    delta = np.zeros(N)
-    ones = np.ones((N, N))
+    U = np.zeros((N, N))
+    A = np.empty((N, N))
+    T = np.empty((N, N))
     for _ in range(max_iter):
-        data = lam * (X.T @ (X - E)) if mode == "outlier" else lam_xtx
-        rhs = data + rho * C - Lam
+        np.subtract(C, U, out=T)
+        np.matmul(rMinv, T, out=A)
+        A += P
+        if mode == "outlier":
+            A -= np.matmul(Q, E, out=T)
         if affine:
-            rhs += rho * ones - np.outer(np.ones(N), delta)
-        A = Minv @ rhs
-        C = _soft(A + Lam / rho, 1.0 / rho)
-        np.fill_diagonal(C, 0.0)
+            np.multiply(rMinv_1[:, None], 1.0 - w, out=T)
+            A += T
+        np.add(A, U, out=T)
+        np.clip(T, -thr, thr, out=C)
+        np.subtract(T, C, out=C)
+        C.flat[::N + 1] = 0.0
         if mode == "outlier":
             E = _soft(X - X @ A, lam_err / lam)
-        Lam += rho * (A - C)
-        res = np.abs(A - C).max()
+        gap = np.subtract(A, C, out=T)
+        U += gap
+        res = np.abs(gap, out=T).max()
         if affine:
-            aff_res = np.abs(A.sum(axis=0) - 1.0).max()
-            delta += rho * (A.sum(axis=0) - 1.0)
-            res = max(res, aff_res)
+            col_gap = A.sum(axis=0) - 1.0
+            w += col_gap
+            res = max(res, np.abs(col_gap).max())
         if objective_trace is not None:
             obj = np.abs(C).sum() + 0.5 * lam * np.sum((X - X @ C - E) ** 2)
             if mode == "outlier":
@@ -166,7 +189,6 @@ def solve_ssc(X, alpha, mode="noise", affine=False, tol=1e-6, max_iter=200,
             objective_trace.append(float(obj))
         if res < tol:
             break
-    np.fill_diagonal(C, 0.0)
     return C
 
 
@@ -221,8 +243,9 @@ def solve_lrr(X, lam, tol=1e-6, max_iter=500, objective_trace=None):
             raise ConvergenceError(f"LRR stopped at iteration {it}: {exc}",
                                    residuals={"data": r1, "coupling": r2}) from exc
         Z = inv @ (XtX - X.T @ E + J + (X.T @ Y1 - Y2) / mu)
-        E = _shrink_columns(X - X @ Z + Y1 / mu, lam / mu)
-        res_data = X - X @ Z - E
+        gap = X - X @ Z
+        E = _shrink_columns(gap + Y1 / mu, lam / mu)
+        res_data = gap - E
         Y1 += mu * res_data
         Y2 += mu * (Z - J)
         mu = min(mu * rho, mu_max)

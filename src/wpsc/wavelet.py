@@ -138,8 +138,10 @@ def wp_decompose(ds, J):
 def node_matrix(ds, path):
     """D x N coefficient matrix of a single subband of ``ds``.
 
-    Computes only the ancestors of ``path`` instead of a full decomposition;
-    path '' returns the read-only data itself, in its own memory layout.
+    Filters only along ``path``: each level runs the one row pass and the
+    one column pass of its subband, in the order :func:`haar_analysis_2d`
+    runs them, so the result equals the full decomposition's bit for bit.
+    Path '' returns the read-only data itself, in its own memory layout.
     """
     level = subband_level(path)
     if level == 0:
@@ -147,6 +149,7 @@ def node_matrix(ds, path):
     _check_size(ds.img_h, ds.img_w, level)
     cube = ds.images()
     for j, ch in enumerate(path, start=1):
-        subs = haar_analysis_2d(cube, level=j)
-        cube = subs[ALPHABET.index(ch)]
+        step = 2 ** (j - 1)
+        cube = _pass(cube, step, -2, +1.0 if ch in "AH" else -1.0)
+        cube = _pass(cube, step, -1, +1.0 if ch in "AV" else -1.0)
     return cube.reshape(ds.N, ds.D).T

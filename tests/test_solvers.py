@@ -3,16 +3,21 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from conftest import make_uos
+from wpsc.datasets import Dataset
 from wpsc.errors import ConvergenceError, DegenerateDataError, ParameterError
+from wpsc.pipeline import SingleViewPipeline
 from wpsc.solvers import (
     SolverSpec,
+    _coherence_floor,
     _shrink_columns,
+    _soft,
     _svt,
     solve_lrr,
     solve_nsn,
     solve_rtsc,
     solve_ssc,
 )
+from wpsc.wavelet import node_matrix
 
 
 def lasso_oracle(X, i, lam):
@@ -26,6 +31,123 @@ def lasso_oracle(X, i, lam):
     prob = cvxpy.Problem(cvxpy.Minimize(obj), [z[i] == 0])
     prob.solve()
     return np.asarray(z.value).ravel()
+
+
+def reference_solve_ssc(X, alpha, mode="noise", affine=False, tol=1e-6, max_iter=200,
+                        objective_trace=None):
+    """The ADMM loop of ``solve_ssc`` with an unscaled dual, a full N x N
+    right-hand side per iteration and the ``sign * max`` soft-threshold:
+    a verbatim copy, kept as the reference."""
+    X = np.asarray(X, dtype=np.float64)
+    N = X.shape[1]
+    mu_e = _coherence_floor(X)
+    lam = alpha / mu_e
+    rho = lam
+    lam_xtx = lam * (X.T @ X)
+    M = lam_xtx + rho * np.eye(N)
+    if affine:
+        M += rho * np.ones((N, N))
+    Minv = np.linalg.inv(M)
+
+    lam_err = None
+    if mode == "outlier":
+        norms1 = np.sort(np.abs(X).sum(axis=0))[::-1]
+        mu_err = norms1[1] if N > 1 else norms1[0]
+        lam_err = alpha / mu_err
+
+    C = np.zeros((N, N))
+    E = np.zeros_like(X)
+    Lam = np.zeros((N, N))
+    delta = np.zeros(N)
+    ones = np.ones((N, N))
+    for _ in range(max_iter):
+        data = lam * (X.T @ (X - E)) if mode == "outlier" else lam_xtx
+        rhs = data + rho * C - Lam
+        if affine:
+            rhs += rho * ones - np.outer(np.ones(N), delta)
+        A = Minv @ rhs
+        C = _soft(A + Lam / rho, 1.0 / rho)
+        np.fill_diagonal(C, 0.0)
+        if mode == "outlier":
+            E = _soft(X - X @ A, lam_err / lam)
+        Lam += rho * (A - C)
+        res = np.abs(A - C).max()
+        if affine:
+            aff_res = np.abs(A.sum(axis=0) - 1.0).max()
+            delta += rho * (A.sum(axis=0) - 1.0)
+            res = max(res, aff_res)
+        if objective_trace is not None:
+            obj = np.abs(C).sum() + 0.5 * lam * np.sum((X - X @ C - E) ** 2)
+            if mode == "outlier":
+                obj += lam_err * np.abs(E).sum()
+            objective_trace.append(float(obj))
+        if res < tol:
+            break
+    np.fill_diagonal(C, 0.0)
+    return C
+
+
+def striped_images(C=4, d=4, n=12, side=32, seed=0):
+    """Unit-norm unions of subspaces on side x side images plus per-image
+    stripes (-1)^i a_j + (-1)^j b_i at twice the signal norm: ambient SSC
+    sees mostly stripes, which the level-1 Haar low-pass band removes."""
+    rng = np.random.default_rng(seed)
+    D = side * side
+    blocks = []
+    for _ in range(C):
+        basis, _ = np.linalg.qr(rng.standard_normal((D, d)))
+        blocks.append(basis @ rng.standard_normal((d, n)))
+    X = np.hstack(blocks)
+    N = X.shape[1]
+    alt = (-1.0) ** np.arange(side)
+    pat = (alt[None, :, None] * rng.standard_normal((N, 1, side))
+           + alt[None, None, :] * rng.standard_normal((N, side, 1)))
+    P = pat.reshape(N, D).T
+    X += P * (2.0 * np.linalg.norm(X, axis=0) / np.linalg.norm(P, axis=0))
+    X /= np.linalg.norm(X, axis=0)
+    return Dataset(data=X, img_h=side, img_w=side, labels=np.repeat(np.arange(C), n))
+
+
+class TestSscMatchesReference:
+    """The fused scaled-dual loop against the unscaled reference loop."""
+
+    MODES = [("noise", False), ("noise", True), ("outlier", False)]
+
+    @staticmethod
+    def _pair(X, mode, affine):
+        got_trace, want_trace = [], []
+        got = solve_ssc(X, 10.0, mode=mode, affine=affine, objective_trace=got_trace)
+        want = reference_solve_ssc(X, 10.0, mode=mode, affine=affine,
+                                   objective_trace=want_trace)
+        return got, want, len(got_trace), len(want_trace)
+
+    @pytest.mark.parametrize("mode,affine", MODES)
+    @pytest.mark.parametrize("case", ["uos-noisy", "striped-A", "striped-root"])
+    def test_same_iterates(self, mode, affine, case):
+        # striped-root stops on tol (111-129 iterations), the others at max_iter
+        if case == "uos-noisy":
+            X = make_uos(C=4, d=3, D=40, n=12, sigma=0.2, seed=3).data
+        else:
+            ds = striped_images(seed=1)
+            X = ds.data if case == "striped-root" else node_matrix(ds, "A")
+            X = X / np.linalg.norm(X, axis=0)
+        got, want, n_got, n_want = self._pair(X, mode, affine)
+        assert n_got == n_want
+        assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+        assert np.all(np.diag(got) == 0.0)
+
+    @pytest.mark.parametrize("mode,affine", MODES)
+    def test_same_labels_on_striped_images(self, mode, affine, monkeypatch):
+        ds = striped_images(seed=2)
+        spec = SolverSpec("SSC", {"alpha": 10, "mode": mode, "affine": affine})
+        pipe = SingleViewPipeline(spec)
+        for path in ("", "A", "AA"):
+            X = node_matrix(ds, path)
+            got = pipe.run(X, 4, seed=0)
+            with monkeypatch.context() as m:
+                m.setattr("wpsc.solvers.solve_ssc", reference_solve_ssc)
+                want = pipe.run(X, 4, seed=0)
+            assert np.array_equal(got, want), path
 
 
 class TestSsc:
@@ -92,6 +214,9 @@ class TestSsc:
         Z = solve_ssc(X, 5.0)
         assert np.all(np.diag(Z) == 0.0)
         assert np.all(np.isfinite(Z))
+        # soft-thresholding as T - clip(T) gives +0.0, never -0.0
+        zeros = Z[Z == 0.0]
+        assert zeros.size > len(Z) and not np.any(np.signbit(zeros))
 
     def test_degenerate_orthogonal_columns(self):
         with pytest.raises(DegenerateDataError):
