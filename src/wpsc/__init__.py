@@ -28,7 +28,6 @@ from .graph import (
 )
 from .mera import (
     MeraFactors,
-    MeraShape,
     SelfRepTensor,
     choose_grid,
     mera_contract,
@@ -39,17 +38,10 @@ from .mera import (
     unify_views,
 )
 from .metrics import MetricsReport, evaluate, wilcoxon_signed_rank
-from .pipeline import (
-    SingleViewPipeline,
-    WpMeraPipeline,
-    five_views,
-    run_wp_mera,
-)
+from .pipeline import Fit, SingleViewPipeline, WpMeraPipeline, five_views
 from .selection import Grid, SelectionTrace, grid_search, select_subband
 from .solvers import SolverSpec, solve_lrr, solve_nsn, solve_rtsc, solve_ssc
 from .subspace import (
-    DIGIT_SUBSPACE_DIM,
-    FACE_OBJECT_SUBSPACE_DIM,
     ClusterModel,
     assign_multiview_batch,
     average_affinity,

@@ -28,12 +28,12 @@ from .errors import (ConfigError, ConsistencyError, ConvergenceError, DataError,
 from .graph import Partition, affinity_from_representation, spectral_clustering
 from .mera import FIVE_VIEW_ORDER, choose_grid, unify_views
 from .metrics import evaluate
-from .pipeline import SingleViewPipeline, WpMeraPipeline, five_views, run_wp_mera
-from .selection import Grid, grid_search, select_subband
+from .pipeline import SingleViewPipeline, WpMeraPipeline
+from .selection import Grid, grid_search, scan_all_subbands, select_subband
 from .solvers import SolverSpec
 from .subspace import (assign_multiview_batch, average_affinity, estimate_bases,
                        mean_principal_angle)
-from .wavelet import node_matrix, wp_decompose
+from .wavelet import wp_decompose
 
 METRICS_HEADER = ["dataset", "pipeline", "subband", "seed", "phase",
                   "acc", "nmi", "rand", "f", "purity", "ce", "seconds"]
@@ -41,7 +41,6 @@ MERA_TRACE_HEADER = ["iteration", *(f"res_{n}" for n in FIVE_VIEW_ORDER), "fit_e
 SELECTION_HEADER = ["order", "subband", "ce"]
 GRID_HEADER = ["seed", "params", "mean_acc", "accs"]
 PIPELINES = ("single", "wp-single", "wp-mera")
-MERA_SUBBAND_TAG = "O+A+H+V+D"
 
 
 @dataclass
@@ -153,9 +152,7 @@ def load_dataset(spec):
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad synthetic dataset spec: {exc}") from exc
         ds = generate_uos(uspec)
-        return ds if "name" not in spec else Dataset(
-            data=ds.data, img_h=ds.img_h, img_w=ds.img_w, labels=ds.labels,
-            name=spec["name"])
+        return ds if "name" not in spec else ds.with_data(ds.data, name=spec["name"])
     if kind == "bundle":
         return load_bundle(text("path"), name=spec.get("name"))
     if kind == "idx":
@@ -185,7 +182,8 @@ def _pipeline(cfg, ds, params=None):
     if cfg.pipeline == "wp-mera":
         return WpMeraPipeline(ds.img_h, ds.img_w, **_mera_fields({**cfg.mera, **params}))
     solver = replace(cfg.solver, params={**cfg.solver.params, **params})
-    return SingleViewPipeline(solver=solver, ipd_d=cfg.d if cfg.ipd else None)
+    return SingleViewPipeline(solver=solver, ipd_d=cfg.d if cfg.ipd else None,
+                              levels=cfg.levels if cfg.pipeline == "wp-single" else None)
 
 
 def _mera_trace_row(t):
@@ -204,9 +202,9 @@ def _run_seed(cfg, ds, seed):
     """One full experiment run; returns (report record, csv rows, trace rows).
 
     Every pipeline fits the in-sample points, fits one subspace model per
-    view to that partition and assigns held-out points by their nearest
-    subspace over all views: one view (the data or the chosen subband)
-    for the single-view pipelines, the five level-1 views for MERA.
+    view of the fit to its partition and assigns held-out points by their
+    nearest subspace over all views: one view (the data or the chosen
+    subband) for the single-view pipelines, the five level-1 views for MERA.
     """
     t0 = time.perf_counter()
     rec = {"seed": seed, "pipeline": cfg.pipeline}
@@ -220,62 +218,42 @@ def _run_seed(cfg, ds, seed):
         grid_params, table = grid_search(in_ds, grid, lambda p: _pipeline(cfg, ds, p))
         rec["grid"] = {"best_params": grid_params, "table": table}
     pipe = _pipeline(cfg, ds, grid_params)
-
-    C = ds.C
-    mera = cfg.pipeline == "wp-mera"
-    if mera:
-        mtrace = []
-        part, tensor, in_views = pipe.fit(in_ds, C, seed, trace=mtrace)
-        subband = MERA_SUBBAND_TAG
-        rec["convergence"] = {"iterations": len(mtrace),
-                              "final_residual": max(mtrace[-1]["view_residuals"]),
-                              "final_fit_error": mtrace[-1]["fit_error"],
+    fit = pipe.fit(in_ds, ds.C, seed)
+    rec["subband"] = sub = fit.subband
+    sel, its = fit.selection, fit.iterations
+    if sel is not None:
+        rec["selection"] = {"evaluated": [[p, ce] for p, ce in sel.evaluated],
+                            "stopped_reason": sel.stopped_reason}
+        trace_rows += [[seed, i, p, ce] for i, (p, ce) in enumerate(sel.evaluated)]
+    if its is not None:
+        rec["convergence"] = {"iterations": len(its),
+                              "final_residual": max(its[-1]["view_residuals"]),
+                              "final_fit_error": its[-1]["fit_error"],
                               "lambda": pipe.lam, "R": pipe.R}
-        trace_rows += [[seed, *_mera_trace_row(t)] for t in mtrace]
-    else:
-        subband = ""
-        if cfg.pipeline == "wp-single":
-            # the descent clusters with C = max label + 1, which the stratified
-            # split keeps equal to ds.C, so its run of the chosen node is the fit
-            assert in_ds.labels.max() + 1 == C, "the split lost a cluster"
-            sel = select_subband(in_ds, cfg.levels, pipe, seed)
-            subband = sel.chosen
-            rec["selection"] = {"evaluated": [[p, ce] for p, ce in sel.evaluated],
-                                "stopped_reason": sel.stopped_reason}
-            trace_rows += [[seed, i, p, ce] for i, (p, ce) in enumerate(sel.evaluated)]
-        X = node_matrix(in_ds, subband)
-        labels = sel.labels if cfg.pipeline == "wp-single" else pipe.run(X, C, seed)
-        part = Partition(labels=labels, C=C)
-        in_views = [unit_columns(X)]
-    rec["subband"] = subband
-    metrics = {"in": _metrics_dict(in_ds.labels, part.labels)}
+        trace_rows += [[seed, *_mera_trace_row(t)] for t in its]
+    metrics = {"in": _metrics_dict(in_ds.labels, fit.labels)}
     if cfg.export_bundles:
         out_dir = Path(cfg.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         save_bundle(in_ds, out_dir / f"in_s{seed}.wpsc")
-        if cfg.pipeline == "wp-single":
-            save_bundle(in_ds.with_data(in_views[0]),
-                        out_dir / f"{in_ds.name}__{subband}_s{seed}.wpsc")
-        elif mera:
-            save_matrix(unify_views(tensor), out_dir / f"unified_s{seed}.wpsc")
+        if sel is not None:
+            save_bundle(in_ds.with_data(fit.views[0]),
+                        out_dir / f"{in_ds.name}__{sub}_s{seed}.wpsc")
+        elif fit.tensor is not None:
+            save_matrix(unify_views(fit.tensor), out_dir / f"unified_s{seed}.wpsc")
 
-    # out-of-sample assignment by point-to-subspace distance over all views;
-    # the held-out views come before the models: the other order raised the
-    # oos-grid benchmark's peak RSS by 2 MiB through heap layout alone
-    out_views = five_views(out_ds) if mera else [unit_columns(node_matrix(out_ds, subband))]
-    models = [estimate_bases(Xv, part, cfg.d) for Xv in in_views]
+    models = fit.models(cfg.d)
     if out_ds.N:
-        metrics["out"] = _metrics_dict(out_ds.labels,
-                                       assign_multiview_batch(out_views, models))
+        metrics["out"] = _metrics_dict(out_ds.labels, fit.assign(out_ds, models))
     # the first view of the single and MERA pipelines is the data itself
-    ambient = (estimate_bases(unit_columns(in_ds.data), part, cfg.d)
-               if cfg.pipeline == "wp-single" else models[0])
+    ambient = (models[0] if sel is None
+               else estimate_bases(unit_columns(in_ds.data), fit.part, cfg.d))
     diag = {"affinity_ambient": average_affinity(ambient)}
     diag["angle_ambient"] = mean_principal_angle(diag["affinity_ambient"])
-    if cfg.pipeline == "wp-single":
+    if sel is not None:
         diag["affinity_subband"] = average_affinity(models[0])
         diag["angle_subband"] = mean_principal_angle(diag["affinity_subband"])
-    elif mera:
+    elif len(models) > 1:
         diag["affinity_views"] = {name: average_affinity(m)
                                   for name, m in zip(FIVE_VIEW_ORDER[1:], models[1:])}
     rec["metrics"] = metrics
@@ -284,7 +262,7 @@ def _run_seed(cfg, ds, seed):
 
     csv_rows = []
     for phase, m in metrics.items():
-        csv_rows.append([ds.name, cfg.pipeline, subband, seed, phase,
+        csv_rows.append([ds.name, cfg.pipeline, sub, seed, phase,
                          f"{m['acc']:.6f}", f"{m['nmi']:.6f}", f"{m['rand']:.6f}",
                          f"{m['f']:.6f}", f"{m['purity']:.6f}", f"{m['ce']:.6f}",
                          f"{seconds:.3f}"])
@@ -476,8 +454,6 @@ def _cmd_cluster(args):
 
 
 def _cmd_select_subband(args):
-    from .selection import scan_all_subbands
-
     ds, _ = _load_normalized(args.data)
     pipe = SingleViewPipeline(solver=_solver_from_args(args), ipd_d=args.ipd_d)
     chooser = scan_all_subbands if args.exhaustive else select_subband
@@ -492,11 +468,10 @@ def _cmd_select_subband(args):
 
 def _cmd_mera(args):
     ds, C = _load_normalized(args.data, args.C, needs_C=True)
-    trace = []
-    part, _, _ = run_wp_mera(ds, C, lam=args.lam, R=args.rank, seed=args.seed, trace=trace)
+    fit = WpMeraPipeline(ds.img_h, ds.img_w, lam=args.lam, R=args.rank).fit(ds, C, args.seed)
     out_dir = Path(args.out_dir)
-    _emit_labels(out_dir / "labels.csv", part.labels, ds.labels)
-    _write_csv(out_dir / "trace.csv", MERA_TRACE_HEADER, map(_mera_trace_row, trace))
+    _emit_labels(out_dir / "labels.csv", fit.labels, ds.labels)
+    _write_csv(out_dir / "trace.csv", MERA_TRACE_HEADER, map(_mera_trace_row, fit.iterations))
 
 
 def _cmd_oos(args):

@@ -34,28 +34,6 @@ ALM_MU_MAX = 1e10
 FIVE_VIEW_ORDER = ("O", "A", "H", "V", "D")
 
 
-@dataclass(frozen=True)
-class MeraShape:
-    """Mode sizes of the 5-way tensor and the shared top rank R."""
-
-    A_dim: int
-    Q_dim: int
-    V: int
-    R: int
-
-    def __post_init__(self):
-        if min(self.A_dim, self.Q_dim, self.V, self.R) < 1:
-            raise ParameterError("all MERA mode sizes must be positive")
-
-    @property
-    def N(self):
-        return self.A_dim * self.Q_dim
-
-    @property
-    def dims(self):
-        return (self.A_dim, self.Q_dim, self.A_dim, self.Q_dim, self.V)
-
-
 @dataclass
 class MeraFactors:
     """Network factors; ``fit_errors`` and ``isometry_defects`` log the
@@ -110,10 +88,6 @@ class SelfRepTensor:
             raise ParameterError("view_names length must match V")
         object.__setattr__(self, "Z", Z)
 
-    @property
-    def V(self):
-        return self.Z.shape[2]
-
 
 def choose_grid(N):
     """Most-square factorization N = A*Q with 2 <= A <= Q.
@@ -129,26 +103,27 @@ def choose_grid(N):
     return A, Q
 
 
-def reshape_to_5d(Z, shape):
-    """Reshape an N x N x V tensor into the 5-way MERA layout.
+def reshape_to_5d(Z, dims):
+    """Reshape an N x N x V tensor into the 5-way MERA layout of mode sizes
+    ``dims`` = (A, Q, A, Q, V), with N = A*Q.
 
     Row index n splits column-major as n = i1 + I1*i2 and column index m
     as m = i3 + I3*i4; the inverse reshape restores the input exactly.
     """
     Z = np.asarray(Z, dtype=np.float64)
-    if Z.shape != (shape.N, shape.N, shape.V):
-        raise ParameterError(
-            f"tensor shape {Z.shape} does not match grid {shape.dims}"
-        )
-    return Z.reshape(shape.dims, order="F")
+    N = dims[0] * dims[1]
+    if tuple(dims[2:4]) != tuple(dims[:2]) or Z.shape != (N, N, dims[4]):
+        raise ParameterError(f"tensor shape {Z.shape} does not match grid {dims}")
+    return Z.reshape(dims, order="F")
 
 
-def reshape_from_5d(Y, shape):
+def reshape_from_5d(Y, dims):
     """Inverse of :func:`reshape_to_5d`."""
     Y = np.asarray(Y, dtype=np.float64)
-    if Y.shape != shape.dims:
-        raise ParameterError(f"tensor shape {Y.shape} != {shape.dims}")
-    return Y.reshape((shape.N, shape.N, shape.V), order="F")
+    if Y.shape != tuple(dims):
+        raise ParameterError(f"tensor shape {Y.shape} != {dims}")
+    N = dims[0] * dims[1]
+    return Y.reshape((N, N, dims[4]), order="F")
 
 
 def _unfold(Y):
@@ -297,9 +272,9 @@ def mera_mvsc(views, lam, R, tol=1e-6, max_iter=200, sweeps=2, trace=None):
         raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
     V = len(views)
     A_dim, Q_dim = choose_grid(N)
-    shape = MeraShape(A_dim=A_dim, Q_dim=Q_dim, V=V, R=R)
-    if R > min(N, N * V):
-        raise ParameterError(f"R = {R} exceeds min unfolding rank {N}")
+    dims = (A_dim, Q_dim, A_dim, Q_dim, V)
+    if not 1 <= R <= N:
+        raise ParameterError(f"R = {R} outside [1, {N}], the min unfolding rank")
 
     # G + I has all eigenvalues >= 1, so the explicit inverse is accurate
     inverse = [np.linalg.inv(Xv.T @ Xv + np.eye(N)) for Xv in views]
@@ -335,10 +310,10 @@ def mera_mvsc(views, lam, R, tol=1e-6, max_iter=200, sweeps=2, trace=None):
             # M1 += mu * gap, stored divided by the next mu
             S *= mu / mu_next
             W[v], work[v] = S, gap
-        consensus = reshape_to_5d(Z + M2 / mu, shape)
+        consensus = reshape_to_5d(Z + M2 / mu, dims)
         factors = mera_fit(consensus, R, max_iter=sweeps,
                            init=factors, tol=0.0)
-        Zhat = reshape_from_5d(factors.contraction, shape)
+        Zhat = reshape_from_5d(factors.contraction, dims)
         gap_consensus = Z - Zhat
         res_consensus = float(np.abs(gap_consensus).max())
         M2 += mu * gap_consensus

@@ -1,25 +1,66 @@
-"""Shared pipeline plumbing: solver -> (IPD) -> affinity -> spectral, and
-the five-view MERA flow. Used by subband selection, the CLI, and demos."""
+"""Shared pipeline plumbing: solver -> (IPD) -> affinity -> spectral, the
+subband descent and the five-view MERA flow, each fitted into one
+:class:`Fit`. Used by subband selection, the CLI, and demos."""
 
 from dataclasses import dataclass
 
 from .datasets import Dataset, unit_columns
 from .errors import ParameterError
-from .graph import affinity_from_representation, ipd_threshold, spectral_clustering
-from .mera import mera_mvsc, unify_views
+from .graph import Partition, affinity_from_representation, ipd_threshold, spectral_clustering
+from .mera import FIVE_VIEW_ORDER, SelfRepTensor, mera_mvsc, unify_views
+from .selection import SelectionTrace, select_subband
 from .solvers import SolverSpec
-# assign_multiview_batch lives in subspace; the benchmark's span tracer
-# (bench/spans.py) looks it up here to time out-of-sample assignment
-from .subspace import assign_multiview_batch  # noqa: F401
-from .wavelet import haar_analysis_2d
+from .subspace import assign_multiview_batch, estimate_bases
+from .wavelet import haar_analysis_2d, node_matrix
+
+_FIVE_VIEWS = "+".join(FIVE_VIEW_ORDER)
+
+
+@dataclass(frozen=True)
+class Fit:
+    """A pipeline's partition of the in-sample points and what it came from.
+
+    ``views`` are the column-normalized in-sample views it clustered, and
+    ``subband`` names them: '' for the data, the chosen packet path, or
+    'O+A+H+V+D' for the five MERA views. ``selection`` holds the subband
+    descent's trace, ``iterations`` and ``tensor`` the MERA per-iteration
+    records and self-representation tensor; each is None for a pipeline
+    that has no such record.
+    """
+
+    part: Partition
+    views: list
+    subband: str = ""
+    selection: SelectionTrace | None = None
+    iterations: list | None = None
+    tensor: SelfRepTensor | None = None
+
+    @property
+    def labels(self):
+        return self.part.labels
+
+    def models(self, d):
+        """One d-dimensional subspace model per view, fitted to the partition."""
+        return [estimate_bases(Xv, self.part, d) for Xv in self.views]
+
+    def assign(self, ds, models):
+        """Labels of the points of ``ds``: the nearest subspace over views
+        built the way the in-sample views were, one model per view."""
+        views = (five_views(ds) if self.subband == _FIVE_VIEWS
+                 else [unit_columns(node_matrix(ds, self.subband))])
+        return assign_multiview_batch(views, models)
 
 
 @dataclass(frozen=True)
 class SingleViewPipeline:
-    """Solver plus graph post-processing; ``ipd_d`` of None disables IPD."""
+    """Solver plus graph post-processing; ``ipd_d`` of None disables IPD.
+
+    With ``levels`` set, :meth:`fit` clusters the subband that the greedy
+    descent to that depth chooses instead of the data."""
 
     solver: SolverSpec
     ipd_d: int | None = None
+    levels: int | None = None
 
     def representation(self, X):
         """Self-representation of the unit-norm columns of X, IPD-thresholded
@@ -33,6 +74,20 @@ class SingleViewPipeline:
         """Cluster the columns of X into C groups; returns a label vector."""
         W = affinity_from_representation(self.representation(X))
         return spectral_clustering(W, C, seed).labels
+
+    def fit(self, ds, C, seed=0):
+        """:class:`Fit` of the dataset's data, or of the chosen subband with
+        the labels the descent gave it."""
+        if self.levels is None:
+            sel, X = None, node_matrix(ds, "")
+            labels = self.run(X, C, seed)
+        else:
+            if ds.labels is not None and ds.C != C:
+                raise ParameterError(f"the descent clusters into {ds.C} groups, not C = {C}")
+            sel = select_subband(ds, self.levels, self, seed)
+            X, labels = node_matrix(ds, sel.chosen), sel.labels
+        return Fit(Partition(labels=labels, C=C), [unit_columns(X)],
+                   sel.chosen if sel else "", selection=sel)
 
 
 @dataclass(frozen=True)
@@ -50,15 +105,21 @@ class WpMeraPipeline:
     max_iter: int = 200
     sweeps: int = 2
 
-    def fit(self, ds, C, seed=0, trace=None):
-        """:func:`run_wp_mera` of a dataset with these parameters; returns
-        (partition, self-representation tensor, views)."""
-        return run_wp_mera(ds, C, lam=self.lam, R=self.R, seed=seed, tol=self.tol,
-                           max_iter=self.max_iter, sweeps=self.sweeps, trace=trace)
+    def fit(self, ds, C, seed=0):
+        """Builds the (O, A, H, V, D) views, runs the multi-view MERA solver,
+        averages the views, symmetrizes into an affinity, and spectrally
+        clusters into a :class:`Fit`."""
+        if C is None or C < 2:
+            raise ParameterError("need C >= 2")
+        views, iterations = five_views(ds), []
+        tensor = mera_mvsc(views, lam=self.lam, R=self.R, tol=self.tol,
+                           max_iter=self.max_iter, sweeps=self.sweeps, trace=iterations)
+        part = spectral_clustering(affinity_from_representation(unify_views(tensor)), C, seed)
+        return Fit(part, views, _FIVE_VIEWS, iterations=iterations, tensor=tensor)
 
     def run(self, X, C, seed=0):
         carrier = Dataset(data=X, img_h=self.img_h, img_w=self.img_w)
-        return self.fit(carrier, C, seed)[0].labels
+        return self.fit(carrier, C, seed).labels
 
 
 def five_views(ds):
@@ -70,21 +131,3 @@ def five_views(ds):
     views = [ds.data]
     views += [cube.reshape(ds.N, ds.D).T for cube in subs]
     return [unit_columns(Xv) for Xv in views]
-
-
-def run_wp_mera(ds, C, lam, R, seed=0, tol=1e-6, max_iter=200, sweeps=2,
-                trace=None):
-    """Five-view MERA clustering of a dataset.
-
-    Builds the (O, A, H, V, D) views, runs the multi-view MERA solver,
-    averages the views, symmetrizes into an affinity, and spectrally
-    clusters. Returns (partition, self-representation tensor, views).
-    """
-    if C is None or C < 2:
-        raise ParameterError("need C >= 2")
-    views = five_views(ds)
-    tensor = mera_mvsc(views, lam=lam, R=R, tol=tol, max_iter=max_iter,
-                       sweeps=sweeps, trace=trace)
-    W = affinity_from_representation(unify_views(tensor))
-    part = spectral_clustering(W, C, seed)
-    return part, tensor, views

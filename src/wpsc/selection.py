@@ -16,9 +16,11 @@ class SelectionTrace:
     """Evaluation log of the greedy subband descent.
 
     ``evaluated`` lists (path, CE) in evaluation order; ``stopped_reason``
-    is 'parent-better' when the parent beat its best child, 'max-depth'
-    when a child was accepted without further descent. ``labels`` is the
-    partition the pipeline gave the chosen node during the search.
+    is 'parent-better' when the parent beat its best child,
+    'child-ties-parent' when the best child only tied its parent at a
+    level j < J and was accepted without further descent, and 'max-depth'
+    when a child was accepted at level J. ``labels`` is the partition the
+    pipeline gave the chosen node during the search.
     """
 
     evaluated: tuple
@@ -49,15 +51,6 @@ class Grid:
             yield dict(zip(keys, combo))
 
 
-def mera_default_grid(n_val_subsets=10, val_size_per_cluster=50, seed=0):
-    """Default search ranges for the MERA solver: lambda over ten decades
-    (1e-10 .. 1e-1) and rank 2..20."""
-    return Grid(values={"lambda": [10.0 ** k for k in range(-10, 0)],
-                        "R": list(range(2, 21))},
-                n_val_subsets=n_val_subsets,
-                val_size_per_cluster=val_size_per_cluster, seed=seed)
-
-
 def _scored_run(X, labels, pipeline, seed):
     """(CE, predicted labels) of one pipeline run with C = max label + 1."""
     labels = np.asarray(labels)
@@ -69,11 +62,12 @@ def select_subband(ds, J, pipeline, seed=0):
     """Greedy minimum-CE subband descent with the self-stopping rule.
 
     Evaluates CE on the original data, then on the four children of the
-    current best node. If the parent's CE is strictly smaller than the
-    best child's, the parent wins and the search stops; otherwise the
-    search descends into the best child (ties in the child argmin go to
-    the fixed order A, H, V, D) until level J. At most 1 + 4*J
-    evaluations, in a deterministic order.
+    current best node (ties in the child argmin go to the fixed order A,
+    H, V, D). If the parent's CE is strictly smaller than the best
+    child's, the parent wins and the search stops. Otherwise the best
+    child is accepted; at a level j < J the search descends into it if it
+    is strictly better than its parent and stops there if it only ties.
+    At most 1 + 4*J evaluations, in a deterministic order.
     """
     if ds.labels is None:
         raise ParameterError("subband selection needs a labeled validation set")
@@ -98,11 +92,11 @@ def select_subband(ds, J, pipeline, seed=0):
                 best_child, best_ce = parent + ch, ce
         if parent_ce < best_ce:
             return stop(parent, "parent-better")
-        if best_ce < parent_ce and j < J:
-            parent, parent_ce = best_child, best_ce
-            continue
-        return stop(best_child, "max-depth")
-    raise AssertionError("unreachable")
+        if j == J:
+            return stop(best_child, "max-depth")
+        if best_ce == parent_ce:
+            return stop(best_child, "child-ties-parent")
+        parent, parent_ce = best_child, best_ce
 
 
 def scan_all_subbands(ds, J, pipeline, seed=0):

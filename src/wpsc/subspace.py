@@ -7,12 +7,6 @@ import numpy as np
 
 from .errors import ConsistencyError, ParameterError
 
-# common subspace dimensions for the benchmark image families: handwritten
-# digits sit in roughly 12 dimensions, faces and small objects in 9
-DIGIT_SUBSPACE_DIM = 12
-FACE_OBJECT_SUBSPACE_DIM = 9
-
-
 @dataclass(frozen=True)
 class ClusterModel:
     """Per-cluster mean and orthonormal basis for point-to-subspace tests.

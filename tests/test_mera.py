@@ -13,7 +13,6 @@ from wpsc.mera import (
     ALM_RHO,
     FIVE_VIEW_ORDER,
     MeraFactors,
-    MeraShape,
     SelfRepTensor,
     _top_core,
     _unfold,
@@ -25,7 +24,7 @@ from wpsc.mera import (
     reshape_to_5d,
     unify_views,
 )
-from wpsc.pipeline import five_views
+from wpsc.pipeline import WpMeraPipeline, five_views
 from wpsc.solvers import _shrink_columns
 
 def contract_oracle(f):
@@ -63,8 +62,8 @@ def reference_mera_mvsc(views, lam, R, tol=1e-6, max_iter=200, sweeps=2, trace=N
         raise ParameterError("lambda must be positive")
     V = len(views)
     A_dim, Q_dim = choose_grid(N)
-    shape = MeraShape(A_dim=A_dim, Q_dim=Q_dim, V=V, R=R)
-    if R > min(N, N * V):
+    shape = (A_dim, Q_dim, A_dim, Q_dim, V)
+    if not 1 <= R <= min(N, N * V):
         raise ParameterError(f"R = {R} exceeds min unfolding rank {N}")
 
     gram = [Xv.T @ Xv for Xv in views]
@@ -239,13 +238,13 @@ class TestReshape:
     def test_round_trip_bit_exact(self):
         rng = np.random.default_rng(0)
         Z = rng.standard_normal((12, 12, 5))
-        shape = MeraShape(3, 4, 5, 2)
+        shape = (3, 4, 3, 4, 5)
         assert np.array_equal(reshape_from_5d(reshape_to_5d(Z, shape), shape), Z)
 
     def test_index_arithmetic_oracle(self):
         # column-major digit split: n = i1 + I1*i2, m = i3 + I3*i4
         I1, I2, V = 2, 2, 3
-        shape = MeraShape(I1, I2, V, 2)
+        shape = (I1, I2, I1, I2, V)
         N = I1 * I2
         rng = np.random.default_rng(1)
         Z = rng.standard_normal((N, N, V))
@@ -257,14 +256,14 @@ class TestReshape:
 
     def test_spec_single_entry(self):
         # 1-based Z(2,3,v) lands at 0-based (i1=1, i2=0, i3=0, i4=1)
-        shape = MeraShape(2, 2, 1, 1)
+        shape = (2, 2, 2, 2, 1)
         Z = np.zeros((4, 4, 1))
         Z[1, 2, 0] = 7.0
         Y = reshape_to_5d(Z, shape)
         assert Y[1, 0, 0, 1, 0] == 7.0
 
     def test_zero_maps_to_zero(self):
-        shape = MeraShape(2, 3, 2, 2)
+        shape = (2, 3, 2, 3, 2)
         Y = reshape_to_5d(np.zeros((6, 6, 2)), shape)
         assert not Y.any()
 
@@ -450,8 +449,7 @@ class TestMeraMvsc:
         strict=False)
     def test_residuals_strictly_non_increasing_after_burn_in(self):
         ds = make_uos(C=3, d=2, D=64, n=12, seed=0)
-        trace = []
-        wpsc.run_wp_mera(ds, 3, lam=10.0, R=12, seed=0, trace=trace)
+        trace = WpMeraPipeline(8, 8, lam=10.0, R=12).fit(ds, 3, seed=0).iterations
         res = np.array([max(t["view_residuals"]) for t in trace])[5:]
         assert np.all(np.diff(res) <= 0)
 
@@ -460,8 +458,7 @@ class TestMeraMvsc:
         # minimum and decay by orders of magnitude overall
         for seed in range(3):
             ds = make_uos(C=3, d=2, D=64, n=12, seed=seed)
-            trace = []
-            wpsc.run_wp_mera(ds, 3, lam=10.0, R=12, seed=seed, trace=trace)
+            trace = WpMeraPipeline(8, 8, lam=10.0, R=12).fit(ds, 3, seed=seed).iterations
             res = np.array([max(t["view_residuals"]) for t in trace])[5:]
             running_min = np.minimum.accumulate(res)
             assert np.all(res <= 2.0 * np.maximum(running_min, 1e-300))
@@ -470,17 +467,14 @@ class TestMeraMvsc:
     def test_five_view_oos_gap_small(self):
         # out-of-sample accuracy tracks in-sample accuracy on a noisy split
         from wpsc.datasets import SplitSpec, split
-        from wpsc.pipeline import assign_multiview_batch, five_views
 
         gaps = []
         for seed in range(4):
             ds = make_uos(C=3, d=2, D=64, n=16, sigma=0.05, seed=seed)
             ins, outs = split(ds, SplitSpec(0.8, seed))
-            part, tensor, views = wpsc.run_wp_mera(ins, ds.C, lam=10.0, R=12,
-                                                   seed=seed)
-            in_acc = wpsc.evaluate(ins.labels, part.labels).acc
-            models = [wpsc.estimate_bases(Xv, part, 2) for Xv in views]
-            out_pred = assign_multiview_batch(five_views(outs), models)
+            fit = WpMeraPipeline(8, 8, lam=10.0, R=12).fit(ins, ds.C, seed=seed)
+            in_acc = wpsc.evaluate(ins.labels, fit.labels).acc
+            out_pred = fit.assign(outs, fit.models(2))
             out_acc = wpsc.evaluate(outs.labels, out_pred).acc
             gaps.append(abs(in_acc - out_acc))
         assert np.mean(gaps) <= 0.05
@@ -544,7 +538,8 @@ class TestMeraMvsc:
                 assert got[key] == pytest.approx(ref[key], rel=0.0, abs=1e-12)
 
     @pytest.mark.parametrize("kw", [{"max_iter": 0}, {"max_iter": -1},
-                                    {"lam": float("nan")}, {"lam": float("inf")}])
+                                    {"lam": float("nan")}, {"lam": float("inf")},
+                                    {"R": 0}])
     def test_bad_parameter_is_parameter_error(self, kw):
         ds = make_uos(C=3, d=2, D=40, n=12, seed=2)
         args = {"lam": 10.0, "R": 6, **kw}

@@ -50,8 +50,26 @@ def test_wp_mera_pipeline_object_matches_function():
     ds = make_uos(C=3, d=2, D=64, n=12, sigma=0.0, seed=3)
     pipe = WpMeraPipeline(img_h=8, img_w=8, lam=10.0, R=12)
     labels_a = pipe.run(ds.data, ds.C, seed=3)
-    part, _, _ = wpsc.run_wp_mera(ds, ds.C, lam=10.0, R=12, seed=3)
-    assert np.array_equal(labels_a, part.labels)
+    fit = pipe.fit(ds, ds.C, seed=3)
+    assert np.array_equal(labels_a, fit.labels)
+
+
+@pytest.mark.parametrize("pipe, subband", [
+    (SingleViewPipeline(wpsc.SolverSpec("SSC", {"alpha": 10})), ""),
+    (SingleViewPipeline(wpsc.SolverSpec("SSC", {"alpha": 10}), levels=2), "A"),
+    (WpMeraPipeline(img_h=4, img_w=4, lam=10.0, R=12), "O+A+H+V+D"),
+], ids=["single", "wp-single", "wp-mera"])
+def test_assign_builds_views_as_the_fit_did(pipe, subband):
+    # on clean planted data every in-sample point lies on its cluster's
+    # subspace in every view, so assigning the in-sample points back through
+    # held-out views built the fit's way returns the fit's own labels; at
+    # 4x4 the subspaces are crowded enough that the data view would not
+    ds = make_uos(C=4, d=2, D=16, n=12, sigma=0.0, seed=0)
+    fit = pipe.fit(ds, ds.C, seed=0)
+    assert fit.subband == subband
+    assert len(fit.views) == len(subband.split("+"))
+    assert wpsc.evaluate(ds.labels, fit.labels).acc == 1.0
+    assert np.array_equal(fit.assign(ds, fit.models(2)), fit.labels)
 
 
 def test_spectral_with_isolated_vertex():

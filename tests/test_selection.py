@@ -107,6 +107,12 @@ class TestSelectSubband:
         # equal children: A wins the argmin; equal to parent: accept child
         assert trace.chosen in ("A", "AA")
         assert trace.evaluated[1][0] == "A"
+        # a child that only ties its parent at a level j < J is accepted
+        # without further descent, and the trace says why
+        tie = select_subband(ds, 2, PlantedCePipeline(ds, {**ce, "": 0.3}))
+        assert tie.chosen == "A"
+        assert tie.stopped_reason == "child-ties-parent"
+        assert len(tie.evaluated) == 5
 
     def test_j1_stops_at_level_one(self):
         ds = planted_ds()
@@ -204,13 +210,6 @@ class TestGridSearch:
                     n_val_subsets=2, val_size_per_cluster=6, seed=3)
         _, table = grid_search(ds, grid, _SubsetTolerantFactory(ds))
         assert len(table) == 6
-
-    def test_mera_default_grid_ranges(self):
-        from wpsc.selection import mera_default_grid
-        grid = mera_default_grid()
-        lambdas = grid.values["lambda"]
-        assert lambdas == [10.0 ** k for k in range(-10, 0)]
-        assert grid.values["R"] == list(range(2, 21))
 
 
 class _SubsetTolerantFactory:
