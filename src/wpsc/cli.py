@@ -346,9 +346,12 @@ def _csv_headers(pipeline, grid):
 def _check_append(cfg):
     """Refuse a run whose rows would go under another header in a non-empty
     CSV file of its output directory (e.g. MERA trace rows under the
-    subband-selection trace of an earlier run)."""
+    subband-selection trace of an earlier run), or whose config differs from
+    that of the directory's report.json in more than the seeds. Returns
+    that report, or None if there is none."""
+    out_dir = Path(cfg.output_dir)
     for name, header in _csv_headers(cfg.pipeline, cfg.grid is not None).items():
-        path = Path(cfg.output_dir) / name
+        path = out_dir / name
         if path.is_file() and path.stat().st_size:
             # the headers are plain names, which the CSV writer does not quote
             with open(path, newline="", errors="replace") as fh:
@@ -356,6 +359,33 @@ def _check_append(cfg):
             if found != ",".join(header):
                 raise ConfigError(f"cannot append to {path}: its header is {found!r}, "
                                   f"a {cfg.pipeline} run writes {','.join(header)!r}")
+    path = out_dir / "report.json"
+    if not path.is_file():
+        return None
+    try:
+        report = json.loads(path.read_bytes())
+        config, runs = dict(report["config"]), list(report["runs"])
+        seeds = list(config.pop("seeds"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot append to {path}: not a run report ({exc!r})") from None
+    echo = json.loads(json.dumps(cfg.echo()))
+    del echo["seeds"]
+    if config != echo:
+        raise ConfigError(f"cannot append to {path}: its config differs from this "
+                          f"run's in more than the seeds")
+    return {**report, "config": {**config, "seeds": seeds}, "runs": runs}
+
+
+def _merged(prior, results):
+    """``results`` with the seeds and runs of the earlier report ``prior``
+    (None for no report) in front of its own."""
+    if prior is None:
+        return results
+    report = results["report"]
+    config = {**report["config"],
+              "seeds": [*prior["config"]["seeds"], *report["config"]["seeds"]]}
+    return {**results, "report": {**report, "config": config,
+                                  "runs": prior["runs"] + report["runs"]}}
 
 
 def _write_csv(path, header, rows, append=False):
@@ -514,18 +544,17 @@ def _cmd_run(args):
         if getattr(args, key) is not None:
             raw[key] = getattr(args, key)
     cfg = ExperimentConfig.from_dict(raw)
-    if args.append:
-        _check_append(cfg)
+    prior = _check_append(cfg) if args.append else None
     try:
         results = run_experiment(cfg)
     except Error as exc:
         partial = getattr(exc, "partial_results", None)
         if partial is not None and partial["report"]["runs"]:
-            paths = emit_report(partial, append=args.append)
+            paths = emit_report(_merged(prior, partial), append=args.append)
             print(f"flushed {len(partial['report']['runs'])} completed run(s) "
                   f"to {paths[0].parent}", file=sys.stderr)
         raise
-    paths = emit_report(results, append=args.append)
+    paths = emit_report(_merged(prior, results), append=args.append)
     for p in paths:
         print(f"wrote {p}")
 

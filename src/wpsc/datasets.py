@@ -296,10 +296,11 @@ def load_pgm_dir(directory, class_from, name=None):
 
 
 def unit_columns(X):
-    """Column-normalize a raw matrix; zero columns are an error."""
+    """Column-normalize a raw matrix, or each member of a B x D x N stack;
+    zero columns are an error."""
     X = np.asarray(X, dtype=np.float64)
-    norms = np.linalg.norm(X, axis=0)
-    zero = np.flatnonzero(norms == 0.0)
+    norms = np.linalg.norm(X, axis=-2, keepdims=True)
+    zero = np.flatnonzero((norms == 0.0).reshape(-1, X.shape[-1]).any(axis=0))
     if zero.size:
         raise DegenerateColumnError(f"zero column(s) at indices {zero[:8].tolist()}")
     return X / norms

@@ -6,6 +6,7 @@ import numpy as np
 from numpy.linalg import eigh
 
 from .errors import ParameterError
+from .subspace import _BLOCK_ELEMENTS
 
 DEGREE_FLOOR = 1e-12  # degree assigned to isolated vertices
 KMEANS_RESTARTS = 20
@@ -102,17 +103,26 @@ def kmeans(points, k, seed, restarts=KMEANS_RESTARTS, max_iter=KMEANS_MAX_ITER):
 
     The restarts are seeded together, restart r from its own generator
     ``np.random.default_rng(seed + r)``, and each restart's first Lloyd step
-    reuses the distances its seeding computed. The restart with the smallest
-    inertia wins, the earliest on ties. The points are taken in column-major
-    order, so the labels do not depend on their memory layout.
+    reuses the distances its seeding computed. The Lloyd steps run in
+    lockstep groups of g restarts, g the largest count (at most
+    ``restarts``, at least 1) whose (g, n, k, m) distance temporary holds
+    at most 2**16 elements; each restart does the arithmetic it would do
+    alone and stops at the same step, so the grouping does not change a
+    bit. The restart with the smallest inertia wins, the earliest on ties.
+    The points are taken in column-major order, so the labels do not
+    depend on their memory layout.
     """
     points = np.asfortranarray(points)
     centers, dists = _plusplus_seeds(points, k, seed, restarts)
+    n, m = points.shape
+    g = max(1, min(restarts, _BLOCK_ELEMENTS // max(1, n * k * m)))
     best_labels, best_inertia = None, np.inf
-    for r in range(restarts):
-        labels, inertia = _lloyd(points, centers[r], dists[r], max_iter)
-        if inertia < best_inertia:
-            best_labels, best_inertia = labels, inertia
+    for start in range(0, restarts, g):
+        group = slice(start, start + g)
+        for labels, inertia in zip(*_lloyd_group(points, centers[group], dists[group],
+                                                  max_iter)):
+            if inertia < best_inertia:
+                best_labels, best_inertia = labels, inertia
     return best_labels
 
 
@@ -161,27 +171,57 @@ def _draw(d2, rngs):
     return np.where(live, (cdf <= u[:, None]).sum(axis=1), idx)
 
 
-def _lloyd(points, centers, d2, max_iter):
-    """Lloyd iterations of one restart from its seeded ``centers`` (updated
-    in place) and their (n, k) squared distances ``d2``; returns the labels
-    and the inertia."""
-    n, k = d2.shape
-    labels = np.full(n, -1, dtype=np.int64)
+def _distances(points, centers):
+    """(g, n, k) squared distances of the n points to each restart's k
+    centers; each restart's slice equals the one-restart
+    ``((points[:, None, :] - centers[r][None, :, :]) ** 2).sum(axis=2)``
+    bit for bit."""
+    return ((points[None, :, None, :] - centers[:, None, :, :]) ** 2).sum(axis=3)
+
+
+def _lloyd_group(points, centers, d2, max_iter):
+    """Lloyd iterations of g restarts in lockstep from their seeded
+    (g, k, m) ``centers`` and their (g, n, k) squared distances ``d2``.
+
+    Each step assigns every restart of the group with one distance
+    broadcast and one argmin; a restart whose labels stop changing leaves
+    the group with the labels and inertia it reaches alone. Returns the
+    (g, n) labels and the (g,) inertias.
+    """
+    g, n, k = d2.shape
+    labels = np.full((g, n), -1, dtype=np.int64)
+    out_labels, out_inertia = np.empty((g, n), dtype=np.int64), np.empty(g)
+    members, rows = np.arange(g), np.arange(n)
+    offsets = k * members[:, None]  # row r of the group counts in bins r*k..r*k+k-1
+    weights = np.repeat(points[None], g, axis=0)  # each row's own row-major points
+
+    def leave(done, d2, labels):
+        gone, labels = members[done], labels[done]
+        out_labels[gone] = labels
+        out_inertia[gone] = d2[done][np.arange(len(gone))[:, None], rows, labels].sum(axis=1)
+
     for it in range(max_iter):
         if it:
-            d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_labels = d2.argmin(axis=1)
-        counts = np.bincount(new_labels, minlength=k)
+            d2 = _distances(points, centers)
+        new_labels = d2.argmin(axis=2)
+        counts = np.bincount((new_labels + offsets[:len(members)]).ravel(),
+                             minlength=len(members) * k).reshape(-1, k)
         if not counts.all():
-            _repair_empty(new_labels, counts, d2)
-        if np.array_equal(new_labels, labels):
-            break
+            for r in np.flatnonzero(~counts.all(axis=1)):
+                _repair_empty(new_labels[r], counts[r], d2[r])
+        done = (new_labels == labels).all(axis=1)
+        if done.any():
+            leave(done, d2, new_labels)
+            if done.all():
+                return out_labels, out_inertia
+            keep = ~done
+            members, new_labels, counts, centers = (
+                members[keep], new_labels[keep], counts[keep], centers[keep])
         labels = new_labels
-        _update_centers(points, labels, counts, centers)
-    else:  # out of iterations: the centers moved after d2 was computed
-        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    inertia = float(d2[np.arange(n), labels].sum())
-    return labels, inertia
+        _update_centers(weights[:len(members)], labels, counts, centers)
+    # out of iterations: the centers moved after d2 was computed
+    leave(np.ones(len(members), dtype=bool), _distances(points, centers), labels)
+    return out_labels, out_inertia
 
 
 def _repair_empty(labels, counts, d2):
@@ -202,14 +242,18 @@ def _repair_empty(labels, counts, d2):
         d2[donor, c] = 0.0
 
 
-def _update_centers(points, labels, counts, centers):
-    """Member means, in place; an empty cluster gets NaN, as the mean of no
-    points does. ``np.add.at`` adds the members in index order, which is the
+def _update_centers(weights, labels, counts, centers):
+    """Member means of each restart, in place, from ``weights``, the (g, n, m)
+    row-major copies of the points, one per restart; an empty cluster gets
+    NaN, as the mean of no points does. One ``bincount`` over (restart,
+    cluster, coordinate) bins adds the members in index order, which is the
     order ``points[labels == c].mean(axis=0)`` uses for points with two or
-    more coordinates, so the centers match it bit for bit (numpy sums a
-    single coordinate pairwise, so 1-D points may differ in the last bit).
+    more coordinates, so the centers match it bit for bit but for the sign
+    of a zero sum, which no distance sees (numpy sums a single coordinate
+    pairwise, so 1-D points may differ in the last bit).
     """
-    sums = np.full(centers.shape, -0.0)  # -0.0 + x == x for every x
-    np.add.at(sums, labels, points)
+    g, k, m = centers.shape
+    bins = (labels + k * np.arange(g)[:, None])[:, :, None] * m + np.arange(m)
+    sums = np.bincount(bins.ravel(), weights=weights.ravel(), minlength=g * k * m)
     with np.errstate(invalid="ignore"):
-        np.divide(sums, counts[:, None], out=centers)
+        np.divide(sums.reshape(g, k, m), counts[:, :, None], out=centers)

@@ -4,6 +4,8 @@ subband descent and the five-view MERA flow, each fitted into one
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .datasets import Dataset, unit_columns
 from .errors import ParameterError
 from .graph import Partition, affinity_from_representation, ipd_threshold, spectral_clustering
@@ -64,16 +66,21 @@ class SingleViewPipeline:
 
     def representation(self, X):
         """Self-representation of the unit-norm columns of X, IPD-thresholded
-        when ``ipd_d`` is set."""
+        when ``ipd_d`` is set; of each member of a B x D x N stack X, as a
+        B x N x N stack solved in one solver call."""
         M = self.solver.solve(unit_columns(X))
         if self.ipd_d is not None:
-            M = ipd_threshold(M, self.ipd_d)
+            M = (np.stack([ipd_threshold(m, self.ipd_d) for m in M]) if M.ndim == 3
+                 else ipd_threshold(M, self.ipd_d))
         return M
 
     def run(self, X, C, seed=0):
-        """Cluster the columns of X into C groups; returns a label vector."""
-        W = affinity_from_representation(self.representation(X))
-        return spectral_clustering(W, C, seed).labels
+        """Cluster the columns of X into C groups; returns a label vector, or
+        for a B x D x N stack X one label vector per member, in a list."""
+        M = self.representation(X)
+        labels = [spectral_clustering(affinity_from_representation(m), C, seed).labels
+                  for m in (M if M.ndim == 3 else [M])]
+        return labels if M.ndim == 3 else labels[0]
 
     def fit(self, ds, C, seed=0):
         """:class:`Fit` of the dataset's data, or of the chosen subband with

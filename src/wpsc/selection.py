@@ -51,11 +51,17 @@ class Grid:
             yield dict(zip(keys, combo))
 
 
-def _scored_run(X, labels, pipeline, seed):
-    """(CE, predicted labels) of one pipeline run with C = max label + 1."""
-    labels = np.asarray(labels)
-    pred = pipeline.run(X, int(labels.max()) + 1, seed)
-    return 1.0 - evaluate(labels, pred).acc, pred
+def _scan(ds, groups, pipeline, seed):
+    """{path: (CE, predicted labels)} of the nodes of ``groups``, in group
+    order; each group is one B x D x N stack clustered by one pipeline run
+    with C = max label + 1. ``np.stack`` keeps the memory layout the nodes
+    share, in which a BLAS product rounds as it does on a lone node."""
+    C, runs = int(ds.labels.max()) + 1, {}
+    for paths in groups:
+        preds = pipeline.run(np.stack([node_matrix(ds, p) for p in paths]), C, seed)
+        runs.update((p, (1.0 - evaluate(ds.labels, pred).acc, pred))
+                    for p, pred in zip(paths, preds))
+    return runs
 
 
 def select_subband(ds, J, pipeline, seed=0):
@@ -68,35 +74,35 @@ def select_subband(ds, J, pipeline, seed=0):
     child is accepted; at a level j < J the search descends into it if it
     is strictly better than its parent and stops there if it only ties.
     At most 1 + 4*J evaluations, in a deterministic order.
+
+    The pipeline's ``run`` takes a B x D x N stack and returns one label
+    vector per member: the original data goes in as a stack of one, and
+    each level's four children as one stack.
     """
     if ds.labels is None:
         raise ParameterError("subband selection needs a labeled validation set")
     if J < 1:
         raise ParameterError("J must be >= 1")
-    evaluated, preds = [], {}
-
-    def ce_of(path):
-        ce, preds[path] = _scored_run(node_matrix(ds, path), ds.labels, pipeline, seed)
-        evaluated.append((path, ce))
-        return ce
+    runs = _scan(ds, [[""]], pipeline, seed)
 
     def stop(chosen, reason):
-        return SelectionTrace(tuple(evaluated), chosen, reason, preds[chosen])
+        return SelectionTrace(tuple((p, ce) for p, (ce, _) in runs.items()),
+                              chosen, reason, runs[chosen][1])
 
-    parent, parent_ce = "", ce_of("")
+    parent = ""
     for j in range(1, J + 1):
-        best_child, best_ce = None, np.inf
-        for ch in ALPHABET:
-            ce = ce_of(parent + ch)
-            if ce < best_ce:
-                best_child, best_ce = parent + ch, ce
+        children = [parent + ch for ch in ALPHABET]
+        runs.update(_scan(ds, [children], pipeline, seed))
+        # min keeps the first of equal CEs: the fixed order A, H, V, D
+        best_child = min(children, key=lambda p: runs[p][0])
+        parent_ce, best_ce = runs[parent][0], runs[best_child][0]
         if parent_ce < best_ce:
             return stop(parent, "parent-better")
         if j == J:
             return stop(best_child, "max-depth")
         if best_ce == parent_ce:
             return stop(best_child, "child-ties-parent")
-        parent, parent_ce = best_child, best_ce
+        parent = best_child
 
 
 def scan_all_subbands(ds, J, pipeline, seed=0):
@@ -104,17 +110,19 @@ def scan_all_subbands(ds, J, pipeline, seed=0):
 
     Much costlier than :func:`select_subband` (1 + sum_j 4**j evaluations
     instead of at most 1 + 4*J); returns a SelectionTrace whose ``chosen``
-    is the global argmin (ties to the earlier path in scan order).
+    is the global argmin (ties to the earlier path in scan order). The
+    four children of each parent go through the pipeline as one stack, as
+    in the descent, so the scan holds no more nodes at once than it does.
     """
     if ds.labels is None:
         raise ParameterError("subband scanning needs a labeled validation set")
     if J < 1:
         raise ParameterError("J must be >= 1")
-    paths = [""]
+    groups = [[""]]
     for j in range(1, J + 1):
-        paths += ["".join(p) for p in itertools.product(ALPHABET, repeat=j)]
-    runs = {p: _scored_run(node_matrix(ds, p), ds.labels, pipeline, seed)
-            for p in paths}
+        groups += [["".join(p) + ch for ch in ALPHABET]
+                   for p in itertools.product(ALPHABET, repeat=j - 1)]
+    runs = _scan(ds, groups, pipeline, seed)
     evaluated = [(p, ce) for p, (ce, _) in runs.items()]
     chosen = min(evaluated, key=lambda pair: pair[1])[0]
     return SelectionTrace(tuple(evaluated), chosen, "exhaustive", runs[chosen][1])

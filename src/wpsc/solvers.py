@@ -1,7 +1,9 @@
 """Self-expressive and neighborhood clustering backends.
 
 Every solver takes a D x N matrix whose columns are the data points and
-returns an N x N representation or affinity matrix. SSC and LRR are
+returns an N x N representation or affinity matrix; through
+:meth:`SolverSpec.solve`, each also takes a B x D x N stack of such
+matrices and returns the B x N x N stack of results. SSC and LRR are
 iterative convex programs (ADMM / inexact ALM); NSN and RTSC are greedy
 neighborhood constructions. All are deterministic.
 """
@@ -56,33 +58,40 @@ class SolverSpec:
             raise ParameterError(f"{self.kind} needs max_iter >= 1")
 
     def solve(self, X):
-        """Run the configured solver on a column-data matrix."""
+        """Run the configured solver on a D x N column-data matrix, or on
+        each member of a B x D x N stack of them (returning a B x N x N
+        stack): SSC solves a stack in one ADMM loop whose members get the
+        bits they get alone, the other solvers one member at a time."""
         p = self.params
         if self.kind == "SSC":
             return solve_ssc(X, p["alpha"], mode=p.get("mode", "noise"),
                              affine=bool(p.get("affine", False)),
                              tol=self.tol, max_iter=self.max_iter)
         if self.kind == "LRR":
-            return solve_lrr(X, p["lambda"], tol=self.tol, max_iter=self.max_iter)
-        if self.kind == "NSN":
-            return solve_nsn(X, int(p["k"]), int(p["d_max"]))
-        return solve_rtsc(X, int(p["q"]))
+            one = lambda x: solve_lrr(x, p["lambda"], tol=self.tol, max_iter=self.max_iter)
+        elif self.kind == "NSN":
+            one = lambda x: solve_nsn(x, int(p["k"]), int(p["d_max"]))
+        else:
+            one = lambda x: solve_rtsc(x, int(p["q"]))
+        return np.stack([one(x) for x in X]) if np.ndim(X) == 3 else one(X)
 
 
 def _soft(M, tau):
     return np.sign(M) * np.maximum(np.abs(M) - tau, 0.0)
 
 
-def _coherence_floor(X):
-    """mu_e = min_i max_{j != i} |x_i' x_j|, the SSC lambda scale."""
-    G = np.abs(X.T @ X)
-    np.fill_diagonal(G, -np.inf)
-    return float(G.max(axis=1).min())
+def _coherence_floor(G):
+    """mu_e = min_i max_{j != i} |x_i' x_j| of each member of a stack of
+    Gram matrices G = X'X, the SSC lambda scale."""
+    G = np.abs(G)
+    d = np.arange(G.shape[-1])
+    G[:, d, d] = -np.inf
+    return G.max(axis=2).min(axis=1)
 
 
 def solve_ssc(X, alpha, mode="noise", affine=False, tol=1e-6, max_iter=200,
               objective_trace=None):
-    """Sparse subspace clustering by ADMM.
+    """Sparse subspace clustering by ADMM, of one matrix or of a stack.
 
     Solves min ||C||_1 + (lam/2) ||X - XC||_F^2 s.t. diag(C) = 0, with
     lam = alpha / mu_e and mu_e = min_i max_{j!=i} |x_i' x_j|. The ADMM
@@ -100,96 +109,134 @@ def solve_ssc(X, alpha, mode="noise", affine=False, tol=1e-6, max_iter=200,
     rank-one (rho M^-1 1)(1 - w)' with w the scaled dual of the column sums;
     ``mode='outlier'`` adds an l1 error term E (threshold
     alpha / min_i max_{j!=i} ||x_j||_1) so that X ~ XC + E, which subtracts
-    (M^-1 lam X') E from A each iteration.
+    (M^-1 lam X') E from A each iteration. The Gram matrix X'X is formed
+    once and serves both mu_e and the system.
+
+    A B x D x N stack of same-shaped problems runs in one loop, one numpy
+    call per step for the whole stack, each member with its own lam, rho
+    and error threshold. ``np.matmul`` calls the same GEMM on each member
+    of a stack as on a lone matrix and the element-wise work is the same,
+    so each member gets the bits it gets alone: a member leaves the stack
+    once its own residual drops below ``tol``, after exactly the iterations
+    it runs alone.
 
     Parameters
     ----------
-    X : (D, N) array with unit-norm columns.
+    X : (D, N) array, or (B, D, N) stack, with unit-norm columns.
     alpha : float, regularization strength relative to the coherence floor.
     mode : 'noise' or 'outlier'.
     affine : bool, add the affine-combination constraint.
     tol : float, stop when the primal residual inf-norm drops below this.
     max_iter : int.
-    objective_trace : optional list; per-iteration objective values
-        evaluated at the sparse iterate are appended to it.
+    objective_trace : optional list, for a (D, N) input; per-iteration
+        objective values evaluated at the sparse iterate are appended to it.
 
     Returns
     -------
-    (N, N) representation matrix with an exactly zero diagonal; its zero
-    entries are +0.0.
+    (N, N) representation matrix, or (B, N, N) stack of them, with an
+    exactly zero diagonal; its zero entries are +0.0.
     """
     X = np.asarray(X, dtype=np.float64)
+    single = X.ndim == 2
+    if single:
+        X = X[None]
+    if X.ndim != 3 or not X.shape[0]:
+        raise ParameterError(f"SSC takes a D x N matrix or a B x D x N stack, "
+                             f"got shape {X.shape}")
+    if objective_trace is not None and not single:
+        raise ParameterError("objective_trace needs a single D x N matrix")
     if not np.all(np.isfinite(X)):
         raise ParameterError("SSC input must be finite")
-    N = X.shape[1]
+    B, _, N = X.shape
     if N < 2:
         raise ParameterError("SSC needs at least two columns")
     if mode not in ("noise", "outlier"):
         raise ParameterError(f"unknown SSC mode {mode!r}")
-    mu_e = _coherence_floor(X)
-    if mu_e == 0.0:
+    outlier = mode == "outlier"
+    G = np.matmul(X.transpose(0, 2, 1), X)
+    mu_e = _coherence_floor(G)
+    if not mu_e.all():
         raise DegenerateDataError(
             "all columns mutually orthogonal; self-expression is degenerate"
         )
-    lam = alpha / mu_e
+    lam = (alpha / mu_e)[:, None, None]
     rho = lam
-    lam_xtx = lam * (X.T @ X)
+    lam_xtx = np.multiply(lam, G, out=G)
     M = lam_xtx + rho * np.eye(N)
     if affine:
         M += rho
     # M >= rho I and rho = lam, so cond(M) <= 1 + ||X||^2 (+ N when affine)
     # and the explicit inverse is accurate
     Minv = np.linalg.inv(M)
-    P = Minv @ lam_xtx
+    P = np.matmul(Minv, lam_xtx)
     rMinv = rho * Minv
     thr = 1.0 / rho
+    neg_thr = -thr
 
-    if mode == "outlier":
-        norms1 = np.sort(np.abs(X).sum(axis=0))[::-1]
-        mu_err = norms1[1]
-        if mu_err == 0.0:
+    if outlier:
+        mu_err = np.sort(np.abs(X).sum(axis=1), axis=1)[:, -2]
+        if not mu_err.all():
             raise DegenerateDataError("data has no mass for the outlier term")
         lam_err = alpha / mu_err
-        Q = Minv @ (lam * X.T)
+        err_thr = lam_err[:, None, None] / lam
+        Q = np.matmul(Minv, lam * X.transpose(0, 2, 1))
+        E = np.zeros_like(X)
     if affine:
-        rMinv_1 = rMinv.sum(axis=1)
-        w = np.zeros(N)
+        rMinv_1 = rMinv.sum(axis=2)
+        w = np.zeros((B, N))
+    del G, lam_xtx, M, Minv
 
-    C = np.zeros((N, N))
-    E = np.zeros_like(X)
-    U = np.zeros((N, N))
-    A = np.empty((N, N))
-    T = np.empty((N, N))
-    for _ in range(max_iter):
+    members = np.arange(B)
+    C = np.zeros((B, N, N))
+    out = C  # a member that leaves early gets its row of out before C shrinks
+    U = np.zeros((B, N, N))
+    A = np.empty((B, N, N))
+    T = np.empty((B, N, N))
+    for it in range(max_iter):
         np.subtract(C, U, out=T)
         np.matmul(rMinv, T, out=A)
         A += P
-        if mode == "outlier":
+        if outlier:
             A -= np.matmul(Q, E, out=T)
         if affine:
-            np.multiply(rMinv_1[:, None], 1.0 - w, out=T)
+            np.multiply(rMinv_1[:, :, None], (1.0 - w)[:, None, :], out=T)
             A += T
         np.add(A, U, out=T)
-        np.clip(T, -thr, thr, out=C)
+        T.clip(neg_thr, thr, out=C)
         np.subtract(T, C, out=C)
-        C.flat[::N + 1] = 0.0
-        if mode == "outlier":
-            E = _soft(X - X @ A, lam_err / lam)
+        C.reshape(len(C), N * N)[:, ::N + 1] = 0.0
+        if outlier:
+            E = _soft(X - np.matmul(X, A), err_thr)
         gap = np.subtract(A, C, out=T)
         U += gap
-        res = np.abs(gap, out=T).max()
+        res = np.abs(gap, out=T).max(axis=(1, 2))
         if affine:
-            col_gap = A.sum(axis=0) - 1.0
+            col_gap = A.sum(axis=1) - 1.0
             w += col_gap
-            res = max(res, np.abs(col_gap).max())
-        if objective_trace is not None:
-            obj = np.abs(C).sum() + 0.5 * lam * np.sum((X - X @ C - E) ** 2)
-            if mode == "outlier":
-                obj += lam_err * np.abs(E).sum()
+            res = np.maximum(res, np.abs(col_gap).max(axis=1))
+        if objective_trace is not None:  # a single problem, member 0
+            x, c, e = X[0], C[0], E[0] if outlier else 0.0
+            obj = np.abs(c).sum() + 0.5 * lam[0, 0, 0] * np.sum((x - x @ c - e) ** 2)
+            if outlier:
+                obj += lam_err[0] * np.abs(e).sum()
             objective_trace.append(float(obj))
-        if res < tol:
+        done = res < tol
+        if it + 1 < max_iter and not done.any():
+            continue
+        if it + 1 == max_iter or done.all():
+            if C is not out:
+                out[members] = C
             break
-    return C
+        out[members[done]] = C[done]
+        keep = ~done  # indexing keeps each member's memory layout
+        members = members[keep]
+        C, U, A, T, P, rMinv, thr, neg_thr = (
+            a[keep] for a in (C, U, A, T, P, rMinv, thr, neg_thr))
+        if outlier:
+            X, E, Q, err_thr = (a[keep] for a in (X, E, Q, err_thr))
+        if affine:
+            rMinv_1, w = rMinv_1[keep], w[keep]
+    return out[0] if single else out
 
 
 def _svt(M, tau):

@@ -208,6 +208,7 @@ class TestRun:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(base_config(tmp_path)))
         assert main(["run", "--config", str(cfg_path)]) == 0
+        first = json.loads((tmp_path / "out" / "report.json").read_text())
         assert main(["run", "--config", str(cfg_path), "--append",
                      "--seed", "1"]) == 0
         rows = list(csv.DictReader(open(tmp_path / "out" / "metrics.csv")))
@@ -216,6 +217,40 @@ class TestRun:
                         (tmp_path / "out" / "metrics.csv").read_text().splitlines()
                         if line.startswith("dataset,")]
         assert len(header_lines) == 1
+        # report.json holds both runs, as metrics.csv does
+        merged = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert [r["seed"] for r in merged["runs"]] == [0, 1]
+        assert merged["config"]["seeds"] == [0, 1]
+        assert merged["runs"][0] == first["runs"][0]
+        assert {k: v for k, v in merged.items() if k not in ("config", "runs")} == \
+            {k: v for k, v in first.items() if k not in ("config", "runs")}
+        # the appended run is the one a run of seed 1 alone records
+        assert main(["run", "--config", str(cfg_path), "--seed", "1"]) == 0
+        alone = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert merged["runs"][1] == alone["runs"][0]
+
+    def test_append_refuses_other_config(self, tmp_path, monkeypatch):
+        # a report whose config differs in more than the seeds is not merged
+        # into: exit 2 before any work, every file left as it was
+        synth_bundle(tmp_path, n_per_cluster=15)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(tmp_path)))
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        out = tmp_path / "out"
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        runs = []
+        monkeypatch.setattr("wpsc.cli.run_experiment",
+                            lambda cfg: runs.append(cfg) or run_experiment(cfg))
+        argv = ["run", "--config", str(cfg_path), "--append", "--seed", "1"]
+        assert main([*argv, "--d", "3"]) == 2
+        (out / "report.json").write_text("[1, 2]\n")
+        assert main(argv) == 2
+        (out / "report.json").write_bytes(before["report.json"][:40])
+        assert main(argv) == 2
+        assert runs == []
+        (out / "report.json").write_bytes(before["report.json"])
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert main(argv) == 0 and len(runs) == 1
 
     def test_append_into_empty_files_writes_headers(self, tmp_path):
         # an existing but empty file gets its header, whichever file it is
@@ -278,16 +313,18 @@ class TestRun:
         assert len(rows) == len(run["selection"]["evaluated"])
 
     def test_wp_single_solves_each_node_once(self, tmp_path, monkeypatch):
-        # the final fit reuses the descent's labels of the chosen subband
+        # the final fit reuses the descent's labels of the chosen subband,
+        # and each level of the descent is one solve of a stack of nodes
         synth_bundle(tmp_path, n_per_cluster=15)
         solves = []
         real = wpsc.SolverSpec.solve
         monkeypatch.setattr(wpsc.SolverSpec, "solve",
-                            lambda spec, X: solves.append(1) or real(spec, X))
+                            lambda spec, X: solves.append(len(X)) or real(spec, X))
         results = run_experiment(ExperimentConfig.from_dict(
             base_config(tmp_path, pipeline="wp-single", levels=2)))
         run = results["report"]["runs"][0]
-        assert len(solves) == len(run["selection"]["evaluated"])
+        assert sum(solves) == len(run["selection"]["evaluated"])
+        assert solves == [1, 4, 4][:len(solves)] and len(solves) in (2, 3)
         assert run["metrics"]["in"]["acc"] == 1.0
 
     def test_wp_single_on_pgm_directory(self, tmp_path):

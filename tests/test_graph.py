@@ -158,9 +158,16 @@ def _plusplus_init(points, k, rng):
 # Reference k-means with per-cluster loops for the count check and the
 # center update; the library's vectorized bookkeeping must match it bit for bit.
 def reference_kmeans_once(points, k, rng, max_iter):
-    n = points.shape[0]
-    centers = _plusplus_init(points, k, rng)
+    return reference_lloyd(points, _plusplus_init(points, k, rng), max_iter)
+
+
+def reference_lloyd(points, centers, max_iter, stopped=None):
+    """Lloyd's loop from ``centers``; appends to the list ``stopped`` whether
+    the labels stopped changing before max_iter ran out."""
+    n, k = points.shape[0], centers.shape[0]
+    centers = centers.copy()
     labels = np.full(n, -1, dtype=np.int64)
+    converged = False
     for _ in range(max_iter):
         d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_labels = d2.argmin(axis=1)
@@ -173,10 +180,13 @@ def reference_kmeans_once(points, k, rng, max_iter):
                 d2[donor, :] = np.inf
                 d2[donor, c] = 0.0
         if np.array_equal(new_labels, labels):
+            converged = True
             break
         labels = new_labels
         for c in range(k):
             centers[c] = points[labels == c].mean(axis=0)
+    if stopped is not None:
+        stopped.append(converged)
     d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     inertia = float(d2[np.arange(n), labels].sum())
     return labels, inertia
@@ -202,9 +212,10 @@ def blobs(seed, k, dim, n_per, spread):
 
 def library_restart(points, k, seed, r, max_iter):
     """Restart r of ``kmeans(points, k, seed)``: the batched seeding of
-    restarts 0..r, then restart r's Lloyd loop."""
+    restarts 0..r, then restart r's Lloyd loop as a group of one."""
     centers, dists = graph_mod._plusplus_seeds(points, k, seed, r + 1)
-    return graph_mod._lloyd(points, centers[r], dists[r], max_iter)
+    labels, inertia = graph_mod._lloyd_group(points, centers[r:], dists[r:], max_iter)
+    return labels[0], inertia[0]
 
 
 def same_inertia(a, b):
@@ -268,12 +279,13 @@ class TestKmeans:
         centers, dists = graph_mod._plusplus_seeds(pts, k, seed, restarts)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
+            # all restarts in one lockstep group
+            labels, inertias = graph_mod._lloyd_group(pts, centers, dists, max_iter)
             for r in range(restarts):
-                got = graph_mod._lloyd(pts, centers[r], dists[r], max_iter)
                 want = reference_kmeans_once(
                     pts, k, np.random.default_rng(seed + r), max_iter)
-                assert np.array_equal(got[0], want[0])
-                assert same_inertia(got[1], want[1])
+                assert np.array_equal(labels[r], want[0])
+                assert same_inertia(inertias[r], want[1])
             assert np.array_equal(
                 kmeans(pts, k, seed, restarts=restarts, max_iter=max_iter),
                 reference_kmeans(pts, k, seed, restarts=restarts, max_iter=max_iter))
@@ -284,13 +296,13 @@ class TestKmeans:
         # sums reduce in another order, so k-means takes every input in
         # column-major order
         layouts = []
-        real = graph_mod._lloyd
+        real = graph_mod._lloyd_group
 
         def spy(points, *args):
             layouts.append(points.flags.f_contiguous)
             return real(points, *args)
 
-        monkeypatch.setattr(graph_mod, "_lloyd", spy)
+        monkeypatch.setattr(graph_mod, "_lloyd_group", spy)
         for seed in range(4):
             pts = blobs(seed, k, dim, 15, 0.4)
             c_order, f_order = np.ascontiguousarray(pts), np.asfortranarray(pts)
@@ -333,5 +345,44 @@ class TestKmeans:
         planted = np.arange(n) % 3
         fake = np.ones((n, 3))
         fake[np.arange(n), planted] = 0.0
-        labels, _ = graph_mod._lloyd(pts, centers[0], fake, 1)
-        assert np.array_equal(labels, planted)
+        labels, _ = graph_mod._lloyd_group(pts, centers[:1], fake[None], 1)
+        assert np.array_equal(labels[0], planted)
+
+    def test_group_mixes_repair_early_stop_and_max_iter(self, monkeypatch):
+        # one lockstep group whose restarts end differently: a duplicated
+        # start center leaves a cluster empty (repair), the blob means stop
+        # on unchanged labels, and a start inside one blob runs out of
+        # iterations; each must end with the labels and inertia it has alone
+        pts = np.asfortranarray(blobs(11, 4, 2, 10, 0.6))
+        final, _ = reference_lloyd(pts, pts[:4], 300)
+        means = np.stack([pts[final == c].mean(axis=0) for c in range(4)])
+        starts = np.stack([pts[[0, 0, 17, 33]], means, pts[:4]])
+        d2 = ((pts[None, :, None, :] - starts[:, None, :, :]) ** 2).sum(axis=3)
+        max_iter = 3
+        repaired = []
+        real = graph_mod._repair_empty
+        monkeypatch.setattr(graph_mod, "_repair_empty",
+                            lambda labels, *args: repaired.append(1) or real(labels, *args))
+        labels, inertias = graph_mod._lloyd_group(pts, starts.copy(), d2, max_iter)
+        stopped = []
+        for r in range(len(starts)):
+            want = reference_lloyd(pts, starts[r], max_iter, stopped)
+            assert np.array_equal(labels[r], want[0]) and inertias[r] == want[1], r
+        assert repaired
+        assert stopped[1] and not stopped[2], stopped
+
+    @pytest.mark.parametrize("n,k,m,group", [(64, 4, 4, 20), (60, 5, 5, 20),
+                                             (200, 20, 20, 1), (100, 20, 20, 1),
+                                             (30, 8, 8, 20)])
+    def test_group_size_from_shape(self, n, k, m, group, monkeypatch):
+        # the largest restart count whose (g, n, k, m) temporary holds at
+        # most 2**16 elements, capped at the restart count
+        sizes = []
+        real = graph_mod._lloyd_group
+        monkeypatch.setattr(graph_mod, "_lloyd_group",
+                            lambda pts, centers, *args: sizes.append(len(centers))
+                            or real(pts, centers, *args))
+        pts = blobs(0, k, m, n // k + 1, 0.3)[:n]
+        kmeans(pts, k, 0)
+        assert sizes[0] == group and sum(sizes) == graph_mod.KMEANS_RESTARTS
+        assert group * n * k * m <= 2 ** 16 or group == 1

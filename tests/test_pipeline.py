@@ -35,6 +35,34 @@ def test_unit_columns_rejects_zero_column():
         unit_columns(X)
 
 
+@pytest.mark.parametrize("order", "CF")
+def test_unit_columns_of_a_stack_normalize_each_member(order):
+    members = [np.asarray(make_uos(C=2, d=2, D=16, n=6, sigma=0.1, seed=s).data * (s + 2),
+                          order=order) for s in range(3)]
+    stack = (np.stack(members) if order == "C"
+             else np.stack([X.T for X in members]).transpose(0, 2, 1))
+    got = unit_columns(stack)
+    for b, X in enumerate(members):
+        want = unit_columns(X)
+        assert np.array_equal(got[b], want)
+        assert got[b].flags.f_contiguous == want.flags.f_contiguous
+    stack[2, :, 4] = 0.0
+    with pytest.raises(DegenerateColumnError, match=r"\[4\]"):
+        unit_columns(stack)
+
+
+@pytest.mark.parametrize("ipd_d", [None, 3])
+def test_stack_run_gives_each_member_its_lone_labels(ipd_d):
+    pipe = SingleViewPipeline(wpsc.SolverSpec("SSC", {"alpha": 10}), ipd_d=ipd_d)
+    members = [make_uos(C=3, d=2, D=36, n=10, sigma=0.2, seed=s).data for s in range(3)]
+    reps = pipe.representation(np.stack(members))
+    labels = pipe.run(np.stack(members), 3, seed=1)
+    assert reps.shape == (3, 30, 30) and len(labels) == 3
+    for b, X in enumerate(members):
+        assert np.array_equal(reps[b], pipe.representation(X))
+        assert np.array_equal(labels[b], pipe.run(X, 3, seed=1))
+
+
 def test_five_views_order_and_shapes():
     ds = make_uos(C=2, d=2, D=16, n=6, sigma=0.0, seed=2)
     views = five_views(ds)

@@ -7,7 +7,8 @@ from wpsc.errors import ParameterError, SplitError
 from wpsc.metrics import evaluate
 from wpsc.selection import (
     Grid,
-    _scored_run,
+    _scan,
+    scan_all_subbands,
     grid_search,
     select_subband,
     stratified_subsets,
@@ -20,24 +21,34 @@ class PlantedCePipeline:
 
     Identifies which subband node it received by matching the matrix
     against the validation set's precomputed nodes, then flips a fixed
-    number of labels to hit the planted CE exactly.
+    number of labels to hit the planted CE exactly. A B x D x N stack gets
+    one label vector per member, and ``stacks`` logs the paths of each
+    stack it received.
     """
 
     def __init__(self, ds, ce_by_path, levels=2):
         self.labels = ds.labels
         self.ce_by_path = ce_by_path
         self.nodes = {"": ds.data}
+        self.stacks = []
         paths = list(ce_by_path)
         for path in paths:
             if path:
                 self.nodes[path] = node_matrix(ds, path)
 
     def run(self, X, C, seed=0):
+        if X.ndim == 3:
+            self.stacks.append([])
+            return [self._run_one(x, C, self.stacks[-1]) for x in X]
+        return self._run_one(X, C, [])
+
+    def _run_one(self, X, C, seen):
         for path, M in self.nodes.items():
             if M.shape == X.shape and np.allclose(M, X, atol=1e-12):
                 break
         else:
             raise AssertionError("pipeline got a matrix it cannot identify")
+        seen.append(path)
         ce = self.ce_by_path[path]
         pred = self.labels.copy()
         n_flip = round(ce * len(pred))
@@ -53,7 +64,7 @@ class TestClusteringError:
     def test_perfect_pipeline_gives_zero(self):
         ds = planted_ds()
         pipe = PlantedCePipeline(ds, {"": 0.0})
-        assert _scored_run(ds.data, ds.labels, pipe, 0)[0] == 0.0
+        assert _scan(ds, [[""]], pipe, 0)[""][0] == 0.0
 
     def test_random_shuffle_is_half_in_expectation(self):
         # Monte Carlo: CE of shuffled balanced 2-cluster labels ~ 0.5
@@ -69,7 +80,7 @@ class TestClusteringError:
         ds = planted_ds()
         for ce in (0.0, 0.25, 0.5):
             pipe = PlantedCePipeline(ds, {"": ce})
-            got, _ = _scored_run(ds.data, ds.labels, pipe, 0)
+            got, _ = _scan(ds, [[""]], pipe, 0)[""]
             assert 0.0 <= got <= 1.0
 
 
@@ -87,10 +98,13 @@ class TestSelectSubband:
         ds = planted_ds()
         ce = {"": 0.5, "A": 0.4, "H": 0.45, "V": 0.5, "D": 0.5,
               "AA": 0.2, "AH": 0.3, "AV": 0.35, "AD": 0.5}
-        trace = select_subband(ds, 2, PlantedCePipeline(ds, ce))
+        pipe = PlantedCePipeline(ds, ce)
+        trace = select_subband(ds, 2, pipe)
         assert trace.chosen == "AA"
         assert trace.stopped_reason == "max-depth"
         assert len(trace.evaluated) == 9
+        # the root alone, then each level's four children as one stack
+        assert pipe.stacks == [[""], ["A", "H", "V", "D"], ["AA", "AH", "AV", "AD"]]
 
     def test_descends_into_best_child_not_first(self):
         ds = planted_ds()
@@ -238,9 +252,29 @@ class _SubsetTolerantFactory:
         return _P()
 
 
+@pytest.mark.parametrize("order", "CF")
+def test_stacked_nodes_keep_their_layout(order):
+    # a BLAS product can round differently on another memory layout, so each
+    # node reaches the pipeline laid out as node_matrix lays it out alone
+    ds = planted_ds()
+    ds = wpsc.Dataset(data=np.asarray(ds.data, order=order), img_h=ds.img_h,
+                      img_w=ds.img_w, labels=ds.labels)
+    seen = []
+
+    class Recorder:
+        def run(self, X, C, seed=0):
+            seen.extend(X)
+            return [ds.labels] * len(X)
+
+    select_subband(ds, 1, Recorder())
+    for path, member in zip(["", "A", "H", "V", "D"], seen, strict=True):
+        alone = node_matrix(ds, path)
+        assert np.array_equal(member, alone)
+        assert member.strides == alone.strides, (order, path)
+
+
 class TestExhaustiveScan:
     def test_scans_every_node(self):
-        from wpsc.selection import scan_all_subbands
         ds = planted_ds()
         ce = {"": 0.3}
         for j1 in "AHVD":
@@ -248,12 +282,39 @@ class TestExhaustiveScan:
             for j2 in "AHVD":
                 ce[j1 + j2] = 0.3
         ce["DH"] = 0.05  # off the greedy path: only the scan can find it
-        trace = scan_all_subbands(ds, 2, PlantedCePipeline(ds, ce))
+        pipe = PlantedCePipeline(ds, ce)
+        trace = scan_all_subbands(ds, 2, pipe)
         assert len(trace.evaluated) == 21
         assert trace.chosen == "DH"
         assert trace.stopped_reason == "exhaustive"
         assert np.array_equal(trace.labels,
                               PlantedCePipeline(ds, ce).run(node_matrix(ds, "DH"), 2))
+        # each parent's four children go through the pipeline as one stack,
+        # and the trace is the one of one-at-a-time runs in scan order
+        assert pipe.stacks[:3] == [[""], ["A", "H", "V", "D"], ["AA", "AH", "AV", "AD"]]
+        assert [len(paths) for paths in pipe.stacks] == [1] + [4] * 5
+        one_at_a_time = []
+        for paths in pipe.stacks:
+            for path in paths:
+                pred = PlantedCePipeline(ds, ce).run(node_matrix(ds, path), 2)
+                one_at_a_time.append((path, 1.0 - evaluate(ds.labels, pred).acc))
+        assert trace.evaluated == tuple(one_at_a_time)
+        assert [p for p, _ in trace.evaluated] == ["", *"AHVD", *(
+            a + b for a in "AHVD" for b in "AHVD")]
+
+    @pytest.mark.parametrize("exhaustive", [False, True])
+    def test_stacked_levels_match_one_at_a_time(self, exhaustive):
+        # the real SSC pipeline: each node of a stack gets the CE and the
+        # labels it gets when it runs alone
+        ds = wpsc.column_normalize(checkerboard_noise_uos(seed=1))
+        pipe = wpsc.SingleViewPipeline(wpsc.SolverSpec("SSC", {"alpha": 10}))
+        chooser = scan_all_subbands if exhaustive else select_subband
+        trace = chooser(ds, 2, pipe, seed=2)
+        for path, ce in trace.evaluated:
+            alone = pipe.run(node_matrix(ds, path), ds.C, 2)
+            assert ce == 1.0 - evaluate(ds.labels, alone).acc, path
+            if path == trace.chosen:
+                assert np.array_equal(trace.labels, alone)
 
 
 class TestStratifiedSubsets:

@@ -8,7 +8,6 @@ from wpsc.errors import ConvergenceError, DegenerateDataError, ParameterError
 from wpsc.pipeline import SingleViewPipeline
 from wpsc.solvers import (
     SolverSpec,
-    _coherence_floor,
     _shrink_columns,
     _soft,
     _svt,
@@ -43,6 +42,91 @@ def lasso_oracle(X, i, lam, tol=1e-12, max_sweeps=100_000):
     raise AssertionError(f"coordinate descent did not reach {tol} in {max_sweeps} sweeps")
 
 
+def reference_coherence_floor(X):
+    """mu_e = min_i max_{j != i} |x_i' x_j|, the SSC lambda scale."""
+    G = np.abs(X.T @ X)
+    np.fill_diagonal(G, -np.inf)
+    return float(G.max(axis=1).min())
+
+
+def fused_reference_solve_ssc(X, alpha, mode="noise", affine=False, tol=1e-6, max_iter=200,
+                              objective_trace=None):
+    """The fused scaled-dual ADMM loop of ``solve_ssc`` on one matrix, before
+    it took stacks: a verbatim copy, kept as the bit-for-bit reference."""
+    X = np.asarray(X, dtype=np.float64)
+    if not np.all(np.isfinite(X)):
+        raise ParameterError("SSC input must be finite")
+    N = X.shape[1]
+    if N < 2:
+        raise ParameterError("SSC needs at least two columns")
+    if mode not in ("noise", "outlier"):
+        raise ParameterError(f"unknown SSC mode {mode!r}")
+    mu_e = reference_coherence_floor(X)
+    if mu_e == 0.0:
+        raise DegenerateDataError(
+            "all columns mutually orthogonal; self-expression is degenerate"
+        )
+    lam = alpha / mu_e
+    rho = lam
+    lam_xtx = lam * (X.T @ X)
+    M = lam_xtx + rho * np.eye(N)
+    if affine:
+        M += rho
+    # M >= rho I and rho = lam, so cond(M) <= 1 + ||X||^2 (+ N when affine)
+    # and the explicit inverse is accurate
+    Minv = np.linalg.inv(M)
+    P = Minv @ lam_xtx
+    rMinv = rho * Minv
+    thr = 1.0 / rho
+
+    if mode == "outlier":
+        norms1 = np.sort(np.abs(X).sum(axis=0))[::-1]
+        mu_err = norms1[1]
+        if mu_err == 0.0:
+            raise DegenerateDataError("data has no mass for the outlier term")
+        lam_err = alpha / mu_err
+        Q = Minv @ (lam * X.T)
+    if affine:
+        rMinv_1 = rMinv.sum(axis=1)
+        w = np.zeros(N)
+
+    C = np.zeros((N, N))
+    E = np.zeros_like(X)
+    U = np.zeros((N, N))
+    A = np.empty((N, N))
+    T = np.empty((N, N))
+    for _ in range(max_iter):
+        np.subtract(C, U, out=T)
+        np.matmul(rMinv, T, out=A)
+        A += P
+        if mode == "outlier":
+            A -= np.matmul(Q, E, out=T)
+        if affine:
+            np.multiply(rMinv_1[:, None], 1.0 - w, out=T)
+            A += T
+        np.add(A, U, out=T)
+        np.clip(T, -thr, thr, out=C)
+        np.subtract(T, C, out=C)
+        C.flat[::N + 1] = 0.0
+        if mode == "outlier":
+            E = _soft(X - X @ A, lam_err / lam)
+        gap = np.subtract(A, C, out=T)
+        U += gap
+        res = np.abs(gap, out=T).max()
+        if affine:
+            col_gap = A.sum(axis=0) - 1.0
+            w += col_gap
+            res = max(res, np.abs(col_gap).max())
+        if objective_trace is not None:
+            obj = np.abs(C).sum() + 0.5 * lam * np.sum((X - X @ C - E) ** 2)
+            if mode == "outlier":
+                obj += lam_err * np.abs(E).sum()
+            objective_trace.append(float(obj))
+        if res < tol:
+            break
+    return C
+
+
 def reference_solve_ssc(X, alpha, mode="noise", affine=False, tol=1e-6, max_iter=200,
                         objective_trace=None):
     """The ADMM loop of ``solve_ssc`` with an unscaled dual, a full N x N
@@ -50,7 +134,7 @@ def reference_solve_ssc(X, alpha, mode="noise", affine=False, tol=1e-6, max_iter
     a verbatim copy, kept as the reference."""
     X = np.asarray(X, dtype=np.float64)
     N = X.shape[1]
-    mu_e = _coherence_floor(X)
+    mu_e = reference_coherence_floor(X)
     lam = alpha / mu_e
     rho = lam
     lam_xtx = lam * (X.T @ X)
@@ -158,6 +242,99 @@ class TestSscMatchesReference:
                 m.setattr("wpsc.solvers.solve_ssc", reference_solve_ssc)
                 want = pipe.run(X, 4, seed=0)
             assert np.array_equal(got, want), path
+
+
+def stack_of(members, order):
+    """B x D x N stack whose members are laid out in ``order`` ('C' or 'F')."""
+    if order == "C":
+        return np.stack(members)
+    return np.stack([X.T for X in members]).transpose(0, 2, 1)
+
+
+class TestSscStack:
+    """Stacked solves against the one-matrix fused loop, bit for bit."""
+
+    MODES = [("noise", False), ("noise", True), ("outlier", False), ("outlier", True)]
+
+    @staticmethod
+    def _members():
+        # two striped roots stop on tol (111-129 iterations at 1e-6), the
+        # A node runs into max_iter
+        one, two = striped_images(seed=1), striped_images(seed=2)
+        A = node_matrix(one, "A")
+        return [one.data, A / np.linalg.norm(A, axis=0), two.data]
+
+    @pytest.mark.parametrize("order", "CF")
+    @pytest.mark.parametrize("mode,affine", MODES)
+    def test_members_equal_lone_solves(self, mode, affine, order):
+        members = [np.asarray(X, order=order) for X in self._members()]
+        got = solve_ssc(stack_of(members, order), 10.0, mode=mode, affine=affine,
+                        max_iter=150)
+        assert got.shape == (3, 48, 48)
+        lengths = []
+        for b, X in enumerate(members):
+            trace = []
+            want = fused_reference_solve_ssc(X, 10.0, mode=mode, affine=affine,
+                                             max_iter=150, objective_trace=trace)
+            assert np.array_equal(got[b], want), b
+            lengths.append(len(trace))
+        # members leave the stack at different iterations
+        assert min(lengths) < 150 and max(lengths) == 150, lengths
+
+    @pytest.mark.parametrize("mode,affine", MODES)
+    def test_layout_sensitive_shape(self, mode, affine):
+        # at D=40, N=130 a BLAS product of a row-major and of a column-major
+        # copy of X can differ in the last bit; each member keeps its layout
+        rng = np.random.default_rng(4)
+        members = []
+        for b in range(3):
+            X = rng.standard_normal((40, 130)) + 0.4 * b * rng.standard_normal((40, 1))
+            members.append(X / np.linalg.norm(X, axis=0))
+        for order in "CF":
+            laid = [np.asarray(X, order=order) for X in members]
+            got = solve_ssc(stack_of(laid, order), 10.0, mode=mode, affine=affine,
+                            tol=1e-3, max_iter=60)
+            for b, X in enumerate(laid):
+                want = fused_reference_solve_ssc(X, 10.0, mode=mode, affine=affine,
+                                                 tol=1e-3, max_iter=60)
+                assert np.array_equal(got[b], want), (order, b)
+
+    @pytest.mark.parametrize("mode,affine", MODES)
+    def test_batch_of_one_is_the_matrix_call(self, mode, affine):
+        X = self._members()[1]
+        got_trace, want_trace = [], []
+        lone = solve_ssc(X, 10.0, mode=mode, affine=affine, objective_trace=got_trace)
+        want = fused_reference_solve_ssc(X, 10.0, mode=mode, affine=affine,
+                                         objective_trace=want_trace)
+        assert lone.shape == (48, 48) and np.array_equal(lone, want)
+        assert len(got_trace) == len(want_trace)
+        assert np.array_equal(solve_ssc(X[None], 10.0, mode=mode, affine=affine)[0], lone)
+
+    def test_stack_input_checks(self):
+        X = self._members()[0]
+        with pytest.raises(ParameterError, match="objective_trace"):
+            solve_ssc(np.stack([X, X]), 10.0, objective_trace=[])
+        with pytest.raises(ParameterError):
+            solve_ssc(np.empty((0, 48, 48)), 10.0)
+        with pytest.raises(DegenerateDataError):
+            solve_ssc(np.stack([np.full((4, 4), 0.5), np.eye(4)]), 10.0)
+        bad = np.stack([X, X])
+        bad[1, 0, 0] = np.nan
+        with pytest.raises(ParameterError, match="finite"):
+            solve_ssc(bad, 10.0)
+
+    @pytest.mark.parametrize("spec", [
+        SolverSpec("SSC", {"alpha": 10, "mode": "outlier"}),
+        SolverSpec("LRR", {"lambda": 1.0}),
+        SolverSpec("NSN", {"k": 4, "d_max": 2}),
+        SolverSpec("RTSC", {"q": 4}),
+    ])
+    def test_spec_solves_each_member(self, spec):
+        members = [make_uos(C=2, d=2, D=20, n=8, sigma=0.05, seed=s).data for s in (1, 2)]
+        got = spec.solve(np.stack(members))
+        assert got.shape == (2, 16, 16)
+        for b, X in enumerate(members):
+            assert np.array_equal(got[b], spec.solve(X))
 
 
 class TestSsc:
