@@ -6,9 +6,9 @@ import numpy as np
 from numpy.linalg import eigh
 
 from .errors import ParameterError
-from .subspace import _BLOCK_ELEMENTS
 
 DEGREE_FLOOR = 1e-12  # degree assigned to isolated vertices
+_EPS = np.finfo(np.float64).eps
 KMEANS_RESTARTS = 20
 KMEANS_MAX_ITER = 300
 
@@ -43,8 +43,8 @@ def affinity_from_representation(Z):
 def ipd_threshold(Z, d):
     """Keep the d largest-magnitude entries per column, zero the rest.
 
-    Ties are broken toward smaller row indices. Idempotent, and the kept
-    entries are preserved exactly.
+    Ties are broken toward smaller row indices (``_smallest`` on -|Z|).
+    Idempotent, and the kept entries are preserved exactly.
     """
     Z = np.asarray(Z, dtype=np.float64)
     n = Z.shape[0]
@@ -52,13 +52,25 @@ def ipd_threshold(Z, d):
         raise ParameterError(f"d must lie in [1, {n}]")
     if d >= n:
         return Z.copy()
-    # stable sort on -|z|: descending magnitude, ties by row index
-    order = np.argsort(-np.abs(Z), axis=0, kind="stable")
     out = np.zeros_like(Z)
-    cols = np.arange(Z.shape[1])
-    keep = order[:d, :]
-    out[keep, cols] = Z[keep, cols]
+    np.copyto(out, Z, where=_smallest(-np.abs(Z), d, axis=0))
     return out
+
+
+def _smallest(a, q, axis):
+    """Boolean mask of the q smallest entries of ``a`` (no NaN) along
+    ``axis``, ties toward the lower index: the first q of a stable argsort.
+
+    One ``np.partition`` finds the q-th smallest value v; the entries below
+    v are kept, and the rest of the q are the entries equal to v, lowest
+    index first, counted with a ``cumsum`` of the tie mask.
+    """
+    v = np.take(np.partition(a, q - 1, axis=axis), [q - 1], axis=axis)
+    keep = a < v
+    ties = a == v
+    ties &= np.cumsum(ties, axis=axis) <= q - keep.sum(axis=axis, keepdims=True)
+    keep |= ties
+    return keep
 
 
 def _check_affinity(W):
@@ -103,26 +115,21 @@ def kmeans(points, k, seed, restarts=KMEANS_RESTARTS, max_iter=KMEANS_MAX_ITER):
 
     The restarts are seeded together, restart r from its own generator
     ``np.random.default_rng(seed + r)``, and each restart's first Lloyd step
-    reuses the distances its seeding computed. The Lloyd steps run in
-    lockstep groups of g restarts, g the largest count (at most
-    ``restarts``, at least 1) whose (g, n, k, m) distance temporary holds
-    at most 2**16 elements; each restart does the arithmetic it would do
-    alone and stops at the same step, so the grouping does not change a
-    bit. The restart with the smallest inertia wins, the earliest on ties.
-    The points are taken in column-major order, so the labels do not
+    reuses the distances its seeding computed. All restarts then run their
+    Lloyd steps in one lockstep group (see ``_lloyd_group``): each step
+    ranks the centres of every restart with one GEMM and re-ranks the near
+    ties with the exact distances, so each restart gets the labels and the
+    inertia the exact broadcast formula gives it alone, at any BLAS thread
+    count. The restart with the smallest inertia wins, the earliest on
+    ties. The points are taken in column-major order, so the labels do not
     depend on their memory layout.
     """
     points = np.asfortranarray(points)
     centers, dists = _plusplus_seeds(points, k, seed, restarts)
-    n, m = points.shape
-    g = max(1, min(restarts, _BLOCK_ELEMENTS // max(1, n * k * m)))
     best_labels, best_inertia = None, np.inf
-    for start in range(0, restarts, g):
-        group = slice(start, start + g)
-        for labels, inertia in zip(*_lloyd_group(points, centers[group], dists[group],
-                                                  max_iter)):
-            if inertia < best_inertia:
-                best_labels, best_inertia = labels, inertia
+    for labels, inertia in zip(*_lloyd_group(points, centers, dists, max_iter)):
+        if inertia < best_inertia:
+            best_labels, best_inertia = labels, inertia
     return best_labels
 
 
@@ -171,75 +178,154 @@ def _draw(d2, rngs):
     return np.where(live, (cdf <= u[:, None]).sum(axis=1), idx)
 
 
-def _distances(points, centers):
-    """(g, n, k) squared distances of the n points to each restart's k
-    centers; each restart's slice equals the one-restart
-    ``((points[:, None, :] - centers[r][None, :, :]) ** 2).sum(axis=2)``
-    bit for bit."""
-    return ((points[None, :, None, :] - centers[:, None, :, :]) ** 2).sum(axis=3)
-
-
 def _lloyd_group(points, centers, d2, max_iter):
     """Lloyd iterations of g restarts in lockstep from their seeded
-    (g, k, m) ``centers`` and their (g, n, k) squared distances ``d2``.
+    (g, k, m) ``centers`` and their (g, n, k) exact squared distances
+    ``d2``, which rank the first step.
 
-    Each step assigns every restart of the group with one distance
-    broadcast and one argmin; a restart whose labels stop changing leaves
-    the group with the labels and inertia it reaches alone. Returns the
-    (g, n) labels and the (g,) inertias.
+    Every later step ranks the centres of all restarts still running with
+    one GEMM (``_nearest``). A restart whose labels stop changing leaves
+    the group with the labels and the centres it reaches alone. The
+    inertias are the exact squared distances of the points to their own
+    centres (``_exact``), n*m work per restart, as are the distances an
+    empty-cluster repair reads. Returns the (g, n) labels and the (g,)
+    inertias.
     """
     g, n, k = d2.shape
     labels = np.full((g, n), -1, dtype=np.int64)
-    out_labels, out_inertia = np.empty((g, n), dtype=np.int64), np.empty(g)
+    out_labels, out_centers = np.empty((g, n), dtype=np.int64), np.empty_like(centers)
     members, rows = np.arange(g), np.arange(n)
     offsets = k * members[:, None]  # row r of the group counts in bins r*k..r*k+k-1
     weights = np.repeat(points[None], g, axis=0)  # each row's own row-major points
+    xmax = np.sqrt(np.einsum("ij,ij->i", points, points).max())
+    seq = _sequential(points)
 
-    def leave(done, d2, labels):
-        gone, labels = members[done], labels[done]
-        out_labels[gone] = labels
-        out_inertia[gone] = d2[done][np.arange(len(gone))[:, None], rows, labels].sum(axis=1)
+    def own(centers, labels):  # (f, n) exact distances to the own centres
+        flat = labels + k * np.arange(len(labels))[:, None]
+        return _exact(points, centers, rows[None], flat, seq)
 
     for it in range(max_iter):
         if it:
-            d2 = _distances(points, centers)
-        new_labels = d2.argmin(axis=2)
+            new_labels = _nearest(points, centers, xmax, seq)
+        else:
+            new_labels = d2.argmin(axis=2)
         counts = np.bincount((new_labels + offsets[:len(members)]).ravel(),
                              minlength=len(members) * k).reshape(-1, k)
         if not counts.all():
             for r in np.flatnonzero(~counts.all(axis=1)):
-                _repair_empty(new_labels[r], counts[r], d2[r])
-        done = (new_labels == labels).all(axis=1)
+                dist = own(centers[r:r + 1], new_labels[r:r + 1])[0] if it else (
+                    d2[r, rows, new_labels[r]])
+                _repair_empty(new_labels[r], counts[r], dist)
+        done = (new_labels == labels).all(axis=1)  # never on the first step
         if done.any():
-            leave(done, d2, new_labels)
+            out_labels[members[done]] = new_labels[done]
+            out_centers[members[done]] = centers[done]
             if done.all():
-                return out_labels, out_inertia
+                break
             keep = ~done
             members, new_labels, counts, centers = (
                 members[keep], new_labels[keep], counts[keep], centers[keep])
         labels = new_labels
         _update_centers(weights[:len(members)], labels, counts, centers)
-    # out of iterations: the centers moved after d2 was computed
-    leave(np.ones(len(members), dtype=bool), _distances(points, centers), labels)
-    return out_labels, out_inertia
+    else:  # out of iterations: the inertia is taken at the moved centers
+        out_labels[members], out_centers[members] = labels, centers
+    return out_labels, own(out_centers, out_labels).sum(axis=1)
 
 
-def _repair_empty(labels, counts, d2):
+def _nearest(points, centers, xmax, seq):
+    """(g, n) index of the nearest of each restart's k ``centers`` to each
+    of the n ``points``, as the argmin of the exact distances gives it.
+
+    One GEMM ranks all g restarts: s = ||c||^2 - 2 c.x, the (k, g, n) array
+    ``(-2 centers) @ points.T + ||c||^2`` (scaling by -2 is exact), orders
+    the centres of a point as ||x - c||^2 = ||x||^2 + s does. Exactness:
+    with u = eps/2 the unit roundoff, gamma_j = j u / (1 - j u) and
+    M = ``xmax`` + max ||c|| over all g restarts, the computed s is
+    within gamma_(m+1) (2 ||x|| ||c|| + ||c||^2) <= gamma_(m+1) M^2 of its
+    true value in any summation order (a dot product of m terms, a sum of m
+    squares, one addition), and the exact formula, a sum of m rounded
+    squares of rounded differences, is within gamma_(m+2) M^2 of the true
+    distance (barring underflow and overflow). So when every other
+    centre's s exceeds the smallest by more than
+    2 (gamma_(m+1) + gamma_(m+2)) M^2 <= 2 (m+3) eps M^2, the exact
+    distances put that centre strictly first too. A row whose runner-up
+    lies within B = 4 (m+3) eps M^2 of its best (twice that, which also
+    covers the rounding of M, of B and of the comparison), or that holds
+    a NaN (the centre of no points), is ranked again with the exact
+    distances (``_rerank``); any other row has exactly one centre within B
+    of its best, and it is the nearest. The labels thus do not depend on
+    the BLAS thread count or on the GEMM's summation order.
+    """
+    g, k, m = centers.shape
+    norms = np.einsum("gkm,gkm->kg", centers, centers)
+    s = (centers * -2.0).transpose(1, 0, 2).reshape(k * g, m) @ points.T
+    s += norms.reshape(-1, 1)
+    s = s.reshape(k, g, -1)
+    bound = 4 * (m + 3) * _EPS * (xmax + np.sqrt(norms.max())) ** 2
+    cut = s.min(axis=0)
+    cut += bound
+    # one-hot over the centres where exactly one lies within B of the best
+    close = (s <= cut).view(np.uint8)
+    small = np.min_scalar_type(k)  # holds the count of close centres
+    near = close.sum(axis=0, dtype=small) != 1
+    labels = np.einsum("k,kgn->gn", np.arange(k, dtype=small), close)
+    if near.any():
+        r, i = np.nonzero(near)
+        labels[r, i] = _rerank(points, centers, r, i, seq)
+    return labels
+
+
+def _rerank(points, centers, r, i, seq):
+    """Nearest centre of restart ``r[j]`` to point ``i[j]`` for each j, by
+    the exact distances, the first on ties."""
+    k = centers.shape[1]
+    flat = k * r[:, None] + np.arange(k)
+    return _exact(points, centers, i[:, None], flat, seq).argmin(axis=1)
+
+
+def _sequential(points):
+    """Whether the broadcast formula
+    ``((points[:, None, :] - centers[None]) ** 2).sum(axis=2)`` adds the
+    coordinates of the (n, m) ``points`` one after another, as numpy does
+    when they are strided in memory (column-major points), rather than
+    pairwise, as it does when they are contiguous (row-major points)."""
+    return points.strides[1] != points.itemsize
+
+
+def _exact(points, centers, p, c, seq):
+    """Squared distances of the points ``points[p]`` to the centres
+    ``centers.reshape(-1, m)[c]``, ``p`` and ``c`` broadcasting index
+    arrays, added in the order ``seq`` names (see ``_sequential``).
+
+    ``np.take`` gathers into fresh row-major arrays with the coordinates
+    outermost (``seq``) or innermost, so numpy's sum adds them one after
+    another or pairwise, whatever the layout of the inputs.
+    """
+    flat = centers.reshape(-1, centers.shape[2])
+    if seq:
+        x, d = np.take(points.T, p, axis=1), np.take(flat.T, c, axis=1)
+    else:
+        x, d = np.take(points, p, axis=0), np.take(flat, c, axis=0)
+    np.subtract(x, d, out=d)
+    d *= d
+    return d.sum(axis=0 if seq else -1)
+
+
+def _repair_empty(labels, counts, dist):
     """Give each empty cluster, in index order, the point farthest from its
-    centroid. Updates ``labels`` and ``counts`` in place and leaves ``d2``
+    centroid, ``dist`` holding each point's squared distance to its own
+    centre. Updates ``labels`` and ``counts`` in place and leaves ``dist``
     alone; ``counts`` stay live, so a cluster emptied by an earlier
     donation is repaired only if its index comes later."""
-    d2 = d2.copy()
-    rows = np.arange(labels.size)
+    dist = dist.copy()
     for c in range(counts.size):
         if counts[c]:
             continue
-        donor = int(np.argmax(d2[rows, labels]))
+        donor = int(np.argmax(dist))
         counts[labels[donor]] -= 1
         counts[c] += 1
         labels[donor] = c
-        d2[donor, :] = np.inf
-        d2[donor, c] = 0.0
+        dist[donor] = 0.0
 
 
 def _update_centers(weights, labels, counts, centers):

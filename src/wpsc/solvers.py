@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateDataError, ParameterError
+from .graph import _smallest
 
 _REQUIRED_PARAMS = {
     "SSC": ("alpha",),
@@ -352,8 +353,9 @@ def solve_rtsc(X, q):
     """Robust thresholding affinity on the angular q-nearest-neighbor graph.
 
     Distances are s(x_i, x_j) = arccos(|<x_i, x_j>|) on unit-norm columns;
-    the q nearest neighbors of each point get edge weight |<x_i, x_j>|,
-    max-symmetrized, zero diagonal.
+    the q nearest neighbors of each point, ties toward the smaller index
+    (``graph._smallest``, a partition rather than a sort), get edge weight
+    |<x_i, x_j>|, max-symmetrized, zero diagonal.
     """
     X = np.asarray(X, dtype=np.float64)
     N = X.shape[1]
@@ -362,11 +364,7 @@ def solve_rtsc(X, q):
     S = np.clip(np.abs(X.T @ X), 0.0, 1.0)
     angle = np.arccos(S)
     np.fill_diagonal(angle, np.inf)
-    W = np.zeros((N, N))
-    # stable sort: ties resolved toward smaller index
-    order = np.argsort(angle, axis=1, kind="stable")[:, :q]
-    rows = np.repeat(np.arange(N), q)
-    W[rows, order.ravel()] = S[rows, order.ravel()]
+    W = np.where(_smallest(angle, q, axis=1), S, 0.0)
     W = np.maximum(W, W.T)
     np.fill_diagonal(W, 0.0)
     return W

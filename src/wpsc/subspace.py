@@ -144,20 +144,28 @@ def subspace_affinity(U1, U2):
     U2 = _check_orthonormal(U2, "U2")
     if U1.shape[0] != U2.shape[0]:
         raise ParameterError("bases live in different ambient dimensions")
+    return _affinity(U1, U2)
+
+
+def _affinity(U1, U2):
     s = np.linalg.svd(U1.T @ U2, compute_uv=False)
     val = np.sqrt(np.sum(s ** 2) / min(U1.shape[1], U2.shape[1]))
     return float(np.clip(val, 0.0, 1.0))
 
 
 def average_affinity(model):
-    """Mean pairwise subspace affinity over all C(C-1)/2 cluster pairs."""
+    """Mean pairwise subspace affinity over all C(C-1)/2 cluster pairs; each
+    basis is checked once, with ``subspace_affinity``'s checks."""
     C = model.C
     if C < 2:
         raise ParameterError("need at least 2 clusters")
+    bases = [_check_orthonormal(U, f"basis {c}") for c, U in enumerate(model.bases)]
+    if len({U.shape[0] for U in bases}) > 1:
+        raise ParameterError("bases live in different ambient dimensions")
     total = 0.0
     for i in range(C - 1):
         for j in range(i + 1, C):
-            total += subspace_affinity(model.bases[i], model.bases[j])
+            total += _affinity(bases[i], bases[j])
     return 2.0 * total / (C * (C - 1))
 
 

@@ -180,6 +180,28 @@ class TestRun:
                 del run["convergence"]["final_fit_error"]
         assert reports[0] == reports[1]
 
+    def test_blas_thread_count_keeps_rtsc_grid_report(self, tmp_path):
+        # 200 in-sample points in 10 clusters: each Lloyd step's GEMM over
+        # the 20 restarts is 200 x 200 x 10, large enough for OpenBLAS to
+        # split over two threads
+        synth_bundle(tmp_path, C=10, n_per_cluster=25)
+        cfg = base_config(tmp_path, solver={"kind": "RTSC", "params": {"q": 4}},
+                          grid={"values": {"q": [3, 5, 8]}, "n_val_subsets": 2,
+                                "val_size_per_cluster": 8})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        reports = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": str(Path(wpsc.__file__).parents[1]),
+                   **{k: threads for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                           "MKL_NUM_THREADS")}}
+            out = subprocess.run([sys.executable, "-m", "wpsc.cli", "run", "--config",
+                                  str(cfg_path)], env=env, capture_output=True, text=True)
+            assert out.returncode == 0, out.stderr
+            reports.append((tmp_path / "out" / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["runs"][0]["metrics"]["in"]["acc"] == 1.0
+
     def test_prime_in_sample_fails_fast(self, tmp_path):
         # 3 clusters x ceil(0.8*12)=10 -> 30; with 0.9 -> ceil=11 -> 33=3*11
         # use one cluster sized so n_in is prime

@@ -371,12 +371,9 @@ class TestKmeans:
         assert repaired
         assert stopped[1] and not stopped[2], stopped
 
-    @pytest.mark.parametrize("n,k,m,group", [(64, 4, 4, 20), (60, 5, 5, 20),
-                                             (200, 20, 20, 1), (100, 20, 20, 1),
-                                             (30, 8, 8, 20)])
-    def test_group_size_from_shape(self, n, k, m, group, monkeypatch):
-        # the largest restart count whose (g, n, k, m) temporary holds at
-        # most 2**16 elements, capped at the restart count
+    @pytest.mark.parametrize("n,k,m", [(64, 4, 4), (60, 5, 5), (200, 20, 20),
+                                       (100, 20, 20), (30, 8, 8)])
+    def test_all_restarts_run_as_one_group(self, n, k, m, monkeypatch):
         sizes = []
         real = graph_mod._lloyd_group
         monkeypatch.setattr(graph_mod, "_lloyd_group",
@@ -384,5 +381,74 @@ class TestKmeans:
                             or real(pts, centers, *args))
         pts = blobs(0, k, m, n // k + 1, 0.3)[:n]
         kmeans(pts, k, 0)
-        assert sizes[0] == group and sum(sizes) == graph_mod.KMEANS_RESTARTS
-        assert group * n * k * m <= 2 ** 16 or group == 1
+        assert sizes == [graph_mod.KMEANS_RESTARTS]
+
+    @pytest.mark.parametrize("n,k,m", [(64, 4, 4), (200, 20, 20), (30, 8, 8)])
+    def test_group_member_equals_group_of_one(self, n, k, m):
+        # the restarts leave the group at different steps; each must end
+        # with the labels and inertia it reaches in a group of its own
+        pts = np.asfortranarray(blobs(1, k, m, n // k + 1, 0.5)[:n])
+        restarts = graph_mod.KMEANS_RESTARTS
+        centers, dists = graph_mod._plusplus_seeds(pts, k, 3, restarts)
+        labels, inertias = graph_mod._lloyd_group(pts, centers.copy(), dists, 300)
+        for r in range(restarts):
+            one = graph_mod._lloyd_group(pts, centers[r:r + 1].copy(), dists[r:r + 1], 300)
+            assert np.array_equal(labels[r], one[0][0]) and inertias[r] == one[1][0], r
+
+    @pytest.mark.parametrize("order", "CF")
+    def test_near_ties_are_ranked_exactly(self, order, monkeypatch):
+        # six points 1e-15 apart on a line, each the start center of its own
+        # cluster: a point's squared distances to the six centers differ by
+        # less than 1e-28 and one of them is 0 (the center it coincides
+        # with), far below the rounding of the GEMM ranking, so only the
+        # exact re-rank finds its own center; three blobs besides make
+        # ordinary clusters whose rows need no re-rank
+        rng = np.random.default_rng(5)
+        base = np.array([0.6, 0.8, 0.0, 0.0])
+        dups = base + 1e-15 * np.arange(6)[:, None] * np.array([0.0, 0.0, 1.0, -1.0])
+        pts = np.asarray(np.vstack([blobs(2, 3, 4, 8, 0.05) + 3.0, dups]), order=order)
+        n = len(pts)
+        starts = np.stack([pts[np.r_[[0, 1, 2], n - 6 + rng.permutation(6)]]
+                           for _ in range(4)])
+        starts[0, :3] = pts[[3, 9, 15]]
+        d2 = ((pts[None, :, None, :] - starts[:, None, :, :]) ** 2).sum(axis=3)
+        reranked = []
+        real = graph_mod._rerank
+        monkeypatch.setattr(graph_mod, "_rerank",
+                            lambda points, centers, r, *args: reranked.append(len(r))
+                            or real(points, centers, r, *args))
+        labels, inertias = graph_mod._lloyd_group(pts, starts.copy(), d2, 300)
+        for r in range(len(starts)):
+            want = reference_lloyd(pts, starts[r], 300)
+            assert np.array_equal(labels[r], want[0]) and inertias[r] == want[1], r
+        assert sum(reranked) >= 6 * len(starts)
+        assert sum(reranked) < n * len(starts)  # the blob rows are not re-ranked
+
+
+class TestSmallest:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(rows=st.integers(1, 12), cols=st.integers(1, 12), levels=st.integers(1, 4),
+           seed=st.integers(0, 2**32), axis=st.sampled_from([0, 1]), data=st.data())
+    def test_first_q_of_stable_argsort(self, rows, cols, levels, seed, axis, data):
+        # few distinct values: most entries tie with the q-th smallest
+        a = np.random.default_rng(seed).integers(levels, size=(rows, cols)).astype(float)
+        q = data.draw(st.integers(1, a.shape[axis]))
+        order = np.argsort(a, axis=axis, kind="stable")
+        want = np.zeros(a.shape, dtype=bool)
+        np.put_along_axis(want, np.take(order, np.arange(q), axis=axis), True, axis=axis)
+        assert np.array_equal(graph_mod._smallest(a, q, axis), want)
+
+    @pytest.mark.parametrize("values", ["gauss", "sign", "halves"])
+    def test_ipd_matches_stable_argsort(self, values):
+        rng = np.random.default_rng(8)
+        Z = rng.standard_normal((30, 25))
+        if values == "sign":
+            Z = np.sign(Z)
+        elif values == "halves":
+            Z = np.round(2 * Z) / 2
+        for d in (1, 2, 5, 29):
+            order = np.argsort(-np.abs(Z), axis=0, kind="stable")[:d]
+            want = np.zeros_like(Z)
+            cols = np.arange(Z.shape[1])
+            want[order, cols] = Z[order, cols]
+            assert np.array_equal(ipd_threshold(Z, d), want)

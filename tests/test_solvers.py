@@ -651,6 +651,26 @@ class TestRtsc:
         assert np.allclose(solve_rtsc(A, 2), solve_rtsc(B, 2), atol=1e-12)
         assert np.allclose(solve_nsn(A, 2, 1), solve_nsn(B, 2, 1), atol=1e-12)
 
+    @pytest.mark.parametrize("values", ["gauss", "sign"])
+    def test_neighbors_match_stable_argsort(self, values):
+        # +-1 columns give only a few distinct angles, so most neighbours tie
+        rng = np.random.default_rng(10)
+        X = rng.standard_normal((6, 40))
+        if values == "sign":
+            X = np.sign(X)
+        X /= np.linalg.norm(X, axis=0)
+        N = X.shape[1]
+        S = np.clip(np.abs(X.T @ X), 0.0, 1.0)
+        angles = np.arccos(S)
+        np.fill_diagonal(angles, np.inf)
+        for q in (1, 5, 10, 20, N - 1):
+            nn = np.argsort(angles, axis=1, kind="stable")[:, :q]
+            expect = np.zeros((N, N))
+            np.put_along_axis(expect, nn, np.take_along_axis(S, nn, axis=1), axis=1)
+            expect = np.maximum(expect, expect.T)
+            np.fill_diagonal(expect, 0.0)
+            assert np.array_equal(solve_rtsc(X, q), expect), q
+
 
 class TestSolverSpec:
     def test_required_params(self):

@@ -277,6 +277,26 @@ class TestAverageAffinity:
                                   bases=[e[:, :2], e[:, 2:4], e[:, 4:6]], d=2)
         assert average_affinity(model) == pytest.approx(0.0, abs=1e-12)
 
+    def test_checks_each_basis_once(self, monkeypatch):
+        import wpsc.subspace as subspace_mod
+        rng = np.random.default_rng(11)
+        bases = [orth(rng, 8, 2) for _ in range(5)]
+        model = wpsc.ClusterModel(means=np.zeros((5, 8)), bases=bases, d=2)
+        pairs = [subspace_affinity(bases[i], bases[j])
+                 for i in range(4) for j in range(i + 1, 5)]
+        checked = []
+        real = subspace_mod._check_orthonormal
+        monkeypatch.setattr(subspace_mod, "_check_orthonormal",
+                            lambda U, tag: checked.append(tag) or real(U, tag))
+        total = 0.0
+        for a in pairs:  # the pair order and the sum of the pairwise version
+            total += a
+        assert average_affinity(model) == 2.0 * total / 20
+        assert len(checked) == 5
+        model.bases[3] = np.ones((8, 2))
+        with pytest.raises(ParameterError):
+            average_affinity(model)
+
 
 class TestMeanPrincipalAngle:
     def test_endpoints(self):
