@@ -27,14 +27,14 @@ print(f"\nlevel-1 energies sum to {energy_out / energy_in:.12f} x input "
 rec = wpsc.haar_synthesis_2d(a, h, v, d, level=1)
 print(f"reconstruction error: {np.abs(rec - img).max():.2e}")
 
-# the full two-level packet tree: 4 + 16 = 20 subband datasets
+# the full two-level packet tree: 4 + 16 = 20 subband matrices by path
 wp = wpsc.wp_decompose(ds, J=2)
-print(f"\nJ=2 packet tree holds {len(wp.paths())} nodes:")
-print(" ", " ".join(wp.paths()))
+print(f"\nJ=2 packet tree holds {len(wp)} nodes:")
+print(" ", " ".join(wp))
 
 # every subband keeps the subspace structure (same rank bound)
 print("\nrank of each level-1 subband matrix (input rank is 6):")
 for path in ("A", "H", "V", "D"):
     print(f"  {path}: rank = {np.linalg.matrix_rank(wp[path], tol=1e-8)}")
 
-print("\nchildren of 'A':", wpsc.wp_children(wp, "A"))
+print("\nchildren of 'A':", [path for path in wp if path[:-1] == "A"])

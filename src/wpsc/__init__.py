@@ -28,7 +28,6 @@ from .graph import (
 )
 from .mera import (
     MeraFactors,
-    SelfRepTensor,
     choose_grid,
     mera_contract,
     mera_fit,
@@ -47,14 +46,11 @@ from .subspace import (
     average_affinity,
     estimate_bases,
     mean_principal_angle,
-    subspace_affinity,
 )
 from .wavelet import (
-    WaveletPacketSet,
     haar_analysis_2d,
     haar_synthesis_2d,
     node_matrix,
-    wp_children,
     wp_decompose,
 )
 

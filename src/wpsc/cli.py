@@ -23,16 +23,15 @@ import numpy as np
 from .bundle import load_bundle, save_bundle, save_matrix
 from .datasets import (Dataset, SplitSpec, UosSpec, column_normalize, generate_uos, load_idx,
                        load_pgm_dir, split, unit_columns)
-from .errors import (ConfigError, ConsistencyError, ConvergenceError, DataError, Error,
-                     LabelingError)
+from .errors import (ConfigError, ConsistencyError, ConvergenceError, DataError,
+                     DegenerateColumnError, Error, LabelingError)
 from .graph import Partition, affinity_from_representation, spectral_clustering
 from .mera import FIVE_VIEW_ORDER, choose_grid, unify_views
 from .metrics import evaluate
-from .pipeline import SingleViewPipeline, WpMeraPipeline
+from .pipeline import Fit, SingleViewPipeline, WpMeraPipeline
 from .selection import Grid, grid_search, scan_all_subbands, select_subband
 from .solvers import SolverSpec
-from .subspace import (assign_multiview_batch, average_affinity, estimate_bases,
-                       mean_principal_angle)
+from .subspace import average_affinity, estimate_bases, mean_principal_angle
 from .wavelet import wp_decompose
 
 METRICS_HEADER = ["dataset", "pipeline", "subband", "seed", "phase",
@@ -65,9 +64,7 @@ class ExperimentConfig:
     def from_dict(cls, raw):
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(raw) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        _known_keys(raw, "config", [f.name for f in fields(cls)])
         if "dataset" not in raw:
             raise ConfigError("config needs a 'dataset' section")
         pipeline = raw.get("pipeline", "single")
@@ -81,7 +78,7 @@ class ExperimentConfig:
             if "grid" in raw:
                 g = dict(raw["grid"])
                 grid = Grid(values=g.pop("values"), **g)
-            sp = raw.get("split", {})
+            sp = _known_keys(raw.get("split", {}), "split", ("in_fraction", "seed"))
             cfg = cls(dataset=dict(raw["dataset"]), pipeline=pipeline, solver=solver,
                       levels=int(raw.get("levels", 2)), d=int(raw.get("d", 9)),
                       ipd=raw.get("ipd", False),
@@ -101,10 +98,10 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be true or false, got {getattr(cfg, key)!r}")
         if not isinstance(cfg.dataset.get("name", ""), str):
             raise ConfigError(f"dataset.name must be a string, got {cfg.dataset['name']!r}")
-        if pipeline == "wp-mera":
-            _mera_fields(cfg.mera)
-        elif solver is None:
+        if pipeline != "wp-mera" and solver is None:
             raise ConfigError(f"pipeline {pipeline!r} needs a solver spec")
+        for params in grid.points() if grid else [{}]:
+            _settings(cfg, params)  # every grid point's spec fails here, not mid-run
         if not cfg.seeds or not all(isinstance(s, numbers.Integral) for s in cfg.seeds):
             raise ConfigError("seeds must be a nonempty list of integers")
         return cfg
@@ -163,8 +160,17 @@ def load_dataset(spec):
     raise ConfigError(f"unknown dataset kind {kind!r}")
 
 
+def _known_keys(section, name, known):
+    """``section``, if it holds only keys in ``known``."""
+    unknown = set(section) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+    return section
+
+
 def _mera_fields(p):
     """WpMeraPipeline parameters from a config 'mera' section."""
+    _known_keys(p, "mera", ("lambda", "R", "tol", "max_iter", "sweeps"))
     for key in ("lambda", "R"):
         if key not in p:
             raise ConfigError(f"wp-mera pipeline needs mera.{key}")
@@ -175,14 +181,20 @@ def _mera_fields(p):
     return {**out, **{k: int(out[k]) for k in ("R", "max_iter", "sweeps")}}
 
 
-def _pipeline(cfg, ds, params=None):
-    """The pipeline a config runs, with grid-search ``params`` laid over its
-    MERA or solver parameters."""
-    params = params or {}
+def _settings(cfg, params):
+    """A config's MERA fields or solver spec, with grid-search ``params``
+    laid over its MERA or solver parameters."""
     if cfg.pipeline == "wp-mera":
-        return WpMeraPipeline(ds.img_h, ds.img_w, **_mera_fields({**cfg.mera, **params}))
-    solver = replace(cfg.solver, params={**cfg.solver.params, **params})
-    return SingleViewPipeline(solver=solver, ipd_d=cfg.d if cfg.ipd else None,
+        return _mera_fields({**cfg.mera, **params})
+    return replace(cfg.solver, params={**cfg.solver.params, **params})
+
+
+def _pipeline(cfg, ds, params=None):
+    """The pipeline a config runs, with grid-search ``params`` applied."""
+    settings = _settings(cfg, params or {})
+    if cfg.pipeline == "wp-mera":
+        return WpMeraPipeline(ds.img_h, ds.img_w, **settings)
+    return SingleViewPipeline(solver=settings, ipd_d=cfg.d if cfg.ipd else None,
                               levels=cfg.levels if cfg.pipeline == "wp-single" else None)
 
 
@@ -443,13 +455,12 @@ def _cmd_synth(args):
 
 def _cmd_wpt(args):
     ds = load_bundle(args.data)
-    wp = wp_decompose(ds, args.levels)
+    nodes = wp_decompose(ds, args.levels)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for path in wp.paths():
-        node_ds = ds.with_data(wp[path])
-        save_bundle(node_ds, out_dir / f"{ds.name}__{path}.wpsc")
-    print(f"wrote {len(wp.paths())} node bundles to {out_dir}")
+    for path, X in nodes.items():
+        save_bundle(ds.with_data(X), out_dir / f"{ds.name}__{path}.wpsc")
+    print(f"wrote {len(nodes)} node bundles to {out_dir}")
 
 
 def _solver_from_args(args):
@@ -466,26 +477,24 @@ def _solver_from_args(args):
 
 
 def _cmd_cluster(args):
-    ds, C = _load_normalized(args.data, args.C, needs_C=True)
     pipe = SingleViewPipeline(solver=_solver_from_args(args), ipd_d=args.ipd_d)
+    ds, C = _load_normalized(args.data, args.C, needs_C=True)
     out_dir = Path(args.out_dir)
+    M = pipe.representation(ds.data)
+    W = affinity_from_representation(M)
     if args.export_matrix:
         out_dir.mkdir(parents=True, exist_ok=True)
-        M = pipe.representation(ds.data)
         save_matrix(M, out_dir / "representation.wpsc")
-        W = affinity_from_representation(M)
         save_matrix(W, out_dir / "affinity.wpsc")
-        labels = spectral_clustering(W, C, args.seed).labels
-    else:
-        labels = pipe.run(ds.data, C, args.seed)
+    labels = spectral_clustering(W, C, args.seed).labels
     m = _emit_labels(out_dir / "labels.csv", labels, ds.labels)
     if m is not None:
         (out_dir / "metrics.json").write_text(json.dumps(m, indent=2, sort_keys=True) + "\n")
 
 
 def _cmd_select_subband(args):
-    ds, _ = _load_normalized(args.data)
     pipe = SingleViewPipeline(solver=_solver_from_args(args), ipd_d=args.ipd_d)
+    ds, _ = _load_normalized(args.data)
     chooser = scan_all_subbands if args.exhaustive else select_subband
     sel = chooser(ds, args.levels, pipe, args.seed)
     out_dir = Path(args.out_dir)
@@ -506,15 +515,18 @@ def _cmd_mera(args):
 
 def _cmd_oos(args):
     in_ds, _ = _load_normalized(args.in_data)
-    out_ds, _ = _load_normalized(args.out_data)
+    out_ds = load_bundle(args.out_data)  # Fit.assign normalizes its columns
     if args.labels:  # checked as bundle labels are: one per point, no empty class
         in_ds = Dataset(data=in_ds.data, img_h=in_ds.img_h, img_w=in_ds.img_w,
                         labels=_read_labels_csv(args.labels))
     if in_ds.labels is None:
         raise ConfigError("need in-sample labels (--labels or labeled bundle)")
-    model = estimate_bases(in_ds.data, Partition(labels=in_ds.labels, C=in_ds.C), args.d)
-    _emit_labels(Path(args.out_dir) / "oos_labels.csv",
-                 assign_multiview_batch([out_ds.data], [model]), out_ds.labels)
+    fit = Fit(Partition(labels=in_ds.labels, C=in_ds.C), [in_ds.data])
+    try:
+        labels = fit.assign(out_ds, fit.models(args.d))
+    except DegenerateColumnError as exc:
+        raise DegenerateColumnError(f"{out_ds.name}: {exc}") from None
+    _emit_labels(Path(args.out_dir) / "oos_labels.csv", labels, out_ds.labels)
 
 
 def _cmd_eval(args):

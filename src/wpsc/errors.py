@@ -14,10 +14,6 @@ class ParameterError(ConfigError):
     """An operation received an out-of-contract argument."""
 
 
-class DepthError(ParameterError):
-    """Requested children of a leaf node."""
-
-
 class NoGridError(ConfigError):
     """N admits no factorization N = A*Q with 2 <= A <= Q."""
 

@@ -179,9 +179,9 @@ def _draw(d2, rngs):
 
 
 def _lloyd_group(points, centers, d2, max_iter):
-    """Lloyd iterations of g restarts in lockstep from their seeded
-    (g, k, m) ``centers`` and their (g, n, k) exact squared distances
-    ``d2``, which rank the first step.
+    """Lloyd iterations of g restarts in lockstep on the column-major (n, m)
+    ``points`` from their seeded (g, k, m) ``centers`` and their (g, n, k)
+    exact squared distances ``d2``, which rank the first step.
 
     Every later step ranks the centres of all restarts still running with
     one GEMM (``_nearest``). A restart whose labels stop changing leaves
@@ -198,15 +198,14 @@ def _lloyd_group(points, centers, d2, max_iter):
     offsets = k * members[:, None]  # row r of the group counts in bins r*k..r*k+k-1
     weights = np.repeat(points[None], g, axis=0)  # each row's own row-major points
     xmax = np.sqrt(np.einsum("ij,ij->i", points, points).max())
-    seq = _sequential(points)
 
     def own(centers, labels):  # (f, n) exact distances to the own centres
         flat = labels + k * np.arange(len(labels))[:, None]
-        return _exact(points, centers, rows[None], flat, seq)
+        return _exact(points, centers, rows[None], flat)
 
     for it in range(max_iter):
         if it:
-            new_labels = _nearest(points, centers, xmax, seq)
+            new_labels = _nearest(points, centers, xmax)
         else:
             new_labels = d2.argmin(axis=2)
         counts = np.bincount((new_labels + offsets[:len(members)]).ravel(),
@@ -232,7 +231,7 @@ def _lloyd_group(points, centers, d2, max_iter):
     return out_labels, own(out_centers, out_labels).sum(axis=1)
 
 
-def _nearest(points, centers, xmax, seq):
+def _nearest(points, centers, xmax):
     """(g, n) index of the nearest of each restart's k ``centers`` to each
     of the n ``points``, as the argmin of the exact distances gives it.
 
@@ -271,44 +270,33 @@ def _nearest(points, centers, xmax, seq):
     labels = np.einsum("k,kgn->gn", np.arange(k, dtype=small), close)
     if near.any():
         r, i = np.nonzero(near)
-        labels[r, i] = _rerank(points, centers, r, i, seq)
+        labels[r, i] = _rerank(points, centers, r, i)
     return labels
 
 
-def _rerank(points, centers, r, i, seq):
+def _rerank(points, centers, r, i):
     """Nearest centre of restart ``r[j]`` to point ``i[j]`` for each j, by
     the exact distances, the first on ties."""
     k = centers.shape[1]
     flat = k * r[:, None] + np.arange(k)
-    return _exact(points, centers, i[:, None], flat, seq).argmin(axis=1)
+    return _exact(points, centers, i[:, None], flat).argmin(axis=1)
 
 
-def _sequential(points):
-    """Whether the broadcast formula
-    ``((points[:, None, :] - centers[None]) ** 2).sum(axis=2)`` adds the
-    coordinates of the (n, m) ``points`` one after another, as numpy does
-    when they are strided in memory (column-major points), rather than
-    pairwise, as it does when they are contiguous (row-major points)."""
-    return points.strides[1] != points.itemsize
-
-
-def _exact(points, centers, p, c, seq):
+def _exact(points, centers, p, c):
     """Squared distances of the points ``points[p]`` to the centres
     ``centers.reshape(-1, m)[c]``, ``p`` and ``c`` broadcasting index
-    arrays, added in the order ``seq`` names (see ``_sequential``).
+    arrays, the coordinates added one after another, as the broadcast
+    formula adds them on the column-major points ``kmeans`` passes.
 
     ``np.take`` gathers into fresh row-major arrays with the coordinates
-    outermost (``seq``) or innermost, so numpy's sum adds them one after
-    another or pairwise, whatever the layout of the inputs.
+    outermost, so numpy's sum adds them in that order whatever the layout
+    of the inputs.
     """
     flat = centers.reshape(-1, centers.shape[2])
-    if seq:
-        x, d = np.take(points.T, p, axis=1), np.take(flat.T, c, axis=1)
-    else:
-        x, d = np.take(points, p, axis=0), np.take(flat, c, axis=0)
+    x, d = np.take(points.T, p, axis=1), np.take(flat.T, c, axis=1)
     np.subtract(x, d, out=d)
     d *= d
-    return d.sum(axis=0 if seq else -1)
+    return d.sum(axis=0)
 
 
 def _repair_empty(labels, counts, dist):

@@ -71,24 +71,6 @@ class MeraFactors:
             )
 
 
-@dataclass(frozen=True)
-class SelfRepTensor:
-    """Stack of per-view N x N representation matrices."""
-
-    Z: np.ndarray
-    view_names: tuple = ()
-
-    def __post_init__(self):
-        Z = np.asarray(self.Z, dtype=np.float64)
-        if Z.ndim != 3 or Z.shape[0] != Z.shape[1]:
-            raise ParameterError("self-representation tensor must be N x N x V")
-        if not np.all(np.isfinite(Z)):
-            raise ParameterError("self-representation tensor must be finite")
-        if self.view_names and len(self.view_names) != Z.shape[2]:
-            raise ParameterError("view_names length must match V")
-        object.__setattr__(self, "Z", Z)
-
-
 def choose_grid(N):
     """Most-square factorization N = A*Q with 2 <= A <= Q.
 
@@ -222,9 +204,9 @@ def mera_fit(Y, R, tol=1e-8, max_iter=100, init=None):
     return factors
 
 
-def unify_views(tensor):
-    """Element-wise mean over the view mode (the unified representation)."""
-    Z = tensor.Z if isinstance(tensor, SelfRepTensor) else np.asarray(tensor)
+def unify_views(Z):
+    """The unified representation: an N x N x V tensor's mean over its views."""
+    Z = np.asarray(Z)
     if Z.ndim != 3:
         raise ParameterError("expected an N x N x V tensor")
     return Z.mean(axis=2)
@@ -252,11 +234,11 @@ def mera_mvsc(views, lam, R, tol=1e-6, max_iter=200, sweeps=2, trace=None):
     max_iter : int, outer ADMM iterations.
     sweeps : int, MERA refinement sweeps per outer iteration.
     trace : optional list collecting per-iteration dict records
-        (iteration, per-view residuals, MERA fit error, mu).
+        (iteration, per-view and consensus residuals, MERA fit error, mu).
 
     Returns
     -------
-    SelfRepTensor holding the MERA-reconstructed N x N x V estimate.
+    The MERA-reconstructed N x N x V self-representation tensor.
     """
     if not views:
         raise ParameterError("need at least one view")
@@ -288,7 +270,7 @@ def mera_mvsc(views, lam, R, tol=1e-6, max_iter=200, sweeps=2, trace=None):
     factors = None
     for it in range(max_iter):
         mu_next = min(mu * ALM_RHO, ALM_MU_MAX)
-        res_views, sq_views = [], []
+        res_views = []
         for v, Xv in enumerate(views):
             S = work[v]
             np.subtract(Xv, E[v], out=S)
@@ -306,7 +288,6 @@ def mera_mvsc(views, lam, R, tol=1e-6, max_iter=200, sweeps=2, trace=None):
             S *= (1.0 - keep)[:, None]
             gap = np.subtract(S, W[v], out=W[v])
             res_views.append(float(np.abs(gap).max()))
-            sq_views.append(float(np.vdot(gap, gap)))
             # M1 += mu * gap, stored divided by the next mu
             S *= mu / mu_next
             W[v], work[v] = S, gap
@@ -321,15 +302,13 @@ def mera_mvsc(views, lam, R, tol=1e-6, max_iter=200, sweeps=2, trace=None):
             trace.append({
                 "iteration": it,
                 "view_residuals": res_views,
-                "residual_fro": math.sqrt(sum(sq_views)),
                 "residual_consensus": res_consensus,
                 "fit_error": factors.fit_errors[-1],
                 "mu": mu,
             })
         mu = mu_next
         if max(res_views) < tol and res_consensus < tol:
-            names = FIVE_VIEW_ORDER if V == 5 else ()
-            return SelfRepTensor(Z=Zhat, view_names=names)
+            return Zhat
     raise ConvergenceError(
         f"MERA multi-view ADMM did not converge in {max_iter} iterations",
         residuals={"data": max(res_views), "consensus": res_consensus},

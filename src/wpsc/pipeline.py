@@ -9,7 +9,7 @@ import numpy as np
 from .datasets import Dataset, unit_columns
 from .errors import ParameterError
 from .graph import Partition, affinity_from_representation, ipd_threshold, spectral_clustering
-from .mera import FIVE_VIEW_ORDER, SelfRepTensor, mera_mvsc, unify_views
+from .mera import FIVE_VIEW_ORDER, mera_mvsc, unify_views
 from .selection import SelectionTrace, select_subband
 from .solvers import SolverSpec
 from .subspace import assign_multiview_batch, estimate_bases
@@ -26,8 +26,7 @@ class Fit:
     ``subband`` names them: '' for the data, the chosen packet path, or
     'O+A+H+V+D' for the five MERA views. ``selection`` holds the subband
     descent's trace, ``iterations`` and ``tensor`` the MERA per-iteration
-    records and self-representation tensor; each is None for a pipeline
-    that has no such record.
+    records and N x N x V tensor; each is None for a pipeline without one.
     """
 
     part: Partition
@@ -35,7 +34,7 @@ class Fit:
     subband: str = ""
     selection: SelectionTrace | None = None
     iterations: list | None = None
-    tensor: SelfRepTensor | None = None
+    tensor: np.ndarray | None = None
 
     @property
     def labels(self):

@@ -23,6 +23,7 @@ _REQUIRED_PARAMS = {
     "NSN": ("k", "d_max"),
     "RTSC": ("q",),
 }
+_OPTIONAL_PARAMS = {"SSC": ("mode", "affine")}
 
 _DEFAULT_MAX_ITER = {"SSC": 200, "LRR": 500, "NSN": 0, "RTSC": 0}
 
@@ -39,6 +40,11 @@ class SolverSpec:
     def __post_init__(self):
         if self.kind not in _REQUIRED_PARAMS:
             raise ParameterError(f"unknown solver kind {self.kind!r}")
+        unknown = set(self.params) - {*_REQUIRED_PARAMS[self.kind],
+                                      *_OPTIONAL_PARAMS.get(self.kind, ())}
+        if unknown:
+            raise ParameterError(f"{self.kind} takes no parameter(s) "
+                                 f"{sorted(map(str, unknown))}")
         for key in _REQUIRED_PARAMS[self.kind]:
             if key not in self.params:
                 raise ParameterError(f"{self.kind} requires parameter {key!r}")
@@ -90,8 +96,7 @@ def _coherence_floor(G):
     return G.max(axis=2).min(axis=1)
 
 
-def solve_ssc(X, alpha, mode="noise", affine=False, tol=1e-6, max_iter=200,
-              objective_trace=None):
+def solve_ssc(X, alpha, mode="noise", affine=False, tol=1e-6, max_iter=200):
     """Sparse subspace clustering by ADMM, of one matrix or of a stack.
 
     Solves min ||C||_1 + (lam/2) ||X - XC||_F^2 s.t. diag(C) = 0, with
@@ -129,8 +134,6 @@ def solve_ssc(X, alpha, mode="noise", affine=False, tol=1e-6, max_iter=200,
     affine : bool, add the affine-combination constraint.
     tol : float, stop when the primal residual inf-norm drops below this.
     max_iter : int.
-    objective_trace : optional list, for a (D, N) input; per-iteration
-        objective values evaluated at the sparse iterate are appended to it.
 
     Returns
     -------
@@ -144,8 +147,6 @@ def solve_ssc(X, alpha, mode="noise", affine=False, tol=1e-6, max_iter=200,
     if X.ndim != 3 or not X.shape[0]:
         raise ParameterError(f"SSC takes a D x N matrix or a B x D x N stack, "
                              f"got shape {X.shape}")
-    if objective_trace is not None and not single:
-        raise ParameterError("objective_trace needs a single D x N matrix")
     if not np.all(np.isfinite(X)):
         raise ParameterError("SSC input must be finite")
     B, _, N = X.shape
@@ -178,8 +179,7 @@ def solve_ssc(X, alpha, mode="noise", affine=False, tol=1e-6, max_iter=200,
         mu_err = np.sort(np.abs(X).sum(axis=1), axis=1)[:, -2]
         if not mu_err.all():
             raise DegenerateDataError("data has no mass for the outlier term")
-        lam_err = alpha / mu_err
-        err_thr = lam_err[:, None, None] / lam
+        err_thr = (alpha / mu_err)[:, None, None] / lam
         Q = np.matmul(Minv, lam * X.transpose(0, 2, 1))
         E = np.zeros_like(X)
     if affine:
@@ -215,12 +215,6 @@ def solve_ssc(X, alpha, mode="noise", affine=False, tol=1e-6, max_iter=200,
             col_gap = A.sum(axis=1) - 1.0
             w += col_gap
             res = np.maximum(res, np.abs(col_gap).max(axis=1))
-        if objective_trace is not None:  # a single problem, member 0
-            x, c, e = X[0], C[0], E[0] if outlier else 0.0
-            obj = np.abs(c).sum() + 0.5 * lam[0, 0, 0] * np.sum((x - x @ c - e) ** 2)
-            if outlier:
-                obj += lam_err[0] * np.abs(e).sum()
-            objective_trace.append(float(obj))
         done = res < tol
         if it + 1 < max_iter and not done.any():
             continue
@@ -254,7 +248,7 @@ def _shrink_columns(M, tau):
     return M * scale
 
 
-def solve_lrr(X, lam, tol=1e-6, max_iter=500, objective_trace=None):
+def solve_lrr(X, lam, tol=1e-6, max_iter=500):
     """Low-rank representation by inexact ALM.
 
     Solves min ||Z||_* + lam ||E||_{2,1} s.t. X = XZ + E (column-wise
@@ -262,10 +256,6 @@ def solve_lrr(X, lam, tol=1e-6, max_iter=500, objective_trace=None):
     iterate, so trailing singular values of the result are exactly zero.
     Raises ConvergenceError (with the last residuals) if max_iter is
     exhausted or an SVD of the iterate fails to converge.
-
-    If ``objective_trace`` is a list, the original objective evaluated at
-    the feasible point induced by the low-rank iterate (E := X - XJ) is
-    appended each iteration.
     """
     X = np.asarray(X, dtype=np.float64)
     N = X.shape[1]
@@ -297,10 +287,6 @@ def solve_lrr(X, lam, tol=1e-6, max_iter=500, objective_trace=None):
         Y1 += mu * res_data
         Y2 += mu * (Z - J)
         mu = min(mu * rho, mu_max)
-        if objective_trace is not None:
-            nuc = float(np.linalg.svd(J, compute_uv=False).sum())
-            feas = X - X @ J
-            objective_trace.append(nuc + lam * float(np.linalg.norm(feas, axis=0).sum()))
         r1 = np.abs(X - X @ J - E).max()
         r2 = np.abs(Z - J).max()
         if max(r1, r2) < tol:

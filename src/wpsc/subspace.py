@@ -1,7 +1,7 @@
 """Cluster-basis estimation, out-of-sample assignment, and subspace geometry."""
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,14 +12,12 @@ class ClusterModel:
     """Per-cluster mean and orthonormal basis for point-to-subspace tests.
 
     ``bases[c]`` is D x d_c with orthonormal columns; ``dims[c]`` may be
-    smaller than the requested ``d`` when cluster c had too few points
-    (the reduction is recorded in ``reduced``).
+    smaller than the requested ``d`` when cluster c had too few points.
     """
 
     means: np.ndarray          # (C, D)
     bases: list                # C arrays of shape (D, d_c)
     d: int
-    reduced: dict = field(default_factory=dict)
 
     @property
     def C(self):
@@ -42,7 +40,7 @@ def estimate_bases(X, part, d):
     if part.C < 2:
         raise ParameterError("need at least 2 clusters")
     means = np.zeros((part.C, X.shape[0]))
-    bases, reduced = [], {}
+    bases = []
     for c in range(part.C):
         members = part.members(c)
         if members.size == 0:
@@ -53,7 +51,6 @@ def estimate_bases(X, part, d):
         d_c = d
         if members.size < d:
             d_c = min(members.size - 1, X.shape[0])
-            reduced[c] = d_c
             warnings.warn(
                 f"cluster {c} has {members.size} < d={d} points; "
                 f"basis dimension reduced to {d_c}",
@@ -64,7 +61,7 @@ def estimate_bases(X, part, d):
             continue
         U, _, _ = np.linalg.svd(centered, full_matrices=False)
         bases.append(U[:, :d_c])
-    return ClusterModel(means=means, bases=bases, d=d, reduced=reduced)
+    return ClusterModel(means=means, bases=bases, d=d)
 
 
 # columns per block of the distance kernel: about 2**16 doubles (512 KiB)
@@ -134,19 +131,6 @@ def _check_orthonormal(U, tag):
     return U
 
 
-def subspace_affinity(U1, U2):
-    """Affinity between two spans: RMS cosine of the principal angles.
-
-    sqrt(sum_i cos^2(phi_i) / min(d1, d2)); 1 for identical spans, 0 for
-    orthogonal ones.
-    """
-    U1 = _check_orthonormal(U1, "U1")
-    U2 = _check_orthonormal(U2, "U2")
-    if U1.shape[0] != U2.shape[0]:
-        raise ParameterError("bases live in different ambient dimensions")
-    return _affinity(U1, U2)
-
-
 def _affinity(U1, U2):
     s = np.linalg.svd(U1.T @ U2, compute_uv=False)
     val = np.sqrt(np.sum(s ** 2) / min(U1.shape[1], U2.shape[1]))
@@ -154,8 +138,10 @@ def _affinity(U1, U2):
 
 
 def average_affinity(model):
-    """Mean pairwise subspace affinity over all C(C-1)/2 cluster pairs; each
-    basis is checked once, with ``subspace_affinity``'s checks."""
+    """Mean pairwise subspace affinity over all C(C-1)/2 cluster pairs, each
+    basis checked once. The affinity of two spans is the RMS cosine of their
+    principal angles, sqrt(sum_i cos^2(phi_i) / min(d1, d2)): 1 for
+    identical spans, 0 for orthogonal ones."""
     C = model.C
     if C < 2:
         raise ParameterError("need at least 2 clusters")

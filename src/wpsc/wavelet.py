@@ -11,11 +11,9 @@ first letter filters along image rows (height) and the second along
 columns (width).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DepthError, ParameterError, SizeError
+from .errors import ParameterError, SizeError
 
 ALPHABET = "AHVD"
 _SQRT2 = np.sqrt(2.0)
@@ -80,42 +78,13 @@ def haar_synthesis_2d(a, h, v, d, level=1):
     return out / 4.0
 
 
-@dataclass(frozen=True)
-class WaveletPacketSet:
-    """All non-root subband coefficient matrices of a dataset.
-
-    ``nodes`` maps each subband path (string over A/H/V/D, level = length)
-    to a D x N matrix of the same shape as the input; for J levels there
-    are sum_{j=1..J} 4**j nodes, iterated in lexicographic path order.
-    """
-
-    nodes: dict
-    img_h: int
-    img_w: int
-    J: int
-
-    def __getitem__(self, path):
-        if path == "":
-            raise ParameterError("path '' is the original data, not a node")
-        return self.nodes[path]
-
-    def paths(self):
-        return list(self.nodes.keys())
-
-
-def wp_children(wp, path):
-    """The four children of a node, in the fixed order A, H, V, D."""
-    if subband_level(path) >= wp.J:
-        raise DepthError(f"node {path!r} is at max level J={wp.J}")
-    return [path + ch for ch in ALPHABET]
-
-
 def wp_decompose(ds, J):
     """Full wavelet-packet decomposition of a dataset down to level J.
 
     Each column is reshaped to img_h x img_w, recursively filtered (node p
     at level j spawns p+A/H/V/D via level j+1 filters), and re-vectorized
-    into D x N node matrices.
+    into D x N node matrices: a dict from each path (level = length) to its
+    matrix, over the sum_{j=1..J} 4**j nodes in lexicographic path order.
     """
     if J < 1:
         raise ParameterError("J must be >= 1")
@@ -127,12 +96,11 @@ def wp_decompose(ds, J):
             a, h, v, d = haar_analysis_2d(cubes[path], level=j)
             for ch, sub in zip(ALPHABET, (a, h, v, d)):
                 cubes[path + ch] = sub
-    nodes = {
+    return {
         path: cubes[path].reshape(N, D).T
         for path in sorted(cubes)
         if path != ""
     }
-    return WaveletPacketSet(nodes=nodes, img_h=ds.img_h, img_w=ds.img_w, J=J)
 
 
 def node_matrix(ds, path):

@@ -75,7 +75,7 @@ def test_c02_tight_frame_energy():
 def test_c03_node_count():
     ds = make_uos(C=2, d=2, D=64, n=5, seed=103, normalize=False)
     wp = wpsc.wp_decompose(ds, 2)
-    n = len(wp.paths())
+    n = len(wp)
     report(3, n == 20, f"J=2 decomposition yields {n} nodes (expected 20)")
 
 
@@ -219,7 +219,8 @@ def test_c10_geometry():
         e = np.eye(3)
         U1 = e[:, :2]
         U2 = np.column_stack([e[:, 0], (e[:, 1] + e[:, 2]) / np.sqrt(2)])
-        hand = wpsc.subspace_affinity(U1, U2)
+        hand = wpsc.average_affinity(wpsc.ClusterModel(means=np.zeros((2, 3)),
+                                                       bases=[U1, U2], d=2))
         hand_ok = abs(hand - np.sqrt(1.5 / 2.0)) <= 1e-12
         angles = np.linspace(0.0, 90.0, 181)
         round_trip = max(abs(wpsc.mean_principal_angle(np.cos(np.radians(a))) - a)

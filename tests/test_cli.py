@@ -401,6 +401,7 @@ class TestRun:
         plain = (tmp_path / "plain" / "labels.csv").read_bytes()
         assert plain == (tmp_path / "export" / "labels.csv").read_bytes()
         assert len(plain.split()) == 36
+        assert not list((tmp_path / "plain").glob("*.wpsc"))  # bundles only with the flag
 
     def test_export_bundles(self, tmp_path):
         synth_bundle(tmp_path, n_per_cluster=15)
@@ -523,6 +524,22 @@ class TestErrorExits:
         cfg_path.write_text(json.dumps(cfg))
         assert main(["run", "--config", str(cfg_path)]) == 2
 
+    @pytest.mark.parametrize("overrides,typo", [
+        ({"solver": {"kind": "SSC", "params": {"alpha": 10, "mdoe": "outlier"}}}, "mdoe"),
+        ({"solver": {"kind": "RTSC", "params": {"q": 4}},
+          "grid": {"values": {"qq": [3, 5]}, "n_val_subsets": 2,
+                   "val_size_per_cluster": 6}}, "qq"),
+        ({"split": {"in_fractoin": 0.5}}, "in_fractoin"),
+        ({"pipeline": "wp-mera", "mera": {"lambda": 10, "R": 12, "max_itr": 5}}, "max_itr"),
+    ], ids=["solver", "grid", "split", "mera"])
+    def test_nested_typo_exits_2_before_any_work(self, tmp_path, overrides, typo):
+        # each misspelt key once ran with the default in its place
+        synth_bundle(tmp_path)
+        with pytest.raises(ConfigError, match=typo):
+            ExperimentConfig.from_dict(base_config(tmp_path, **overrides))
+        assert main(_run_argv(tmp_path, **overrides)) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_bad_bundle_exits_3(self, tmp_path):
         bad = tmp_path / "bad.wpsc"
         bad.write_bytes(b"garbage")
@@ -611,6 +628,9 @@ BAD_INPUTS = {
     "param-not-number": (2, lambda t, y: [
         "cluster", "--data", str(t / "data.wpsc"), "--solver", "SSC",
         "--param", "alpha=abc", "--out-dir", str(t / "c")]),
+    "param-typo": (2, lambda t, y: [
+        "cluster", "--data", str(t / "data.wpsc"), "--solver", "SSC", "--param", "alpha=10",
+        "--param", "mdoe=outlier", "--out-dir", str(t / "c")]),
 }
 
 

@@ -211,8 +211,10 @@ def blobs(seed, k, dim, n_per, spread):
 
 
 def library_restart(points, k, seed, r, max_iter):
-    """Restart r of ``kmeans(points, k, seed)``: the batched seeding of
-    restarts 0..r, then restart r's Lloyd loop as a group of one."""
+    """Restart r of ``kmeans(points, k, seed)`` on column-major ``points``:
+    the batched seeding of restarts 0..r, then restart r's Lloyd loop as a
+    group of one."""
+    assert points.flags.f_contiguous  # the layout kmeans passes
     centers, dists = graph_mod._plusplus_seeds(points, k, seed, r + 1)
     labels, inertia = graph_mod._lloyd_group(points, centers[r:], dists[r:], max_iter)
     return labels[0], inertia[0]
@@ -227,7 +229,7 @@ class TestKmeans:
         (0, 3, 2, 0.1), (1, 5, 4, 0.5), (2, 20, 20, 0.3), (3, 4, 3, 2.0),
     ])
     def test_matches_loop_reference(self, seed, k, dim, spread):
-        pts = blobs(seed, k, dim, 15, spread)
+        pts = np.asfortranarray(blobs(seed, k, dim, 15, spread))
         for r in range(3):
             got = library_restart(pts, k, 0, r, 300)
             want = reference_kmeans_once(pts, k, np.random.default_rng(r), 300)
@@ -242,7 +244,7 @@ class TestKmeans:
         # 4 distinct points repeated 6 times each, k = 6: k-means++ picks
         # duplicate centers and the ties leave clusters empty
         rng = np.random.default_rng(7)
-        pts = np.repeat(rng.standard_normal((4, 3)), 6, axis=0)
+        pts = np.asfortranarray(np.repeat(rng.standard_normal((4, 3)), 6, axis=0))
         repairs = []
         real = graph_mod._repair_empty
 
@@ -269,21 +271,22 @@ class TestKmeans:
     def test_matches_reference_property(self, n, k, dim, seed, restarts,
                                         distinct, max_iter, order):
         # distinct > 0 draws the points from that many rows, so the seeding
-        # runs out of mass and takes its integers(n) branch
+        # runs out of mass and takes its integers(n) branch; the Lloyd loop
+        # takes column-major points, as kmeans passes them
         k = min(k, n)
         rng = np.random.default_rng(seed)
         pts = rng.standard_normal((n, dim))
         if distinct:
             pts = pts[rng.integers(distinct, size=n) % n]
-        pts = np.asarray(pts, order=order)
-        centers, dists = graph_mod._plusplus_seeds(pts, k, seed, restarts)
+        pts, cols = np.asarray(pts, order=order), np.asfortranarray(pts)
+        centers, dists = graph_mod._plusplus_seeds(cols, k, seed, restarts)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             # all restarts in one lockstep group
-            labels, inertias = graph_mod._lloyd_group(pts, centers, dists, max_iter)
+            labels, inertias = graph_mod._lloyd_group(cols, centers, dists, max_iter)
             for r in range(restarts):
                 want = reference_kmeans_once(
-                    pts, k, np.random.default_rng(seed + r), max_iter)
+                    cols, k, np.random.default_rng(seed + r), max_iter)
                 assert np.array_equal(labels[r], want[0])
                 assert same_inertia(inertias[r], want[1])
             assert np.array_equal(
@@ -335,7 +338,7 @@ class TestKmeans:
         assert ties == rows // 2
 
     def test_first_lloyd_step_uses_seeded_distances(self):
-        pts = blobs(4, 3, 2, 10, 0.1)
+        pts = np.asfortranarray(blobs(4, 3, 2, 10, 0.1))
         n = pts.shape[0]
         centers, dists = graph_mod._plusplus_seeds(pts, 3, 0, 2)
         for r in range(2):  # the Lloyd step's own distance formula, bit for bit
@@ -395,8 +398,7 @@ class TestKmeans:
             one = graph_mod._lloyd_group(pts, centers[r:r + 1].copy(), dists[r:r + 1], 300)
             assert np.array_equal(labels[r], one[0][0]) and inertias[r] == one[1][0], r
 
-    @pytest.mark.parametrize("order", "CF")
-    def test_near_ties_are_ranked_exactly(self, order, monkeypatch):
+    def test_near_ties_are_ranked_exactly(self, monkeypatch):
         # six points 1e-15 apart on a line, each the start center of its own
         # cluster: a point's squared distances to the six centers differ by
         # less than 1e-28 and one of them is 0 (the center it coincides
@@ -406,7 +408,7 @@ class TestKmeans:
         rng = np.random.default_rng(5)
         base = np.array([0.6, 0.8, 0.0, 0.0])
         dups = base + 1e-15 * np.arange(6)[:, None] * np.array([0.0, 0.0, 1.0, -1.0])
-        pts = np.asarray(np.vstack([blobs(2, 3, 4, 8, 0.05) + 3.0, dups]), order=order)
+        pts = np.asfortranarray(np.vstack([blobs(2, 3, 4, 8, 0.05) + 3.0, dups]))
         n = len(pts)
         starts = np.stack([pts[np.r_[[0, 1, 2], n - 6 + rng.permutation(6)]]
                            for _ in range(4)])

@@ -181,6 +181,14 @@ def reference_solve_ssc(X, alpha, mode="noise", affine=False, tol=1e-6, max_iter
     return C
 
 
+def assert_ssc_iterations(n, X, *args, **kw):
+    """``solve_ssc(X, *args, **kw)`` runs exactly n iterations: stopped
+    after n it returns its result, stopped after n - 1 it does not."""
+    full = solve_ssc(X, *args, **kw)
+    assert np.array_equal(solve_ssc(X, *args, max_iter=n, **kw), full)
+    assert not np.array_equal(solve_ssc(X, *args, max_iter=n - 1, **kw), full)
+
+
 def striped_images(C=4, d=4, n=12, side=32, seed=0):
     """Unit-norm unions of subspaces on side x side images plus per-image
     stripes (-1)^i a_j + (-1)^j b_i at twice the signal norm: ambient SSC
@@ -207,13 +215,6 @@ class TestSscMatchesReference:
 
     MODES = [("noise", False), ("noise", True), ("outlier", False)]
 
-    @staticmethod
-    def _pair(X, mode, affine):
-        got_trace, want_trace = [], []
-        got = solve_ssc(X, 10.0, mode=mode, affine=affine, objective_trace=got_trace)
-        want = reference_solve_ssc(X, 10.0, mode=mode, affine=affine,
-                                   objective_trace=want_trace)
-        return got, want, len(got_trace), len(want_trace)
 
     @pytest.mark.parametrize("mode,affine", MODES)
     @pytest.mark.parametrize("case", ["uos-noisy", "striped-A", "striped-root"])
@@ -225,8 +226,10 @@ class TestSscMatchesReference:
             ds = striped_images(seed=1)
             X = ds.data if case == "striped-root" else node_matrix(ds, "A")
             X = X / np.linalg.norm(X, axis=0)
-        got, want, n_got, n_want = self._pair(X, mode, affine)
-        assert n_got == n_want
+        trace = []
+        got = solve_ssc(X, 10.0, mode=mode, affine=affine)
+        want = reference_solve_ssc(X, 10.0, mode=mode, affine=affine, objective_trace=trace)
+        assert_ssc_iterations(len(trace), X, 10.0, mode=mode, affine=affine)
         assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
         assert np.all(np.diag(got) == 0.0)
 
@@ -302,18 +305,16 @@ class TestSscStack:
     @pytest.mark.parametrize("mode,affine", MODES)
     def test_batch_of_one_is_the_matrix_call(self, mode, affine):
         X = self._members()[1]
-        got_trace, want_trace = [], []
-        lone = solve_ssc(X, 10.0, mode=mode, affine=affine, objective_trace=got_trace)
+        trace = []
+        lone = solve_ssc(X, 10.0, mode=mode, affine=affine)
         want = fused_reference_solve_ssc(X, 10.0, mode=mode, affine=affine,
-                                         objective_trace=want_trace)
+                                         objective_trace=trace)
         assert lone.shape == (48, 48) and np.array_equal(lone, want)
-        assert len(got_trace) == len(want_trace)
+        assert_ssc_iterations(len(trace), X, 10.0, mode=mode, affine=affine)
         assert np.array_equal(solve_ssc(X[None], 10.0, mode=mode, affine=affine)[0], lone)
 
     def test_stack_input_checks(self):
         X = self._members()[0]
-        with pytest.raises(ParameterError, match="objective_trace"):
-            solve_ssc(np.stack([X, X]), 10.0, objective_trace=[])
         with pytest.raises(ParameterError):
             solve_ssc(np.empty((0, 48, 48)), 10.0)
         with pytest.raises(DegenerateDataError):
@@ -410,9 +411,11 @@ class TestSsc:
             solve_ssc(np.eye(4), 10.0)
 
     def test_objective_non_increasing(self):
+        # the objective of the reference loop, whose iterates are the library's
         ds = make_uos(C=5, d=5, D=100, n=20, sigma=0.3, seed=0)
         trace = []
-        solve_ssc(ds.data, 10.0, objective_trace=trace)
+        want = fused_reference_solve_ssc(ds.data, 10.0, objective_trace=trace)
+        assert np.array_equal(solve_ssc(ds.data, 10.0), want)
         trace = np.asarray(trace)
         assert np.all(np.diff(trace) <= 1e-8 * np.maximum(1.0, trace[:-1]))
 
@@ -473,6 +476,14 @@ def reference_solve_lrr(X, lam, tol=1e-6, max_iter=500, objective_trace=None):
     )
 
 
+def assert_lrr_iterations(n, X, *args, **kw):
+    """``solve_lrr(X, *args, **kw)`` converges in exactly n iterations: it
+    returns with ``max_iter=n`` and raises with ``max_iter=n - 1``."""
+    solve_lrr(X, *args, max_iter=n, **kw)
+    with pytest.raises(ConvergenceError):
+        solve_lrr(X, *args, max_iter=n - 1, **kw)
+
+
 class TestLrr:
     def _low_rank_data(self, seed, D=30, N=40, r=3):
         rng = np.random.default_rng(seed)
@@ -488,10 +499,10 @@ class TestLrr:
             X, lam = make_uos(C=3, d=3, D=40, n=15, sigma=0.1, seed=1).data, 1.0
         else:
             X, lam = make_uos(C=4, d=2, D=30, n=12, sigma=0.3, seed=2).data, 0.3
-        got_trace, want_trace = [], []
-        got = solve_lrr(X, lam, objective_trace=got_trace)
-        want = reference_solve_lrr(X, lam, objective_trace=want_trace)
-        assert len(got_trace) == len(want_trace)
+        trace = []
+        got = solve_lrr(X, lam)
+        want = reference_solve_lrr(X, lam, objective_trace=trace)
+        assert_lrr_iterations(len(trace), X, lam)
         assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
 
     def test_noiseless_closed_form(self):
@@ -555,18 +566,22 @@ class TestLrr:
                "near convergence; strict 1e-8-slack monotonicity is unattainable",
         strict=True)
     def test_objective_non_increasing_strict(self):
+        # the objective of the reference loop, whose iterates match the
+        # library's on this input (test_objective_decreasing_envelope, seed 0)
         X, _ = self._low_rank_data(0)
         trace = []
-        solve_lrr(X, 10.0, objective_trace=trace)
+        reference_solve_lrr(X, 10.0, objective_trace=trace)
         trace = np.asarray(trace)
         assert np.all(np.diff(trace) <= 1e-8 * np.maximum(1.0, trace[:-1]))
 
     def test_objective_decreasing_envelope(self):
-        # what actually holds: decay within a small multiplicative envelope
+        # what actually holds: decay within a small multiplicative envelope,
+        # on the objective of the reference loop, whose iterates match the library's
         for seed in range(3):
             X, _ = self._low_rank_data(seed)
             trace = []
-            solve_lrr(X, 10.0, objective_trace=trace)
+            want = reference_solve_lrr(X, 10.0, objective_trace=trace)
+            assert np.abs(solve_lrr(X, 10.0) - want).max() <= 1e-11 * np.abs(want).max()
             trace = np.asarray(trace)
             running_min = np.minimum.accumulate(trace)
             assert np.all(trace <= 1.01 * running_min + 1e-12)
@@ -680,6 +695,17 @@ class TestSolverSpec:
             SolverSpec("LRR", {"lambda": -1})
         with pytest.raises(ParameterError):
             SolverSpec("BOGUS", {})
+
+    @pytest.mark.parametrize("kind,params", [
+        ("SSC", {"alpha": 10, "mdoe": "outlier"}),
+        ("LRR", {"lambda": 1.0, "alpha": 10}),
+        ("NSN", {"k": 4, "d_max": 2, "q": 3}),
+        ("RTSC", {"q": 4, "qq": 3}),
+    ])
+    def test_unknown_params_rejected(self, kind, params):
+        # a misspelt key once fell back to the default silently
+        with pytest.raises(ParameterError, match="takes no parameter"):
+            SolverSpec(kind, params)
 
     def test_dispatch(self, tiny_two_lines):
         X, _ = tiny_two_lines

@@ -12,7 +12,6 @@ from wpsc.subspace import (
     average_affinity,
     estimate_bases,
     mean_principal_angle,
-    subspace_affinity,
     subspace_distances,
 )
 from wpsc.wavelet import node_matrix
@@ -81,8 +80,7 @@ class TestEstimateBases:
         part = Partition(labels=np.array([0, 0, 0, 1, 1, 1]), C=2)
         with pytest.warns(UserWarning, match="reduced"):
             model = estimate_bases(X, part, 5)
-        assert model.dims[0] == 2  # 3 points -> at most size-1 dimensions
-        assert 0 in model.reduced
+        assert model.dims[0] == 2 < model.d  # 3 points -> at most size-1 dimensions
 
     def test_true_partition_residuals(self):
         ds = make_uos(C=4, d=3, D=40, n=12, seed=1)
@@ -225,15 +223,22 @@ class TestAssignOosMultiview:
         assert labels.dtype == np.int64 and labels.shape == (0,)
 
 
+def pair_affinity(U1, U2):
+    """The affinity of two spans: ``average_affinity`` of a two-basis model."""
+    model = wpsc.ClusterModel(means=np.zeros((2, U1.shape[0])), bases=[U1, U2],
+                              d=U1.shape[1])
+    return average_affinity(model)
+
+
 class TestSubspaceAffinity:
     def test_identical_spans(self):
         rng = np.random.default_rng(8)
         U = orth(rng, 6, 2)
-        assert subspace_affinity(U, U) == pytest.approx(1.0, abs=1e-12)
+        assert pair_affinity(U, U) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_spans(self):
         e = np.eye(6)
-        assert subspace_affinity(e[:, :2], e[:, 2:4]) == pytest.approx(0.0,
+        assert pair_affinity(e[:, :2], e[:, 2:4]) == pytest.approx(0.0,
                                                                        abs=1e-12)
 
     def test_hand_computed_case(self):
@@ -242,19 +247,19 @@ class TestSubspaceAffinity:
         U1 = e[:, :2]
         U2 = np.column_stack([e[:, 0], (e[:, 1] + e[:, 2]) / np.sqrt(2)])
         expect = np.sqrt((1.0 + 0.5) / 2.0)  # 0.8660254037844386
-        assert subspace_affinity(U1, U2) == pytest.approx(expect, abs=1e-12)
+        assert pair_affinity(U1, U2) == pytest.approx(expect, abs=1e-12)
 
     def test_symmetry_and_rotation_invariance(self):
         rng = np.random.default_rng(9)
         U1, U2 = orth(rng, 8, 3), orth(rng, 8, 2)
-        a = subspace_affinity(U1, U2)
-        assert subspace_affinity(U2, U1) == pytest.approx(a, abs=1e-12)
+        a = pair_affinity(U1, U2)
+        assert pair_affinity(U2, U1) == pytest.approx(a, abs=1e-12)
         Q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
-        assert subspace_affinity(U1 @ Q, U2) == pytest.approx(a, abs=1e-10)
+        assert pair_affinity(U1 @ Q, U2) == pytest.approx(a, abs=1e-10)
 
     def test_non_orthonormal_rejected(self):
         with pytest.raises(ParameterError):
-            subspace_affinity(np.ones((4, 2)), np.eye(4)[:, :2])
+            pair_affinity(np.ones((4, 2)), np.eye(4)[:, :2])
 
 
 class TestAverageAffinity:
@@ -262,8 +267,9 @@ class TestAverageAffinity:
         rng = np.random.default_rng(10)
         U1, U2 = orth(rng, 7, 2), orth(rng, 7, 2)
         model = wpsc.ClusterModel(means=np.zeros((2, 7)), bases=[U1, U2], d=2)
+        cosines = np.linalg.svd(U1.T @ U2, compute_uv=False)
         assert average_affinity(model) == pytest.approx(
-            subspace_affinity(U1, U2), abs=1e-14)
+            np.sqrt(np.sum(cosines ** 2) / 2), abs=1e-14)
 
     def test_identical_bases(self):
         U = np.eye(5)[:, :2]
@@ -282,7 +288,7 @@ class TestAverageAffinity:
         rng = np.random.default_rng(11)
         bases = [orth(rng, 8, 2) for _ in range(5)]
         model = wpsc.ClusterModel(means=np.zeros((5, 8)), bases=bases, d=2)
-        pairs = [subspace_affinity(bases[i], bases[j])
+        pairs = [pair_affinity(bases[i], bases[j])
                  for i in range(4) for j in range(i + 1, 5)]
         checked = []
         real = subspace_mod._check_orthonormal

@@ -3,12 +3,11 @@ import pytest
 
 from wpsc.bundle import load_bundle, save_bundle
 from wpsc.datasets import Dataset, UosSpec, generate_uos
-from wpsc.errors import DepthError, SizeError
+from wpsc.errors import SizeError
 from wpsc.wavelet import (
     haar_analysis_2d,
     haar_synthesis_2d,
     node_matrix,
-    wp_children,
     wp_decompose,
 )
 
@@ -96,8 +95,8 @@ class TestWpDecompose:
     def test_node_count_j2(self):
         ds = generate_uos(UosSpec(C=2, d=1, D=64, n_per_cluster=3, seed=0))
         wp = wp_decompose(ds, 2)
-        assert len(wp.paths()) == 20
-        assert sorted(wp.paths()) == wp.paths()  # lexicographic order
+        assert len(wp) == 20
+        assert sorted(wp) == list(wp)  # lexicographic order
 
     def test_constant_images(self):
         data = np.ones((16, 5)) * 2.0
@@ -111,14 +110,14 @@ class TestWpDecompose:
         ds = generate_uos(UosSpec(C=3, d=2, D=64, n_per_cluster=10, seed=1))
         rank = np.linalg.matrix_rank(ds.data, tol=1e-8)
         wp = wp_decompose(ds, 2)
-        for path in wp.paths():
+        for path in wp:
             node_rank = np.linalg.matrix_rank(wp[path], tol=1e-8)
             assert node_rank <= rank
 
     def test_shape_preserved(self):
         ds = generate_uos(UosSpec(C=2, d=2, D=36, n_per_cluster=4, seed=2))
         wp = wp_decompose(ds, 2)
-        for path in wp.paths():
+        for path in wp:
             assert wp[path].shape == ds.data.shape
 
     def test_linearity(self):
@@ -130,7 +129,7 @@ class TestWpDecompose:
         dY = Dataset(data=Y, img_h=4, img_w=4)
         dXY = Dataset(data=a * X + b * Y, img_h=4, img_w=4)
         wx, wy, wxy = (wp_decompose(d, 2) for d in (dX, dY, dXY))
-        for path in wxy.paths():
+        for path in wxy:
             combo = a * wx[path] + b * wy[path]
             assert np.abs(wxy[path] - combo).max() <= 1e-12
 
@@ -138,8 +137,8 @@ class TestWpDecompose:
         # path-only filtering runs the decomposition's passes in its order
         ds = generate_uos(UosSpec(C=2, d=2, D=64, n_per_cluster=4, seed=4))
         wp = wp_decompose(ds, 3)
-        assert len(wp.paths()) == 4 + 16 + 64
-        for path in wp.paths():
+        assert len(wp) == 4 + 16 + 64
+        for path in wp:
             assert np.array_equal(node_matrix(ds, path), wp[path]), path
         assert np.array_equal(node_matrix(ds, ""), ds.data)
 
@@ -164,17 +163,3 @@ class TestWpDecompose:
             a, h, v, d = haar_analysis_2d(img, 1)
             assert np.allclose(wp["A"][:, n], a.reshape(-1), atol=1e-14)
             assert np.allclose(wp["D"][:, n], d.reshape(-1), atol=1e-14)
-
-
-class TestWpChildren:
-    def test_root_children(self):
-        ds = generate_uos(UosSpec(C=2, d=1, D=16, n_per_cluster=3, seed=0))
-        wp = wp_decompose(ds, 2)
-        assert wp_children(wp, "") == ["A", "H", "V", "D"]
-        assert wp_children(wp, "A") == ["AA", "AH", "AV", "AD"]
-
-    def test_leaf_raises_depth_error(self):
-        ds = generate_uos(UosSpec(C=2, d=1, D=16, n_per_cluster=3, seed=0))
-        wp = wp_decompose(ds, 2)
-        with pytest.raises(DepthError):
-            wp_children(wp, "AA")
