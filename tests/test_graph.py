@@ -398,17 +398,21 @@ class TestKmeans:
             one = graph_mod._lloyd_group(pts, centers[r:r + 1].copy(), dists[r:r + 1], 300)
             assert np.array_equal(labels[r], one[0][0]) and inertias[r] == one[1][0], r
 
-    def test_near_ties_are_ranked_exactly(self, monkeypatch):
+    @pytest.mark.parametrize("order", "CF")
+    def test_near_ties_are_ranked_exactly(self, order, monkeypatch):
         # six points 1e-15 apart on a line, each the start center of its own
         # cluster: a point's squared distances to the six centers differ by
         # less than 1e-28 and one of them is 0 (the center it coincides
         # with), far below the rounding of the GEMM ranking, so only the
         # exact re-rank finds its own center; three blobs besides make
-        # ordinary clusters whose rows need no re-rank
+        # ordinary clusters whose rows need no re-rank. The exact distances
+        # add the coordinates in the same order whatever the layout of the
+        # points, so both layouts reach the column-major reference.
         rng = np.random.default_rng(5)
         base = np.array([0.6, 0.8, 0.0, 0.0])
         dups = base + 1e-15 * np.arange(6)[:, None] * np.array([0.0, 0.0, 1.0, -1.0])
-        pts = np.asfortranarray(np.vstack([blobs(2, 3, 4, 8, 0.05) + 3.0, dups]))
+        cols = np.asfortranarray(np.vstack([blobs(2, 3, 4, 8, 0.05) + 3.0, dups]))
+        pts = np.asarray(cols, order=order)
         n = len(pts)
         starts = np.stack([pts[np.r_[[0, 1, 2], n - 6 + rng.permutation(6)]]
                            for _ in range(4)])
@@ -421,7 +425,7 @@ class TestKmeans:
                             or real(points, centers, r, *args))
         labels, inertias = graph_mod._lloyd_group(pts, starts.copy(), d2, 300)
         for r in range(len(starts)):
-            want = reference_lloyd(pts, starts[r], 300)
+            want = reference_lloyd(cols, starts[r], 300)
             assert np.array_equal(labels[r], want[0]) and inertias[r] == want[1], r
         assert sum(reranked) >= 6 * len(starts)
         assert sum(reranked) < n * len(starts)  # the blob rows are not re-ranked
