@@ -35,7 +35,9 @@ class Dataset:
     Invariants enforced on construction: D == img_h * img_w, finite
     entries, and (if present) labels in {0..C-1} with every cluster
     nonempty. Instances are immutable; the underlying arrays are marked
-    read-only so they can be shared across threads.
+    read-only so they can be shared across threads. A contiguous float64
+    matrix that no one can write (see :func:`_sealed`) is kept as it is;
+    any other ``data`` is copied, and the caller's array is left untouched.
     """
 
     data: np.ndarray
@@ -45,7 +47,10 @@ class Dataset:
     name: str = ""
 
     def __post_init__(self):
-        data = np.array(self.data, dtype=np.float64)
+        data = self.data
+        if not _sealed(data):
+            data = np.array(data, dtype=np.float64)
+            data.setflags(write=False)
         if data.ndim != 2:
             raise ConsistencyError("data must be a 2-D (D x N) matrix")
         if self.img_h <= 0 or self.img_w <= 0:
@@ -56,7 +61,6 @@ class Dataset:
             )
         if not np.all(np.isfinite(data)):
             raise ConsistencyError("data contains NaN or Inf entries")
-        data.setflags(write=False)
         object.__setattr__(self, "data", data)
         if self.labels is not None:
             labels = np.array(self.labels, dtype=np.int64)
@@ -94,6 +98,31 @@ class Dataset:
         """Copy of this dataset with the matrix replaced, metadata kept."""
         return Dataset(data=data, img_h=self.img_h, img_w=self.img_w,
                        labels=self.labels, name=self.name if name is None else name)
+
+
+def _sealed(a):
+    """Whether ``a`` is a C- or F-contiguous float64 ndarray that no one
+    can write: it and every array it views are read-only, and the chain of
+    views ends in memory it owns or in a ``bytes`` object."""
+    if not (type(a) is np.ndarray and a.dtype == np.float64
+            and (a.flags.c_contiguous or a.flags.f_contiguous)):
+        return False
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        if a.base is None:
+            return True
+        a = a.base
+    return isinstance(a, bytes)
+
+
+def _seal(a):
+    """Mark a freshly made array, and every array it views, read-only."""
+    view = a
+    while isinstance(view, np.ndarray):
+        view.setflags(write=False)
+        view = view.base
+    return a
 
 
 @dataclass(frozen=True)
@@ -167,7 +196,7 @@ def generate_uos(spec):
         if spec.noise_sigma > 0:
             block = block + noise_scale * rng.standard_normal(block.shape)
         blocks.append(block)
-    data = np.hstack(blocks)
+    data = _seal(np.hstack(blocks))
     labels = np.repeat(np.arange(spec.C), spec.n_per_cluster)
     img_h, img_w = most_square_shape(spec.D)
     name = f"uos_C{spec.C}_d{spec.d}_D{spec.D}_s{spec.seed}"
@@ -200,7 +229,7 @@ def load_idx(images_path, labels_path=None, name=None):
     column via row-major vectorization.
     """
     (n_images, rows, cols), pixels = _read_idx(images_path, IDX_IMAGES_MAGIC, 3)
-    data = pixels.reshape(n_images, rows * cols).T.astype(np.float64) / 255.0
+    data = _seal(pixels.reshape(n_images, rows * cols).T.astype(np.float64) / 255.0)
     labels = None
     if labels_path is not None:
         (n_labels,), raw_labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1)
@@ -288,7 +317,7 @@ def load_pgm_dir(directory, class_from, name=None):
                 f"{p.name}: file name does not match class regex {class_from!r}"
             ) from None
         images.append(img.reshape(-1))
-    data = np.stack(images, axis=1)
+    data = _seal(np.stack(images, axis=1))
     labels = _relabel(np.asarray(raw_labels, dtype=np.int64), directory)
     if name is None:
         name = directory.name
@@ -297,13 +326,13 @@ def load_pgm_dir(directory, class_from, name=None):
 
 def unit_columns(X):
     """Column-normalize a raw matrix, or each member of a B x D x N stack;
-    zero columns are an error."""
+    zero columns are an error. The result is read-only."""
     X = np.asarray(X, dtype=np.float64)
     norms = np.linalg.norm(X, axis=-2, keepdims=True)
-    zero = np.flatnonzero((norms == 0.0).reshape(-1, X.shape[-1]).any(axis=0))
-    if zero.size:
-        raise DegenerateColumnError(f"zero column(s) at indices {zero[:8].tolist()}")
-    return X / norms
+    zero = np.flatnonzero((norms == 0.0).reshape(-1, X.shape[-1]).any(axis=0))[:8].tolist()
+    if zero:
+        raise DegenerateColumnError(f"zero column(s) at indices {zero}", zero)
+    return _seal(X / norms)
 
 
 def column_normalize(ds):
@@ -344,5 +373,5 @@ def split(ds, spec):
 def _take(ds, idx, tag):
     labels = None if ds.labels is None else ds.labels[idx]
     name = f"{ds.name}[{tag}]" if ds.name else tag
-    return Dataset(data=ds.data[:, idx], img_h=ds.img_h, img_w=ds.img_w,
+    return Dataset(data=_seal(ds.data[:, idx]), img_h=ds.img_h, img_w=ds.img_w,
                    labels=labels, name=name)

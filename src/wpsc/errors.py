@@ -43,7 +43,14 @@ class EmptyInputError(DataError):
 
 
 class DegenerateColumnError(DataError):
-    """A data column is identically zero and cannot be normalized."""
+    """A data column is identically zero and cannot be normalized.
+
+    ``columns`` holds the indices of up to eight zero columns.
+    """
+
+    def __init__(self, message, columns=()):
+        super().__init__(message)
+        self.columns = list(columns)
 
 
 class DegenerateDataError(DataError):

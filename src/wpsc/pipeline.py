@@ -6,13 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import Dataset, unit_columns
-from .errors import ParameterError
+from .datasets import Dataset, _seal, unit_columns
+from .errors import DegenerateColumnError, ParameterError
 from .graph import Partition, affinity_from_representation, ipd_threshold, spectral_clustering
 from .mera import FIVE_VIEW_ORDER, mera_mvsc, unify_views
 from .selection import SelectionTrace, select_subband
 from .solvers import SolverSpec
-from .subspace import assign_multiview_batch, estimate_bases
+from .subspace import assign_multiview_batch, block_width, estimate_bases
 from .wavelet import haar_analysis_2d, node_matrix
 
 _FIVE_VIEWS = "+".join(FIVE_VIEW_ORDER)
@@ -46,10 +46,30 @@ class Fit:
 
     def assign(self, ds, models):
         """Labels of the points of ``ds``: the nearest subspace over views
-        built the way the in-sample views were, one model per view."""
-        views = (five_views(ds) if self.subband == _FIVE_VIEWS
-                 else [unit_columns(node_matrix(ds, self.subband))])
-        return assign_multiview_batch(views, models)
+        built the way the in-sample views were, one model per view.
+
+        The points stream through in column-major blocks of
+        :func:`block_width` columns: each block's views are built, normalized
+        and measured, and only its labels are kept. The labels equal those of
+        one pass over the column-major ``ds.data``, whatever its layout.
+        """
+        step, labels = block_width(ds.D), []
+        for start in range(0, max(ds.N, 1), step):  # an empty ds is one block
+            # numpy sums the norm of a lone row-major column in another order
+            # than the columns of a wider block; column-major blocks agree
+            block = _seal(np.asfortranarray(ds.data[:, start:start + step]))
+            try:  # one block's views are alive at a time
+                labels.append(assign_multiview_batch(
+                    self._views(Dataset(data=block, img_h=ds.img_h, img_w=ds.img_w)), models))
+            except DegenerateColumnError as exc:
+                zero = [start + i for i in exc.columns]
+                raise DegenerateColumnError(f"zero column(s) at indices {zero}", zero) from None
+        return np.concatenate(labels)
+
+    def _views(self, ds):
+        """The views of ``ds`` built the way the in-sample views were."""
+        return (five_views(ds) if self.subband == _FIVE_VIEWS
+                else [unit_columns(node_matrix(ds, self.subband))])
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .datasets import _seal
 from .errors import ParameterError, SplitError
 from .metrics import evaluate
 from .wavelet import ALPHABET, node_matrix
@@ -159,18 +160,14 @@ def grid_search(ds, grid, make_pipeline):
         raise ParameterError("grid search needs labels")
     subsets = stratified_subsets(ds.labels, grid.n_val_subsets,
                                  grid.val_size_per_cluster, grid.seed)
-    C = ds.C
-    table = []
-    best_params, best_mean = None, -np.inf
-    for params in grid.points():
-        pipeline = make_pipeline(params)
-        accs = []
-        for s, idx in enumerate(subsets):
-            pred = pipeline.run(ds.data[:, idx], C, seed=grid.seed + s)
-            accs.append(evaluate(ds.labels[idx], pred).acc)
-        mean_acc = float(np.mean(accs))
-        table.append({"params": dict(params), "mean_acc": mean_acc,
-                      "accs": accs})
-        if mean_acc > best_mean:
-            best_params, best_mean = dict(params), mean_acc
-    return best_params, table
+    C, points = ds.C, list(grid.points())
+    pipelines = [make_pipeline(params) for params in points]
+    accs = [[] for _ in points]
+    for s, idx in enumerate(subsets):  # each subset's columns are taken once
+        X, truth = _seal(ds.data[:, idx]), ds.labels[idx]
+        for pipeline, point_accs in zip(pipelines, accs):
+            point_accs.append(evaluate(truth, pipeline.run(X, C, seed=grid.seed + s)).acc)
+    table = [{"params": dict(params), "mean_acc": float(np.mean(point_accs)),
+              "accs": point_accs} for params, point_accs in zip(points, accs)]
+    best = max(table, key=lambda row: row["mean_acc"])  # the first of equal means
+    return dict(best["params"]), table

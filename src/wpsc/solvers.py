@@ -52,6 +52,11 @@ class SolverSpec:
             if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
                 raise ParameterError(f"{self.kind} parameter {key!r} must be positive "
                                      f"and finite, got {value!r}")
+        if not isinstance(self.params.get("affine", False), bool):
+            raise ParameterError(f"SSC parameter 'affine' must be true or false, "
+                                 f"got {self.params['affine']!r}")
+        if self.params.get("mode", "noise") not in ("noise", "outlier"):
+            raise ParameterError(f"unknown SSC mode {self.params['mode']!r}")
         if self.kind == "NSN" and self.params["d_max"] > self.params["k"]:
             raise ParameterError("NSN needs d_max <= k")
         if not (isinstance(self.tol, numbers.Real) and 0 < self.tol < math.inf):
@@ -72,7 +77,7 @@ class SolverSpec:
         p = self.params
         if self.kind == "SSC":
             return solve_ssc(X, p["alpha"], mode=p.get("mode", "noise"),
-                             affine=bool(p.get("affine", False)),
+                             affine=p.get("affine", False),
                              tol=self.tol, max_iter=self.max_iter)
         if self.kind == "LRR":
             one = lambda x: solve_lrr(x, p["lambda"], tol=self.tol, max_iter=self.max_iter)

@@ -60,13 +60,18 @@ def estimate_bases(X, part, d):
             bases.append(np.zeros((X.shape[0], 0)))
             continue
         U, _, _ = np.linalg.svd(centered, full_matrices=False)
-        bases.append(U[:, :d_c])
+        bases.append(U[:, :d_c].copy())  # a view would keep all of U alive
     return ClusterModel(means=means, bases=bases, d=d)
 
 
-# columns per block of the distance kernel: about 2**16 doubles (512 KiB)
-# per D x block temporary, so the residual of one block stays in cache
+# columns per block of held-out points: about 2**16 doubles (512 KiB) per
+# D x block temporary, so the residual of one block stays in cache
 _BLOCK_ELEMENTS = 2 ** 16
+
+
+def block_width(D):
+    """Columns per block of held-out points in D dimensions."""
+    return max(1, _BLOCK_ELEMENTS // D)
 
 
 def subspace_distances(X, model):
@@ -75,7 +80,9 @@ def subspace_distances(X, model):
 
     The residual R - U (U^T R) is formed explicitly rather than as
     ||r||^2 - ||U^T r||^2, so clusters with equal subspaces get exactly
-    equal distances. Columns are processed in blocks of about 2**16 / D.
+    equal distances. X is measured as one block: the bits of a column
+    depend on how many columns share its BLAS products, so callers that
+    stream points cut them at the multiples of :func:`block_width`.
     """
     X = np.asarray(X, dtype=np.float64)
     D = model.means.shape[1]
@@ -83,19 +90,15 @@ def subspace_distances(X, model):
         raise ConsistencyError(
             f"data of shape {X.shape} do not match the cluster model's D = {D}"
         )
-    n = X.shape[1]
-    dist = np.empty((model.C, n))
-    step = max(1, _BLOCK_ELEMENTS // D)
-    for start in range(0, n, step):
-        # row-major blocks keep the BLAS products on their fast path;
-        # bundles load column-major, where they run several times slower
-        block = np.ascontiguousarray(X[:, start:start + step])
-        for c, (mean, U) in enumerate(zip(model.means, model.bases)):
-            resid = block - mean[:, None]
-            if U.shape[1]:
-                resid -= U @ (U.T @ resid)
-            dist[c, start:start + step] = np.sqrt(
-                np.einsum("ij,ij->j", resid, resid))
+    # row-major blocks keep the BLAS products on their fast path;
+    # bundles load column-major, where they run several times slower
+    X = np.ascontiguousarray(X)
+    dist = np.empty((model.C, X.shape[1]))
+    for c, (mean, U) in enumerate(zip(model.means, model.bases)):
+        resid = X - mean[:, None]
+        if U.shape[1]:
+            resid -= U @ (U.T @ resid)
+        dist[c] = np.sqrt(np.einsum("ij,ij->j", resid, resid))
     return dist
 
 

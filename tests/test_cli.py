@@ -526,12 +526,13 @@ class TestErrorExits:
 
     @pytest.mark.parametrize("overrides,typo", [
         ({"solver": {"kind": "SSC", "params": {"alpha": 10, "mdoe": "outlier"}}}, "mdoe"),
+        ({"solver": {"kind": "SSC", "params": {"alpha": 10, "mode": "outleir"}}}, "outleir"),
         ({"solver": {"kind": "RTSC", "params": {"q": 4}},
           "grid": {"values": {"qq": [3, 5]}, "n_val_subsets": 2,
                    "val_size_per_cluster": 6}}, "qq"),
         ({"split": {"in_fractoin": 0.5}}, "in_fractoin"),
         ({"pipeline": "wp-mera", "mera": {"lambda": 10, "R": 12, "max_itr": 5}}, "max_itr"),
-    ], ids=["solver", "grid", "split", "mera"])
+    ], ids=["solver", "mode", "grid", "split", "mera"])
     def test_nested_typo_exits_2_before_any_work(self, tmp_path, overrides, typo):
         # each misspelt key once ran with the default in its place
         synth_bundle(tmp_path)

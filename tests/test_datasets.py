@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wpsc
+from conftest import make_uos
 from wpsc.bundle import load_bundle, save_bundle
 from wpsc.datasets import (
     Dataset,
@@ -298,6 +299,75 @@ class TestDatasetInvariants:
         ds = Dataset(data=np.ones((4, 2)), img_h=2, img_w=2)
         with pytest.raises(ValueError):
             ds.data[0, 0] = 5.0
+
+
+def _read_only(a):
+    a.setflags(write=False)
+    return a
+
+
+class TestDatasetSharing:
+    """A Dataset keeps an array only when no one can write it."""
+
+    def test_writable_array_is_copied(self):
+        a = np.ones((4, 3))
+        ds = Dataset(data=a, img_h=2, img_w=2)
+        a[0, 0] = 5.0
+        assert ds.data[0, 0] == 1.0
+        assert not np.shares_memory(ds.data, a)
+        assert a.flags.writeable and not ds.data.flags.writeable
+
+    @pytest.mark.parametrize("make", [
+        lambda: _read_only(np.ones((4, 3)).view()),  # of a writable base
+        lambda: _read_only(np.frombuffer(bytearray(96))).reshape(4, 3),
+        lambda: _read_only(np.ones((4, 3), dtype=np.float32)),
+        lambda: _read_only(np.ones((4, 6)))[:, ::2],  # not contiguous
+    ], ids=["writable-base", "bytearray", "float32", "strided"])
+    def test_read_only_array_others_can_write_is_copied(self, make):
+        a = make()
+        ds = Dataset(data=a, img_h=2, img_w=2)
+        assert not np.shares_memory(ds.data, a)
+        assert not a.flags.writeable  # the caller's flags are untouched
+        assert ds.data.flags.c_contiguous or ds.data.flags.f_contiguous
+
+    @pytest.mark.parametrize("order", "CF")
+    def test_sealed_array_is_kept(self, order):
+        a = _read_only(np.array(np.arange(12.0).reshape(4, 3), order=order))
+        ds = Dataset(data=a, img_h=2, img_w=2)
+        assert ds.data is a
+        assert ds.with_data(ds.data, name="x").data is a
+
+    def test_load_bundle_views_the_file_bytes(self, tmp_path):
+        save_bundle(make_uos(C=2, d=2, D=16, n=5, seed=1), tmp_path / "b.wpsc")
+        data = load_bundle(tmp_path / "b.wpsc").data
+        base = data
+        while isinstance(base, np.ndarray):
+            base = base.base
+        assert isinstance(base, bytes) and base == (tmp_path / "b.wpsc").read_bytes()
+        assert np.shares_memory(data, np.frombuffer(base, dtype=np.uint8))
+
+    def test_normalize_and_split_keep_what_they_made(self, monkeypatch):
+        made = []
+
+        def record(fn):
+            def wrapper(*args):
+                out = fn(*args)
+                made.append(out)
+                return out
+            return wrapper
+
+        monkeypatch.setattr(wpsc.datasets, "unit_columns",
+                            record(wpsc.datasets.unit_columns))
+        monkeypatch.setattr(wpsc.datasets, "_seal", record(wpsc.datasets._seal))
+        ds = generate_uos(UosSpec(C=3, d=2, D=16, n_per_cluster=8, seed=2))
+        made.clear()
+        normalized = column_normalize(ds)
+        assert any(m is normalized.data for m in made)
+        made.clear()
+        halves = split(normalized, SplitSpec(in_fraction=0.5, seed=0))
+        for half in halves:
+            assert any(np.shares_memory(half.data, m) for m in made)
+            assert not np.shares_memory(half.data, normalized.data)
 
 
 _BUNDLE = (b"WPSC1\n" + struct.pack("<IIIIB", 4, 6, 2, 2, 1)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,9 @@ import wpsc
 from conftest import make_uos
 from wpsc.errors import DegenerateColumnError
 from wpsc.graph import Partition, spectral_clustering
-from wpsc.pipeline import SingleViewPipeline, WpMeraPipeline, five_views, unit_columns
-from wpsc.subspace import assign_multiview_batch
+from wpsc.pipeline import Fit, SingleViewPipeline, WpMeraPipeline, five_views, unit_columns
+from wpsc.subspace import assign_multiview_batch, block_width
+from wpsc.wavelet import node_matrix
 
 
 @pytest.mark.parametrize("spec", [
@@ -98,6 +101,81 @@ def test_assign_builds_views_as_the_fit_did(pipe, subband):
     assert len(fit.views) == len(subband.split("+"))
     assert wpsc.evaluate(ds.labels, fit.labels).acc == 1.0
     assert np.array_equal(fit.assign(ds, fit.models(2)), fit.labels)
+
+
+def _held_out(n, order, seed=0):
+    """n points near a fixed union of three 2-D subspaces in 8x8 images."""
+    ds = make_uos(C=3, d=2, D=64, n=(n + 2) // 3, sigma=0.3, seed=seed)
+    X = np.asarray(ds.data[:, np.random.default_rng(seed).permutation(ds.N)[:n]], order=order)
+    return wpsc.Dataset(data=X, img_h=8, img_w=8)
+
+
+def _views(subband, ds):
+    """All views of ``ds`` built and normalized in one pass."""
+    return (five_views(ds) if subband == "O+A+H+V+D"
+            else [unit_columns(node_matrix(ds, subband))])
+
+
+def _fit_for(subband):
+    ins = make_uos(C=3, d=2, D=64, n=12, sigma=0.1, seed=0)
+    return Fit(Partition(labels=ins.labels, C=3), _views(subband, ins), subband)
+
+
+@pytest.mark.parametrize("subband", ["", "AH", "O+A+H+V+D"])
+@pytest.mark.parametrize("order", "CF")
+@pytest.mark.parametrize("extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 7)],
+                         ids=["1", "B-1", "B", "B+1", "3B+7"])
+def test_streamed_assign_equals_one_pass(subband, order, extra, monkeypatch):
+    # the one-pass reference builds and normalizes every view over all
+    # points in column-major order, then measures them in the same blocks
+    B = block_width(64)
+    ds = _held_out(extra[0] * B + extra[1], order)
+    fit = _fit_for(subband)
+    models = fit.models(2)
+    measured = []
+
+    def spy(views, models):
+        measured.append(views)
+        return assign_multiview_batch(views, models)
+
+    monkeypatch.setattr(wpsc.pipeline, "assign_multiview_batch", spy)
+    labels = fit.assign(ds, models)
+    one_pass = _views(subband, _held_out(ds.N, "F"))
+    assert len(measured) == -(-ds.N // B)
+    for k, views in enumerate(measured):  # the same bits in the same blocks
+        assert len(views) == len(one_pass)
+        assert all(np.array_equal(got, V[:, k * B:(k + 1) * B])
+                   for got, V in zip(views, one_pass))
+    want = np.concatenate([assign_multiview_batch([V[:, s:s + B] for V in one_pass], models)
+                           for s in range(0, ds.N, B)])
+    assert labels.shape == (ds.N,) and labels.dtype == np.int64
+    assert np.array_equal(labels, want)
+
+
+def test_streamed_assign_names_zero_columns_by_their_index():
+    B = block_width(64)
+    X = np.array(_held_out(2 * B, "F").data)
+    X[:, [B + 3, B + 5]] = 0.0
+    fit = _fit_for("")
+    with pytest.raises(DegenerateColumnError, match=rf"\[{B + 3}, {B + 5}\]"):
+        fit.assign(wpsc.Dataset(data=X, img_h=8, img_w=8), fit.models(2))
+
+
+@pytest.mark.parametrize("subband", ["", "O+A+H+V+D"])
+def test_streamed_assign_memory_does_not_grow_with_points(subband):
+    # the one-pass assignment held every normalized view and a C x N
+    # distance matrix, about seven blocks more at 8B points than at B
+    B = block_width(64)
+    fit = _fit_for(subband)
+    models = fit.models(2)
+    peaks = []
+    for n in (B, 8 * B):
+        ds = _held_out(n, "F")
+        tracemalloc.start()
+        fit.assign(ds, models)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 2 * 64 * B * 8
 
 
 def test_spectral_with_isolated_vertex():

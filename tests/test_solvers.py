@@ -707,6 +707,24 @@ class TestSolverSpec:
         with pytest.raises(ParameterError, match="takes no parameter"):
             SolverSpec(kind, params)
 
+    @pytest.mark.parametrize("params", [
+        {"alpha": 10, "affine": "false"},  # once coerced by bool() to True
+        {"alpha": 10, "affine": 0},
+        {"alpha": 10, "affine": None},
+        {"alpha": 10, "mode": "outleir"},
+        {"alpha": 10, "mode": None},
+    ], ids=["affine-str", "affine-int", "affine-none", "mode-typo", "mode-none"])
+    def test_ssc_option_values_checked(self, params):
+        bad = params.get("mode", params.get("affine"))
+        with pytest.raises(ParameterError, match=repr(bad)):
+            SolverSpec("SSC", params)
+
+    @pytest.mark.parametrize("affine", [False, True])
+    def test_ssc_affine_passes_through(self, tiny_two_lines, affine):
+        X, _ = tiny_two_lines
+        spec = SolverSpec("SSC", {"alpha": 10, "affine": affine, "mode": "noise"})
+        assert np.array_equal(spec.solve(X), solve_ssc(X, 10, affine=affine))
+
     def test_dispatch(self, tiny_two_lines):
         X, _ = tiny_two_lines
         for spec in (SolverSpec("SSC", {"alpha": 10}),

@@ -98,6 +98,23 @@ class TestEstimateBases:
         for U in model.bases:
             assert np.abs(U.T @ U - np.eye(U.shape[1])).max() <= 1e-10
 
+    def test_bases_own_only_their_columns(self):
+        # each basis once viewed the thin U of its cluster, 64 x 20 here
+        ds = make_uos(C=2, d=3, D=64, n=20, sigma=0.1, seed=4)
+        part = Partition(labels=ds.labels, C=2)
+        model = estimate_bases(ds.data, part, 3)
+        views = []
+        for c, U in enumerate(model.bases):
+            assert U.flags.owndata and U.size == 64 * 3
+            block = ds.data[:, part.members(c)]
+            thin = np.linalg.svd(block - block.mean(axis=1)[:, None], full_matrices=False)[0]
+            assert np.array_equal(U, thin[:, :3])
+            views.append(thin[:, :3])
+        X = make_uos(C=2, d=3, D=64, n=50, sigma=0.3, seed=5).data
+        as_views = wpsc.ClusterModel(means=model.means, bases=views, d=3)
+        assert np.array_equal(assign_multiview_batch([X], [model]),
+                              assign_multiview_batch([X], [as_views]))
+
 
 class TestAssignOos:
     def test_exact_member_zero_distance(self):
@@ -118,7 +135,6 @@ class TestAssignOos:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_batch_matches_per_column_reference(self, seed):
-        # D = 300 makes blocks of 218 columns, so 500 columns span 3 blocks
         rng = np.random.default_rng(seed)
         D, C = (300, 6) if seed % 2 else (17, 4)
         model = random_model(rng, D, C, [3, 0, 5, 1, 2, 4])
