@@ -5,11 +5,13 @@ u32 img_w, u8 has_labels, D*N float64 values in column-major order, then
 (if labeled) N u32 labels.
 """
 
+import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
+from .datasets import Dataset, _seal
 from .errors import ConsistencyError, FormatError
 
 MAGIC = b"WPSC1\n"
@@ -33,8 +35,6 @@ def save_matrix(M, path):
     """Export a bare matrix (e.g. a representation or affinity) for
     inspection, using the bundle layout with 1 x rows geometry; read it
     back with ``load_bundle(path).data``."""
-    from .datasets import Dataset
-
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2:
         raise ConsistencyError("save_matrix expects a 2-D matrix")
@@ -45,29 +45,22 @@ def load_bundle(path, name=None):
     """Read a Dataset back from a matrix-bundle file.
 
     The dataset name defaults to the file stem; matrices and labels
-    round-trip bit-identically.
+    round-trip bit-identically. The matrix is read into a fresh, aligned,
+    read-only array, which the Dataset keeps without copying it.
     """
-    from .datasets import Dataset  # deferred to avoid an import cycle
-
     path = Path(path)
-    raw = path.read_bytes()
-    if raw[: len(MAGIC)] != MAGIC:
-        raise FormatError(f"{path}: bad magic, not a WPSC1 bundle")
-    off = len(MAGIC)
-    if len(raw) < off + _HEADER.size:
-        raise FormatError(f"{path}: truncated header")
-    D, N, img_h, img_w, has_labels = _HEADER.unpack_from(raw, off)
-    off += _HEADER.size
-    want = D * N * 8 + (N * 4 if has_labels else 0)
-    if len(raw) - off != want:
-        raise ConsistencyError(
-            f"{path}: payload is {len(raw) - off} bytes, header implies {want}"
-        )
-    data = np.frombuffer(raw, dtype="<f8", count=D * N, offset=off)
-    data = data.reshape((D, N), order="F")
-    off += D * N * 8
-    labels = None
-    if has_labels:
-        labels = np.frombuffer(raw, dtype="<u4", count=N, offset=off).astype(np.int64)
+    with open(path, "rb") as fh:
+        head = fh.read(len(MAGIC) + _HEADER.size)
+        if head[: len(MAGIC)] != MAGIC:
+            raise FormatError(f"{path}: bad magic, not a WPSC1 bundle")
+        if len(head) < len(MAGIC) + _HEADER.size:
+            raise FormatError(f"{path}: truncated header")
+        D, N, img_h, img_w, has_labels = _HEADER.unpack_from(head, len(MAGIC))
+        size = os.fstat(fh.fileno()).st_size - len(head)
+        want = D * N * 8 + (N * 4 if has_labels else 0)
+        if size != want:
+            raise ConsistencyError(f"{path}: payload is {size} bytes, header implies {want}")
+        data = _seal(np.fromfile(fh, dtype="<f8", count=D * N).reshape((D, N), order="F"))
+        labels = np.fromfile(fh, dtype="<u4", count=N).astype(np.int64) if has_labels else None
     return Dataset(data=data, img_h=img_h, img_w=img_w, labels=labels,
                    name=name if name is not None else path.stem)

@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .bundle import load_bundle, save_bundle, save_matrix
-from .datasets import (Dataset, SplitSpec, UosSpec, column_normalize, generate_uos, load_idx,
-                       load_pgm_dir, split, unit_columns)
+from .datasets import (Dataset, SplitSpec, UosSpec, check_seed, column_normalize, generate_uos,
+                       load_idx, load_pgm_dir, split, unit_columns)
 from .errors import (ConfigError, ConsistencyError, ConvergenceError, DataError,
                      DegenerateColumnError, Error, LabelingError)
 from .graph import Partition, affinity_from_representation, spectral_clustering
@@ -57,7 +57,6 @@ class ExperimentConfig:
     grid: Grid | None = None
     seeds: tuple = (0,)
     output_dir: str = "out"
-    normalize: bool = True
     export_bundles: bool = False
 
     @classmethod
@@ -87,13 +86,12 @@ class ExperimentConfig:
                       mera=dict(raw.get("mera", {})), grid=grid,
                       seeds=tuple(raw.get("seeds", (0,))),
                       output_dir=raw.get("output_dir", "out"),
-                      normalize=raw.get("normalize", True),
                       export_bundles=raw.get("export_bundles", False))
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad config value: {exc!r}") from exc
         if not isinstance(cfg.output_dir, str):
             raise ConfigError(f"output_dir must be a path string, got {cfg.output_dir!r}")
-        for key in ("ipd", "normalize", "export_bundles"):
+        for key in ("ipd", "export_bundles"):
             if not isinstance(getattr(cfg, key), bool):
                 raise ConfigError(f"{key} must be true or false, got {getattr(cfg, key)!r}")
         if not isinstance(cfg.dataset.get("name", ""), str):
@@ -102,16 +100,19 @@ class ExperimentConfig:
             raise ConfigError(f"pipeline {pipeline!r} needs a solver spec")
         for params in grid.points() if grid else [{}]:
             _settings(cfg, params)  # every grid point's spec fails here, not mid-run
-        if not cfg.seeds or not all(isinstance(s, numbers.Integral) for s in cfg.seeds):
-            raise ConfigError("seeds must be a nonempty list of integers")
+        if not cfg.seeds or not all(isinstance(s, numbers.Integral) and s >= 0
+                                    for s in cfg.seeds):
+            raise ConfigError(f"seeds must be a nonempty list of nonnegative integers, "
+                              f"got {list(cfg.seeds)!r}")
+        for key in ("d", "levels"):
+            if getattr(cfg, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(cfg, key)}")
         return cfg
 
     def validate_against(self, ds):
         """Fail fast on config/dataset inconsistencies (before any solve)."""
         if ds.labels is None:
             raise ConfigError("experiments need a labeled dataset")
-        if self.levels < 1:
-            raise ConfigError("levels must be >= 1")
         counts = np.bincount(ds.labels)
         n_in = int(sum(math.ceil(self.split.in_fraction * c) for c in counts))
         if self.pipeline == "wp-mera":
@@ -122,9 +123,10 @@ class ExperimentConfig:
             )
 
     def echo(self):
-        """JSON-serializable canonical form for the report."""
+        """JSON-serializable canonical form for the report; it leaves out
+        ``output_dir``, so a report does not depend on where it is written."""
         return {k: v for k, v in asdict(self).items()
-                if v or k not in ("solver", "grid", "mera")}
+                if k != "output_dir" and (v or k not in ("solver", "grid", "mera"))}
 
 
 def load_dataset(spec):
@@ -299,8 +301,7 @@ def run_experiment(cfg):
     """
     ds = _stage("load", load_dataset, cfg.dataset)
     _stage("validate", cfg.validate_against, ds)
-    if cfg.normalize:
-        ds = _stage("normalize", column_normalize, ds)
+    ds = _stage("normalize", column_normalize, ds)
     runs, csv_rows, trace_rows = [], [], []
 
     def results():
@@ -653,6 +654,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        check_seed(getattr(args, "seed", 0))  # a subcommand's --seed, before any work
         args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -103,17 +103,15 @@ class Dataset:
 def _sealed(a):
     """Whether ``a`` is a C- or F-contiguous float64 ndarray that no one
     can write: it and every array it views are read-only, and the chain of
-    views ends in memory it owns or in a ``bytes`` object."""
+    views ends in memory it owns."""
     if not (type(a) is np.ndarray and a.dtype == np.float64
             and (a.flags.c_contiguous or a.flags.f_contiguous)):
         return False
-    while isinstance(a, np.ndarray):
-        if a.flags.writeable:
-            return False
+    while isinstance(a, np.ndarray) and not a.flags.writeable:
         if a.base is None:
             return True
         a = a.base
-    return isinstance(a, bytes)
+    return False
 
 
 def _seal(a):
@@ -123,6 +121,13 @@ def _seal(a):
         view.setflags(write=False)
         view = view.base
     return a
+
+
+def check_seed(seed):
+    """Raise ParameterError unless ``seed`` is a nonnegative integer, the
+    only seed ``np.random.default_rng`` takes."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ParameterError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -136,8 +141,7 @@ class SplitSpec:
     def __post_init__(self):
         if not (0.0 < self.in_fraction <= 1.0):
             raise ParameterError("in_fraction must lie in (0, 1]")
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise ParameterError("seed must be a nonnegative integer")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -166,6 +170,7 @@ class UosSpec:
             )
         if self.noise_sigma < 0:
             raise ParameterError("noise_sigma must be nonnegative")
+        check_seed(self.seed)
 
 
 def most_square_shape(D):

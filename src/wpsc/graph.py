@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import eigh
 
+from .datasets import check_seed
 from .errors import ParameterError
 
 DEGREE_FLOOR = 1e-12  # degree assigned to isolated vertices
@@ -93,6 +94,7 @@ def spectral_clustering(W, C, seed=0):
     and runs seeded k-means++ with 20 restarts; the restart with the best
     inertia wins. Deterministic given seed.
     """
+    check_seed(seed)
     W = _check_affinity(W)
     n = W.shape[0]
     if C < 2:
@@ -114,8 +116,7 @@ def kmeans(points, k, seed, restarts=KMEANS_RESTARTS, max_iter=KMEANS_MAX_ITER):
     """Seeded k-means with k-means++ initialization and best-inertia restarts.
 
     The restarts are seeded together, restart r from its own generator
-    ``np.random.default_rng(seed + r)``, and each restart's first Lloyd step
-    reuses the distances its seeding computed. All restarts then run their
+    ``np.random.default_rng(seed + r)``. All restarts then run their
     Lloyd steps in one lockstep group (see ``_lloyd_group``): each step
     ranks the centres of every restart with one GEMM and re-ranks the near
     ties with the exact distances, so each restart gets the labels and the
@@ -125,9 +126,9 @@ def kmeans(points, k, seed, restarts=KMEANS_RESTARTS, max_iter=KMEANS_MAX_ITER):
     depend on their memory layout.
     """
     points = np.asfortranarray(points)
-    centers, dists = _plusplus_seeds(points, k, seed, restarts)
+    centers = _plusplus_seeds(points, k, seed, restarts)
     best_labels, best_inertia = None, np.inf
-    for labels, inertia in zip(*_lloyd_group(points, centers, dists, max_iter)):
+    for labels, inertia in zip(*_lloyd_group(points, centers, max_iter)):
         if inertia < best_inertia:
             best_labels, best_inertia = labels, inertia
     return best_labels
@@ -139,22 +140,19 @@ def _plusplus_seeds(points, k, seed, restarts):
     Restart r's generator sees the calls one-at-a-time seeding makes:
     ``integers(n)`` for the first center, then one ``random()`` per further
     center (``integers(n)`` again once all mass sits on chosen centers).
-    Returns the (R, k, m) centers and the (R, n, k) squared distances of
-    every point to every center.
+    Returns the (R, k, m) centers.
     """
     n, m = points.shape
     rngs = [np.random.default_rng(seed + r) for r in range(restarts)]
     centers = np.empty((restarts, k, m))
-    dists = np.empty((restarts, n, k))
     idx = np.array([rng.integers(n) for rng in rngs], dtype=np.int64)
     for c in range(k):
         centers[:, c] = points[idx]
-        col = ((points[None, :, :] - centers[:, c, None, :]) ** 2).sum(axis=2)
-        dists[:, :, c] = col
-        d2 = col if c == 0 else np.minimum(d2, col)
         if c + 1 < k:
+            col = ((points[None, :, :] - centers[:, c, None, :]) ** 2).sum(axis=2)
+            d2 = col if c == 0 else np.minimum(d2, col)
             idx = _draw(d2, rngs)
-    return centers, dists
+    return centers
 
 
 def _draw(d2, rngs):
@@ -178,20 +176,19 @@ def _draw(d2, rngs):
     return np.where(live, (cdf <= u[:, None]).sum(axis=1), idx)
 
 
-def _lloyd_group(points, centers, d2, max_iter):
+def _lloyd_group(points, centers, max_iter):
     """Lloyd iterations of g restarts in lockstep on the column-major (n, m)
-    ``points`` from their seeded (g, k, m) ``centers`` and their (g, n, k)
-    exact squared distances ``d2``, which rank the first step.
+    ``points`` from their seeded (g, k, m) ``centers``.
 
-    Every later step ranks the centres of all restarts still running with
-    one GEMM (``_nearest``). A restart whose labels stop changing leaves
+    Every step ranks the centres of all restarts still running with one
+    GEMM (``_nearest``). A restart whose labels stop changing leaves
     the group with the labels and the centres it reaches alone. The
     inertias are the exact squared distances of the points to their own
     centres (``_exact``), n*m work per restart, as are the distances an
     empty-cluster repair reads. Returns the (g, n) labels and the (g,)
     inertias.
     """
-    g, n, k = d2.shape
+    (g, k, _), n = centers.shape, len(points)
     labels = np.full((g, n), -1, dtype=np.int64)
     out_labels, out_centers = np.empty((g, n), dtype=np.int64), np.empty_like(centers)
     members, rows = np.arange(g), np.arange(n)
@@ -203,18 +200,14 @@ def _lloyd_group(points, centers, d2, max_iter):
         flat = labels + k * np.arange(len(labels))[:, None]
         return _exact(points, centers, rows[None], flat)
 
-    for it in range(max_iter):
-        if it:
-            new_labels = _nearest(points, centers, xmax)
-        else:
-            new_labels = d2.argmin(axis=2)
+    for _ in range(max_iter):
+        new_labels = _nearest(points, centers, xmax)
         counts = np.bincount((new_labels + offsets[:len(members)]).ravel(),
                              minlength=len(members) * k).reshape(-1, k)
         if not counts.all():
             for r in np.flatnonzero(~counts.all(axis=1)):
-                dist = own(centers[r:r + 1], new_labels[r:r + 1])[0] if it else (
-                    d2[r, rows, new_labels[r]])
-                _repair_empty(new_labels[r], counts[r], dist)
+                _repair_empty(new_labels[r], counts[r],
+                              own(centers[r:r + 1], new_labels[r:r + 1])[0])
         done = (new_labels == labels).all(axis=1)  # never on the first step
         if done.any():
             out_labels[members[done]] = new_labels[done]

@@ -13,7 +13,7 @@ from .mera import FIVE_VIEW_ORDER, mera_mvsc, unify_views
 from .selection import SelectionTrace, select_subband
 from .solvers import SolverSpec
 from .subspace import assign_multiview_batch, block_width, estimate_bases
-from .wavelet import haar_analysis_2d, node_matrix
+from .wavelet import ALPHABET, node_matrix
 
 _FIVE_VIEWS = "+".join(FIVE_VIEW_ORDER)
 
@@ -153,7 +153,4 @@ def five_views(ds):
 
     Returns a list of five D x N matrices in the fixed order O, A, H, V, D.
     """
-    subs = haar_analysis_2d(ds.images(), level=1)
-    views = [ds.data]
-    views += [cube.reshape(ds.N, ds.D).T for cube in subs]
-    return [unit_columns(Xv) for Xv in views]
+    return [unit_columns(node_matrix(ds, p)) for p in ("", *ALPHABET)]

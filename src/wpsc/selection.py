@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datasets import _seal
+from .datasets import _seal, check_seed
 from .errors import ParameterError, SplitError
 from .metrics import evaluate
 from .wavelet import ALPHABET, node_matrix
@@ -44,6 +44,7 @@ class Grid:
             raise ParameterError("grid needs at least one value per parameter")
         if self.n_val_subsets < 1 or self.val_size_per_cluster < 1:
             raise ParameterError("subset counts must be positive")
+        check_seed(self.seed)
 
     def points(self):
         """Grid points as dicts, in row-major order over the value lists."""

@@ -242,8 +242,6 @@ def solve_ssc(X, alpha, mode="noise", affine=False, tol=1e-6, max_iter=200):
 def _svt(M, tau):
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
     keep = s > tau
-    if not np.any(keep):
-        return np.zeros_like(M)
     return (U[:, keep] * (s[keep] - tau)) @ Vt[keep]
 
 

@@ -56,9 +56,6 @@ def estimate_bases(X, part, d):
                 f"basis dimension reduced to {d_c}",
                 stacklevel=2,
             )
-        if d_c == 0:
-            bases.append(np.zeros((X.shape[0], 0)))
-            continue
         U, _, _ = np.linalg.svd(centered, full_matrices=False)
         bases.append(U[:, :d_c].copy())  # a view would keep all of U alive
     return ClusterModel(means=means, bases=bases, d=d)
@@ -96,8 +93,7 @@ def subspace_distances(X, model):
     dist = np.empty((model.C, X.shape[1]))
     for c, (mean, U) in enumerate(zip(model.means, model.bases)):
         resid = X - mean[:, None]
-        if U.shape[1]:
-            resid -= U @ (U.T @ resid)
+        resid -= U @ (U.T @ resid)
         dist[c] = np.sqrt(np.einsum("ij,ij->j", resid, resid))
     return dist
 

@@ -43,6 +43,14 @@ def _check_size(h, w, level):
         )
 
 
+def _step(cube, level, ch):
+    """Subband ``ch`` of an (..., h, w) stack at ``level``: the row pass of
+    its first letter, then the column pass of its second."""
+    step = 2 ** (level - 1)
+    cube = _pass(cube, step, -2, +1.0 if ch in "AH" else -1.0)
+    return _pass(cube, step, -1, +1.0 if ch in "AV" else -1.0)
+
+
 def haar_analysis_2d(img, level=1):
     """Split an image into (A, H, V, D) subbands at the given level.
 
@@ -53,14 +61,7 @@ def haar_analysis_2d(img, level=1):
     if level < 1:
         raise ParameterError("level must be >= 1")
     _check_size(img.shape[-2], img.shape[-1], level)
-    step = 2 ** (level - 1)
-    lo_r = _pass(img, step, -2, +1.0)
-    hi_r = _pass(img, step, -2, -1.0)
-    a = _pass(lo_r, step, -1, +1.0)
-    h = _pass(lo_r, step, -1, -1.0)
-    v = _pass(hi_r, step, -1, +1.0)
-    d = _pass(hi_r, step, -1, -1.0)
-    return a, h, v, d
+    return tuple(_step(img, level, ch) for ch in ALPHABET)
 
 
 def haar_synthesis_2d(a, h, v, d, level=1):
@@ -89,27 +90,19 @@ def wp_decompose(ds, J):
     if J < 1:
         raise ParameterError("J must be >= 1")
     _check_size(ds.img_h, ds.img_w, J)
-    N, D = ds.N, ds.D
     cubes = {"": ds.images()}  # (N, h, w) stacks, filtered along axes 1, 2
     for j in range(1, J + 1):
         for path in [p for p in cubes if len(p) == j - 1]:
-            a, h, v, d = haar_analysis_2d(cubes[path], level=j)
-            for ch, sub in zip(ALPHABET, (a, h, v, d)):
-                cubes[path + ch] = sub
-    return {
-        path: cubes[path].reshape(N, D).T
-        for path in sorted(cubes)
-        if path != ""
-    }
+            cubes.update((path + ch, _step(cubes[path], j, ch)) for ch in ALPHABET)
+    return {path: cube.reshape(ds.N, ds.D).T for path, cube in sorted(cubes.items()) if path}
 
 
 def node_matrix(ds, path):
     """D x N coefficient matrix of a single subband of ``ds``.
 
-    Filters only along ``path``: each level runs the one row pass and the
-    one column pass of its subband, in the order :func:`haar_analysis_2d`
-    runs them, so the result equals the full decomposition's bit for bit.
-    Path '' returns the read-only data itself, in its own memory layout.
+    Filters only along ``path``, one level's step of
+    :func:`haar_analysis_2d` at a time. Path '' returns the read-only data
+    itself, in its own memory layout.
     """
     level = subband_level(path)
     if level == 0:
@@ -117,7 +110,5 @@ def node_matrix(ds, path):
     _check_size(ds.img_h, ds.img_w, level)
     cube = ds.images()
     for j, ch in enumerate(path, start=1):
-        step = 2 ** (j - 1)
-        cube = _pass(cube, step, -2, +1.0 if ch in "AH" else -1.0)
-        cube = _pass(cube, step, -1, +1.0 if ch in "AV" else -1.0)
+        cube = _step(cube, j, ch)
     return cube.reshape(ds.N, ds.D).T

@@ -152,6 +152,17 @@ class TestRun:
         assert main(["run", "--config", str(cfg_path)]) == 0
         assert (tmp_path / "out" / "report.json").read_bytes() == first
 
+    def test_report_does_not_depend_on_output_dir(self, tmp_path):
+        # the config echo leaves out output_dir, so one config run into two
+        # directories writes the same report.json
+        synth_bundle(tmp_path)
+        reports = []
+        for name in ("a", "b/c"):
+            assert main(_run_argv(tmp_path, output_dir=str(tmp_path / name))) == 0
+            reports.append((tmp_path / name / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+        assert "output_dir" not in json.loads(reports[0])["config"]
+
     def test_blas_thread_count_moves_only_final_fit_error(self, tmp_path):
         # 32x32 images make the MERA GEMMs large enough for OpenBLAS to split
         # them over two threads; both runs write to the same output path
@@ -532,14 +543,34 @@ class TestErrorExits:
                    "val_size_per_cluster": 6}}, "qq"),
         ({"split": {"in_fractoin": 0.5}}, "in_fractoin"),
         ({"pipeline": "wp-mera", "mera": {"lambda": 10, "R": 12, "max_itr": 5}}, "max_itr"),
-    ], ids=["solver", "mode", "grid", "split", "mera"])
+        ({"d": 0}, "d must"),
+        ({"pipeline": "wp-single", "levels": 0}, "levels must"),
+        ({"seeds": [-1], "split": {"in_fraction": 0.8, "seed": 3}}, "seeds must"),
+        ({"solver": {"kind": "RTSC", "params": {"q": 4}},
+          "grid": {"values": {"q": [3, 5]}, "n_val_subsets": 2, "val_size_per_cluster": 6,
+                   "seed": -5}}, "seed must"),
+    ], ids=["solver", "mode", "grid", "split", "mera", "d", "levels", "seeds", "grid-seed"])
     def test_nested_typo_exits_2_before_any_work(self, tmp_path, overrides, typo):
-        # each misspelt key once ran with the default in its place
+        # each misspelt key once ran with the default in its place, and each
+        # out-of-range value failed only after the data were loaded
         synth_bundle(tmp_path)
         with pytest.raises(ConfigError, match=typo):
             ExperimentConfig.from_dict(base_config(tmp_path, **overrides))
         assert main(_run_argv(tmp_path, **overrides)) == 2
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["cluster", "--solver", "SSC", "--param", "alpha=10", "--seed", "-1"],
+        ["select-subband", "--solver", "SSC", "--param", "alpha=10", "--seed", "-2"],
+        ["mera", "--lam", "10", "--rank", "12", "--seed", "-3"],
+    ], ids=["cluster", "select-subband", "mera"])
+    def test_negative_seed_exits_2_before_loading(self, tmp_path, monkeypatch, argv):
+        # spectral clustering rejects the seed too, but only after the solve
+        synth_bundle(tmp_path)
+        loads = []
+        monkeypatch.setattr("wpsc.cli.load_bundle", lambda *args: loads.append(args))
+        assert main([*argv, "--data", str(tmp_path / "data.wpsc")]) == 2
+        assert loads == []
 
     def test_bad_bundle_exits_3(self, tmp_path):
         bad = tmp_path / "bad.wpsc"
@@ -574,7 +605,8 @@ class TestErrorExits:
         *((("dataset", "name"), value) for value in (0, 1, None)),
     ], ids=lambda v: ".".join(v) if isinstance(v, tuple) else json.dumps(v))
     def test_config_flag_and_name_types_checked(self, tmp_path, slot, value):
-        # bool() coercion once made "ipd": "false" switch IPD on and exit 0
+        # bool() coercion once made "ipd": "false" switch IPD on and exit 0;
+        # "normalize" is no longer a key, so any value of it is an unknown key
         cfg = base_config(tmp_path)
         section = cfg if len(slot) == 1 else cfg[slot[0]]
         section[slot[-1]] = value
@@ -624,6 +656,27 @@ BAD_INPUTS = {
                                                          mera={"lambda": float("nan"),
                                                                "R": 12})),
     "config-seeds": (2, lambda t, y: _run_argv(t, seeds=["a"])),
+    "config-seeds-negative": (2, lambda t, y: _run_argv(
+        t, seeds=[-1], split={"in_fraction": 0.8, "seed": 3})),
+    "config-grid-seed": (2, lambda t, y: _run_argv(
+        t, solver={"kind": "RTSC", "params": {"q": 4}},
+        grid={"values": {"q": [3]}, "n_val_subsets": 1, "val_size_per_cluster": 6,
+              "seed": -5})),
+    "config-uos-seed": (2, lambda t, y: _run_argv(t, dataset={
+        "kind": "synthetic", "uos": {"C": 2, "d": 1, "D": 16, "n_per_cluster": 6,
+                                     "seed": -4}})),
+    "cluster-seed": (2, lambda t, y: [
+        "cluster", "--data", str(t / "data.wpsc"), "--solver", "SSC", "--param", "alpha=10",
+        "--seed", "-1", "--out-dir", str(t / "c")]),
+    "mera-seed": (2, lambda t, y: [
+        "mera", "--data", str(t / "data.wpsc"), "--lam", "10", "--rank", "12",
+        "--seed", "-3", "--out-dir", str(t / "m")]),
+    "select-subband-seed": (2, lambda t, y: [
+        "select-subband", "--data", str(t / "data.wpsc"), "--solver", "SSC",
+        "--param", "alpha=10", "--levels", "1", "--seed", "-2", "--out-dir", str(t / "s")]),
+    "synth-seed": (2, lambda t, y: [
+        "synth", "--C", "2", "--d", "1", "--D", "16", "--n-per-cluster", "4",
+        "--seed", "-1", "--out", str(t / "s.wpsc")]),
     "config-uos-size": (2, lambda t, y: _run_argv(t, dataset={
         "kind": "synthetic", "uos": {"C": "x", "d": 1, "D": 16, "n_per_cluster": 6}})),
     "param-not-number": (2, lambda t, y: [
@@ -684,12 +737,14 @@ BAD_CONFIG_VALUES = {
                                    st.text("abc", min_size=1).map(lambda v: f"missing/{v}")),
     ("output_dir",): _not_a_string,
     ("ipd",): _not_a_bool,
-    ("normalize",): _not_a_bool,
     ("export_bundles",): _not_a_bool,
     ("dataset", "name"): _not_a_string,
     ("mera", "lambda"): st.one_of(_junk, st.floats(max_value=0.0)),
     ("mera", "R"): st.one_of(_junk, st.integers(max_value=0)),
     ("mera", "max_iter"): st.one_of(_junk, st.integers(max_value=0)),
+    ("grid", "seed"): st.one_of(_junk, st.integers(max_value=-1), st.floats(0.1, 0.9)),
+    ("dataset", "uos", "seed"): st.one_of(_junk, st.integers(max_value=-1),
+                                          st.floats(0.1, 0.9)),
 }
 BAD_PARAMS = st.one_of(
     st.sampled_from(["alpha", "alpha=", "=10", "alpha=NaN", "alpha=Infinity",
@@ -724,6 +779,13 @@ class TestMalformedInputFuzz:
         cfg = base_config(fuzz_dir, d=1)
         if slot[0] == "mera":
             cfg.update(pipeline="wp-mera", mera={"lambda": 10, "R": 2})
+        if slot[0] == "grid":
+            cfg.update(solver={"kind": "RTSC", "params": {"q": 2}},
+                       grid={"values": {"q": [2]}, "n_val_subsets": 1,
+                             "val_size_per_cluster": 3})
+        if slot[:2] == ("dataset", "uos"):
+            cfg["dataset"] = {"kind": "synthetic",
+                              "uos": {"C": 2, "d": 1, "D": 16, "n_per_cluster": 6}}
         section = cfg
         for key in slot[:-1]:
             section = section[key]

@@ -62,6 +62,11 @@ class TestGenerateUos:
         with pytest.raises(InfeasibleSpecError):
             UosSpec(C=5, d=3, D=10, n_per_cluster=2)
 
+    @pytest.mark.parametrize("seed", [-4, 0.5, None])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ParameterError, match="seed"):
+            UosSpec(C=2, d=1, D=4, n_per_cluster=3, seed=seed)
+
     def test_noiseless_points_sit_in_svd_span(self):
         # sigma=0 invariant: ||x - U_c U_c' x|| <= 1e-10 per cluster
         ds = generate_uos(UosSpec(C=4, d=3, D=36, n_per_cluster=10, seed=5))
@@ -337,14 +342,17 @@ class TestDatasetSharing:
         assert ds.data is a
         assert ds.with_data(ds.data, name="x").data is a
 
-    def test_load_bundle_views_the_file_bytes(self, tmp_path):
-        save_bundle(make_uos(C=2, d=2, D=16, n=5, seed=1), tmp_path / "b.wpsc")
+    def test_load_bundle_keeps_an_aligned_read_only_matrix(self, tmp_path):
+        # the payload starts 23 bytes into the file; the matrix is read into
+        # an array of its own, 8-byte aligned, which Dataset keeps as it is
+        ds = make_uos(C=2, d=2, D=16, n=5, seed=1)
+        save_bundle(ds, tmp_path / "b.wpsc")
         data = load_bundle(tmp_path / "b.wpsc").data
-        base = data
-        while isinstance(base, np.ndarray):
-            base = base.base
-        assert isinstance(base, bytes) and base == (tmp_path / "b.wpsc").read_bytes()
-        assert np.shares_memory(data, np.frombuffer(base, dtype=np.uint8))
+        assert np.array_equal(data, ds.data)
+        assert data.flags.aligned and data.flags.f_contiguous
+        assert not data.flags.writeable and not data.base.flags.writeable
+        assert data.base.base is None  # owns its memory: no view of the file
+        assert Dataset(data=data, img_h=4, img_w=4).data is data
 
     def test_normalize_and_split_keep_what_they_made(self, monkeypatch):
         made = []

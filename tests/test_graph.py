@@ -120,6 +120,13 @@ class TestSpectralClustering:
         with pytest.raises(ParameterError):
             spectral_clustering(np.zeros((3, 3)), 4, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, None, "0"])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        # np.random.default_rng would raise a ValueError, or draw fresh entropy
+        W, _ = planted_two_block(seed=9)
+        with pytest.raises(ParameterError, match="seed"):
+            spectral_clustering(W, 2, seed=seed)
+
     def test_deterministic(self):
         W, _ = planted_two_block(seed=9)
         a = spectral_clustering(W, 2, seed=5)
@@ -215,8 +222,8 @@ def library_restart(points, k, seed, r, max_iter):
     the batched seeding of restarts 0..r, then restart r's Lloyd loop as a
     group of one."""
     assert points.flags.f_contiguous  # the layout kmeans passes
-    centers, dists = graph_mod._plusplus_seeds(points, k, seed, r + 1)
-    labels, inertia = graph_mod._lloyd_group(points, centers[r:], dists[r:], max_iter)
+    centers = graph_mod._plusplus_seeds(points, k, seed, r + 1)
+    labels, inertia = graph_mod._lloyd_group(points, centers[r:], max_iter)
     return labels[0], inertia[0]
 
 
@@ -279,11 +286,11 @@ class TestKmeans:
         if distinct:
             pts = pts[rng.integers(distinct, size=n) % n]
         pts, cols = np.asarray(pts, order=order), np.asfortranarray(pts)
-        centers, dists = graph_mod._plusplus_seeds(cols, k, seed, restarts)
+        centers = graph_mod._plusplus_seeds(cols, k, seed, restarts)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             # all restarts in one lockstep group
-            labels, inertias = graph_mod._lloyd_group(cols, centers, dists, max_iter)
+            labels, inertias = graph_mod._lloyd_group(cols, centers, max_iter)
             for r in range(restarts):
                 want = reference_kmeans_once(
                     cols, k, np.random.default_rng(seed + r), max_iter)
@@ -337,36 +344,22 @@ class TestKmeans:
             ties += s % 2 == 0 and want == 11  # u <= cdf[3..10] < cdf[11]
         assert ties == rows // 2
 
-    def test_first_lloyd_step_uses_seeded_distances(self):
-        pts = np.asfortranarray(blobs(4, 3, 2, 10, 0.1))
-        n = pts.shape[0]
-        centers, dists = graph_mod._plusplus_seeds(pts, 3, 0, 2)
-        for r in range(2):  # the Lloyd step's own distance formula, bit for bit
-            want = ((pts[:, None, :] - centers[r][None, :, :]) ** 2).sum(axis=2)
-            assert np.array_equal(dists[r], want)
-        # the first step assigns by the distances it is given
-        planted = np.arange(n) % 3
-        fake = np.ones((n, 3))
-        fake[np.arange(n), planted] = 0.0
-        labels, _ = graph_mod._lloyd_group(pts, centers[:1], fake[None], 1)
-        assert np.array_equal(labels[0], planted)
-
     def test_group_mixes_repair_early_stop_and_max_iter(self, monkeypatch):
         # one lockstep group whose restarts end differently: a duplicated
-        # start center leaves a cluster empty (repair), the blob means stop
-        # on unchanged labels, and a start inside one blob runs out of
-        # iterations; each must end with the labels and inertia it has alone
+        # start center leaves a cluster empty in the first step (repair), the
+        # blob means stop on unchanged labels, and a start inside one blob
+        # runs out of iterations; each must end with the labels and inertia
+        # it has alone
         pts = np.asfortranarray(blobs(11, 4, 2, 10, 0.6))
         final, _ = reference_lloyd(pts, pts[:4], 300)
         means = np.stack([pts[final == c].mean(axis=0) for c in range(4)])
         starts = np.stack([pts[[0, 0, 17, 33]], means, pts[:4]])
-        d2 = ((pts[None, :, None, :] - starts[:, None, :, :]) ** 2).sum(axis=3)
         max_iter = 3
         repaired = []
         real = graph_mod._repair_empty
         monkeypatch.setattr(graph_mod, "_repair_empty",
                             lambda labels, *args: repaired.append(1) or real(labels, *args))
-        labels, inertias = graph_mod._lloyd_group(pts, starts.copy(), d2, max_iter)
+        labels, inertias = graph_mod._lloyd_group(pts, starts.copy(), max_iter)
         stopped = []
         for r in range(len(starts)):
             want = reference_lloyd(pts, starts[r], max_iter, stopped)
@@ -392,10 +385,10 @@ class TestKmeans:
         # with the labels and inertia it reaches in a group of its own
         pts = np.asfortranarray(blobs(1, k, m, n // k + 1, 0.5)[:n])
         restarts = graph_mod.KMEANS_RESTARTS
-        centers, dists = graph_mod._plusplus_seeds(pts, k, 3, restarts)
-        labels, inertias = graph_mod._lloyd_group(pts, centers.copy(), dists, 300)
+        centers = graph_mod._plusplus_seeds(pts, k, 3, restarts)
+        labels, inertias = graph_mod._lloyd_group(pts, centers.copy(), 300)
         for r in range(restarts):
-            one = graph_mod._lloyd_group(pts, centers[r:r + 1].copy(), dists[r:r + 1], 300)
+            one = graph_mod._lloyd_group(pts, centers[r:r + 1].copy(), 300)
             assert np.array_equal(labels[r], one[0][0]) and inertias[r] == one[1][0], r
 
     @pytest.mark.parametrize("order", "CF")
@@ -417,13 +410,12 @@ class TestKmeans:
         starts = np.stack([pts[np.r_[[0, 1, 2], n - 6 + rng.permutation(6)]]
                            for _ in range(4)])
         starts[0, :3] = pts[[3, 9, 15]]
-        d2 = ((pts[None, :, None, :] - starts[:, None, :, :]) ** 2).sum(axis=3)
         reranked = []
         real = graph_mod._rerank
         monkeypatch.setattr(graph_mod, "_rerank",
                             lambda points, centers, r, *args: reranked.append(len(r))
                             or real(points, centers, r, *args))
-        labels, inertias = graph_mod._lloyd_group(pts, starts.copy(), d2, 300)
+        labels, inertias = graph_mod._lloyd_group(pts, starts.copy(), 300)
         for r in range(len(starts)):
             want = reference_lloyd(cols, starts[r], 300)
             assert np.array_equal(labels[r], want[0]) and inertias[r] == want[1], r

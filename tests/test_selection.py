@@ -191,6 +191,11 @@ class TestSelectSubband:
 
 
 class TestGridSearch:
+    @pytest.mark.parametrize("seed", [-5, 0.5, None])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ParameterError, match="seed"):
+            Grid(values={"ce": [0.25]}, seed=seed)
+
     def test_single_point_grid(self):
         ds = planted_ds()
         grid = Grid(values={"ce": [0.25]}, n_val_subsets=2,

@@ -30,7 +30,35 @@ def circ_corr2(img, f_row, f_col, step):
     return out
 
 
+def six_pass_analysis(img, level=1):
+    """The six-pass analysis that shares one row pass between two subbands,
+    kept as a reference for the per-subband step the library runs."""
+
+    def _pass(x, step, axis, sign):
+        return (x + sign * np.roll(x, -step, axis=axis)) / np.sqrt(2.0)
+
+    img = np.asarray(img, dtype=np.float64)
+    step = 2 ** (level - 1)
+    lo_r = _pass(img, step, -2, +1.0)
+    hi_r = _pass(img, step, -2, -1.0)
+    a = _pass(lo_r, step, -1, +1.0)
+    h = _pass(lo_r, step, -1, -1.0)
+    v = _pass(hi_r, step, -1, +1.0)
+    d = _pass(hi_r, step, -1, -1.0)
+    return a, h, v, d
+
+
 class TestHaarAnalysis:
+    @pytest.mark.parametrize("order", "CF")
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_matches_six_pass_reference(self, level, order):
+        stack = np.asarray(np.random.default_rng(level).standard_normal((5, 8, 12)),
+                           order=order)
+        for got, want in zip(haar_analysis_2d(stack, level),
+                             six_pass_analysis(stack, level), strict=True):
+            assert np.array_equal(got, want)
+            assert got.strides == want.strides
+
     def test_constant_image(self):
         c = 3.5
         a, h, v, d = haar_analysis_2d(np.full((6, 6), c), 1)
