@@ -15,13 +15,13 @@ import math
 import numbers
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .bundle import load_bundle, save_bundle, save_matrix
-from .datasets import (Dataset, SplitSpec, UosSpec, check_seed, column_normalize, generate_uos,
+from .datasets import (Dataset, SplitSpec, UosSpec, check_int, column_normalize, generate_uos,
                        load_idx, load_pgm_dir, split, unit_columns)
 from .errors import (ConfigError, ConsistencyError, ConvergenceError, DataError,
                      DegenerateColumnError, Error, LabelingError)
@@ -47,67 +47,52 @@ class ExperimentConfig:
     """Validated experiment description (see README for the JSON schema)."""
 
     dataset: dict
-    pipeline: str
+    pipeline: str = "single"
     solver: SolverSpec | None = None
     levels: int = 2
     d: int = 9
     ipd: bool = False
-    split: SplitSpec = field(default_factory=lambda: SplitSpec(1.0, 0))
+    split: SplitSpec = field(default_factory=SplitSpec)
     mera: dict = field(default_factory=dict)
     grid: Grid | None = None
     seeds: tuple = (0,)
     output_dir: str = "out"
     export_bundles: bool = False
 
+    def __post_init__(self):
+        if self.pipeline not in PIPELINES:
+            raise ConfigError(f"pipeline must be one of {PIPELINES}")
+        for key, kind in (("dataset", dict), ("mera", dict), ("output_dir", str),
+                          ("ipd", bool), ("export_bundles", bool)):
+            if not isinstance(getattr(self, key), kind):
+                noun = {dict: "a JSON object", str: "a string", bool: "true or false"}[kind]
+                raise ConfigError(f"{key} must be {noun}, got {getattr(self, key)!r}")
+        if not isinstance(self.dataset.get("name", ""), str):
+            raise ConfigError(f"dataset.name must be a string, got {self.dataset['name']!r}")
+        if not (isinstance(self.seeds, (list, tuple)) and self.seeds):
+            raise ConfigError(f"seeds must be a nonempty list, got {self.seeds!r}")
+        self.seeds = tuple(self.seeds)
+        for seed in self.seeds:
+            check_int(seed, "seeds")
+        for key in ("d", "levels"):
+            check_int(getattr(self, key), key, 1)
+        if self.pipeline != "wp-mera" and self.solver is None:
+            raise ConfigError(f"pipeline {self.pipeline!r} needs a solver spec")
+        for params in self.grid.points() if self.grid else [{}]:
+            _settings(self, params)  # every grid point's spec fails here, not mid-run
+
     @classmethod
     def from_dict(cls, raw):
+        """The config of a parsed JSON object; each section is built, and
+        checked, by the type that uses it."""
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        _known_keys(raw, "config", [f.name for f in fields(cls)])
-        if "dataset" not in raw:
-            raise ConfigError("config needs a 'dataset' section")
-        pipeline = raw.get("pipeline", "single")
-        if pipeline not in PIPELINES:
-            raise ConfigError(f"pipeline must be one of {PIPELINES}")
         try:
-            solver = grid = None
-            if "solver" in raw:
-                s = dict(raw["solver"])
-                solver = SolverSpec(kind=s.pop("kind"), params=s.pop("params", {}), **s)
-            if "grid" in raw:
-                g = dict(raw["grid"])
-                grid = Grid(values=g.pop("values"), **g)
-            sp = _known_keys(raw.get("split", {}), "split", ("in_fraction", "seed"))
-            cfg = cls(dataset=dict(raw["dataset"]), pipeline=pipeline, solver=solver,
-                      levels=int(raw.get("levels", 2)), d=int(raw.get("d", 9)),
-                      ipd=raw.get("ipd", False),
-                      split=SplitSpec(in_fraction=sp.get("in_fraction", 1.0),
-                                      seed=sp.get("seed", 0)),
-                      mera=dict(raw.get("mera", {})), grid=grid,
-                      seeds=tuple(raw.get("seeds", (0,))),
-                      output_dir=raw.get("output_dir", "out"),
-                      export_bundles=raw.get("export_bundles", False))
-        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad config value: {exc!r}") from exc
-        if not isinstance(cfg.output_dir, str):
-            raise ConfigError(f"output_dir must be a path string, got {cfg.output_dir!r}")
-        for key in ("ipd", "export_bundles"):
-            if not isinstance(getattr(cfg, key), bool):
-                raise ConfigError(f"{key} must be true or false, got {getattr(cfg, key)!r}")
-        if not isinstance(cfg.dataset.get("name", ""), str):
-            raise ConfigError(f"dataset.name must be a string, got {cfg.dataset['name']!r}")
-        if pipeline != "wp-mera" and solver is None:
-            raise ConfigError(f"pipeline {pipeline!r} needs a solver spec")
-        for params in grid.points() if grid else [{}]:
-            _settings(cfg, params)  # every grid point's spec fails here, not mid-run
-        if not cfg.seeds or not all(isinstance(s, numbers.Integral) and s >= 0
-                                    for s in cfg.seeds):
-            raise ConfigError(f"seeds must be a nonempty list of nonnegative integers, "
-                              f"got {list(cfg.seeds)!r}")
-        for key in ("d", "levels"):
-            if getattr(cfg, key) < 1:
-                raise ConfigError(f"{key} must be >= 1, got {getattr(cfg, key)}")
-        return cfg
+            sections = {"solver": SolverSpec, "grid": Grid, "split": SplitSpec}
+            return cls(**{**raw, **{key: kind(**raw[key])
+                                    for key, kind in sections.items() if key in raw}})
+        except (AttributeError, TypeError) as exc:
+            raise ConfigError(f"bad config: {exc}") from exc
 
     def validate_against(self, ds):
         """Fail fast on config/dataset inconsistencies (before any solve)."""
@@ -117,7 +102,7 @@ class ExperimentConfig:
         n_in = int(sum(math.ceil(self.split.in_fraction * c) for c in counts))
         if self.pipeline == "wp-mera":
             choose_grid(n_in)  # raises NoGridError on e.g. prime N
-        if min(ds.img_h, ds.img_w) < 2 ** (self.levels if "wp" in self.pipeline else 0):
+        if "wp" in self.pipeline and min(ds.img_h, ds.img_w) >> self.levels == 0:  # < 2**levels
             raise ConfigError(
                 f"{ds.img_h}x{ds.img_w} images too small for levels={self.levels}"
             )
@@ -139,17 +124,16 @@ def load_dataset(spec):
         return value
 
     kind = spec.get("kind")
+    keys = {"synthetic": ("uos",), "bundle": ("path",), "idx": ("images", "labels"),
+            "pgm_dir": ("path", "class_regex")}  # each kind's own, besides kind and name
+    if not (isinstance(kind, str) and kind in keys):
+        raise ConfigError(f"unknown dataset kind {kind!r}")
+    _known_keys(spec, f"{kind} dataset", ("kind", "name", *keys[kind]))
     if kind == "synthetic":
-        u = spec.get("uos", {})
         try:
-            uspec = UosSpec(C=u["C"], d=u["d"], D=u["D"],
-                            n_per_cluster=u["n_per_cluster"],
-                            noise_sigma=u.get("noise_sigma", 0.0),
-                            seed=u.get("seed", 0))
-        except KeyError as exc:
-            raise ConfigError(f"synthetic dataset needs uos.{exc.args[0]}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad synthetic dataset spec: {exc}") from exc
+            uspec = UosSpec(**spec.get("uos", {}))
+        except TypeError as exc:
+            raise ConfigError(f"bad synthetic dataset spec: uos: {exc}") from exc
         ds = generate_uos(uspec)
         return ds if "name" not in spec else ds.with_data(ds.data, name=spec["name"])
     if kind == "bundle":
@@ -157,30 +141,31 @@ def load_dataset(spec):
     if kind == "idx":
         return load_idx(text("images"), text("labels", optional=True),
                         name=spec.get("name"))
-    if kind == "pgm_dir":
-        return load_pgm_dir(text("path"), text("class_regex"), name=spec.get("name"))
-    raise ConfigError(f"unknown dataset kind {kind!r}")
+    return load_pgm_dir(text("path"), text("class_regex"), name=spec.get("name"))
 
 
 def _known_keys(section, name, known):
-    """``section``, if it holds only keys in ``known``."""
+    """Raise unless ``section`` holds only keys in ``known``."""
     unknown = set(section) - set(known)
     if unknown:
         raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
-    return section
 
 
 def _mera_fields(p):
-    """WpMeraPipeline parameters from a config 'mera' section."""
+    """WpMeraPipeline fields from a config 'mera' section: the keys it holds,
+    checked, with ``lambda`` renamed to ``lam``; the pipeline's defaults
+    stand for the keys it leaves out."""
     _known_keys(p, "mera", ("lambda", "R", "tol", "max_iter", "sweeps"))
     for key in ("lambda", "R"):
         if key not in p:
             raise ConfigError(f"wp-mera pipeline needs mera.{key}")
-    out = {"lam": p["lambda"], "R": p["R"], "tol": p.get("tol", 1e-6),
-           "max_iter": p.get("max_iter", 200), "sweeps": p.get("sweeps", 2)}
-    if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in out.values()):
-        raise ConfigError(f"mera parameters must be finite numbers, got {p}")
-    return {**out, **{k: int(out[k]) for k in ("R", "max_iter", "sweeps")}}
+    for key, value in p.items():
+        if key in ("lambda", "tol"):
+            if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
+                raise ConfigError(f"mera.{key} must be positive and finite, got {value!r}")
+        else:
+            check_int(value, f"mera.{key}", 1)
+    return {("lam" if key == "lambda" else key): value for key, value in p.items()}
 
 
 def _settings(cfg, params):
@@ -654,7 +639,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        check_seed(getattr(args, "seed", 0))  # a subcommand's --seed, before any work
+        check_int(getattr(args, "seed", 0), "seed")  # a subcommand's --seed, before any work
         args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -123,11 +123,13 @@ def _seal(a):
     return a
 
 
-def check_seed(seed):
-    """Raise ParameterError unless ``seed`` is a nonnegative integer, the
-    only seed ``np.random.default_rng`` takes."""
-    if not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ParameterError(f"seed must be a nonnegative integer, got {seed!r}")
+def check_int(value, name, minimum=0):
+    """Raise ParameterError naming ``name`` unless ``value`` is an integer,
+    not a bool, of at least ``minimum``: the one check of every integer
+    setting, seeds included (``np.random.default_rng`` takes nonnegative
+    integers only)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < minimum:
+        raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -135,13 +137,13 @@ class SplitSpec:
     """Stratified in-/out-of-sample split: each cluster contributes
     ceil(in_fraction * N_c) in-sample points."""
 
-    in_fraction: float
-    seed: int
+    in_fraction: float = 1.0
+    seed: int = 0
 
     def __post_init__(self):
         if not (0.0 < self.in_fraction <= 1.0):
             raise ParameterError("in_fraction must lie in (0, 1]")
-        check_seed(self.seed)
+        check_int(self.seed, "seed")
 
 
 @dataclass(frozen=True)
@@ -160,17 +162,17 @@ class UosSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.C, self.d, self.D, self.n_per_cluster) < 1:
-            raise ParameterError("C, d, D, n_per_cluster must be positive")
+        for key in ("C", "d", "D", "n_per_cluster"):
+            check_int(getattr(self, key), key, 1)
         if self.d >= self.D:
             raise InfeasibleSpecError(f"need d < D, got d={self.d}, D={self.D}")
         if self.C * self.d > self.D:
             raise InfeasibleSpecError(
                 f"C*d = {self.C * self.d} exceeds ambient dimension D = {self.D}"
             )
-        if self.noise_sigma < 0:
-            raise ParameterError("noise_sigma must be nonnegative")
-        check_seed(self.seed)
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ParameterError("noise_sigma must be nonnegative and finite")
+        check_int(self.seed, "seed")
 
 
 def most_square_shape(D):

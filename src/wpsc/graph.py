@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import eigh
 
-from .datasets import check_seed
+from .datasets import check_int
 from .errors import ParameterError
 
 DEGREE_FLOOR = 1e-12  # degree assigned to isolated vertices
@@ -94,7 +94,7 @@ def spectral_clustering(W, C, seed=0):
     and runs seeded k-means++ with 20 restarts; the restart with the best
     inertia wins. Deterministic given seed.
     """
-    check_seed(seed)
+    check_int(seed, "seed")
     W = _check_affinity(W)
     n = W.shape[0]
     if C < 2:

@@ -6,10 +6,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datasets import _seal, check_seed
+from .datasets import _seal, check_int
 from .errors import ParameterError, SplitError
 from .metrics import evaluate
-from .wavelet import ALPHABET, node_matrix
+from .wavelet import ALPHABET, _check_size, node_matrix
 
 
 @dataclass(frozen=True)
@@ -42,9 +42,9 @@ class Grid:
     def __post_init__(self):
         if not self.values or any(len(v) == 0 for v in self.values.values()):
             raise ParameterError("grid needs at least one value per parameter")
-        if self.n_val_subsets < 1 or self.val_size_per_cluster < 1:
-            raise ParameterError("subset counts must be positive")
-        check_seed(self.seed)
+        check_int(self.n_val_subsets, "n_val_subsets", 1)
+        check_int(self.val_size_per_cluster, "val_size_per_cluster", 1)
+        check_int(self.seed, "seed")
 
     def points(self):
         """Grid points as dicts, in row-major order over the value lists."""
@@ -83,8 +83,7 @@ def select_subband(ds, J, pipeline, seed=0):
     """
     if ds.labels is None:
         raise ParameterError("subband selection needs a labeled validation set")
-    if J < 1:
-        raise ParameterError("J must be >= 1")
+    _check_size(ds.img_h, ds.img_w, J)  # before the first solve
     runs = _scan(ds, [[""]], pipeline, seed)
 
     def stop(chosen, reason):
@@ -118,8 +117,7 @@ def scan_all_subbands(ds, J, pipeline, seed=0):
     """
     if ds.labels is None:
         raise ParameterError("subband scanning needs a labeled validation set")
-    if J < 1:
-        raise ParameterError("J must be >= 1")
+    _check_size(ds.img_h, ds.img_w, J)  # before the first solve
     groups = [[""]]
     for j in range(1, J + 1):
         groups += [["".join(p) + ch for ch in ALPHABET]

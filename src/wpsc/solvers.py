@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .datasets import check_int
 from .errors import ConvergenceError, DegenerateDataError, ParameterError
 from .graph import _smallest
 
@@ -49,7 +50,9 @@ class SolverSpec:
             if key not in self.params:
                 raise ParameterError(f"{self.kind} requires parameter {key!r}")
             value = self.params[key]
-            if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
+            if self.kind in ("NSN", "RTSC"):  # neighbour counts and a dimension
+                check_int(value, f"{self.kind} parameter {key!r}", 1)
+            elif not (isinstance(value, numbers.Real) and 0 < value < math.inf):
                 raise ParameterError(f"{self.kind} parameter {key!r} must be positive "
                                      f"and finite, got {value!r}")
         if not isinstance(self.params.get("affine", False), bool):
@@ -63,11 +66,8 @@ class SolverSpec:
             raise ParameterError(f"tol must be positive and finite, got {self.tol!r}")
         if self.max_iter is None:
             object.__setattr__(self, "max_iter", _DEFAULT_MAX_ITER[self.kind])
-        elif not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 0:
-            raise ParameterError(f"max_iter must be a nonnegative integer, "
-                                 f"got {self.max_iter!r}")
-        elif self.max_iter == 0 and _DEFAULT_MAX_ITER[self.kind]:  # an iterative solver
-            raise ParameterError(f"{self.kind} needs max_iter >= 1")
+        # an iterative solver needs an iteration, a greedy one takes none
+        check_int(self.max_iter, f"{self.kind} max_iter", min(_DEFAULT_MAX_ITER[self.kind], 1))
 
     def solve(self, X):
         """Run the configured solver on a D x N column-data matrix, or on
@@ -82,9 +82,9 @@ class SolverSpec:
         if self.kind == "LRR":
             one = lambda x: solve_lrr(x, p["lambda"], tol=self.tol, max_iter=self.max_iter)
         elif self.kind == "NSN":
-            one = lambda x: solve_nsn(x, int(p["k"]), int(p["d_max"]))
+            one = lambda x: solve_nsn(x, p["k"], p["d_max"])
         else:
-            one = lambda x: solve_rtsc(x, int(p["q"]))
+            one = lambda x: solve_rtsc(x, p["q"])
         return np.stack([one(x) for x in X]) if np.ndim(X) == 3 else one(X)
 
 

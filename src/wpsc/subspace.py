@@ -122,25 +122,28 @@ def assign_multiview_batch(view_matrices, models):
 
 def _check_orthonormal(U, tag):
     U = np.asarray(U, dtype=np.float64)
-    if U.ndim != 2 or U.shape[1] < 1:
-        raise ParameterError(f"{tag} must be a D x d matrix with d >= 1")
-    gram = U.T @ U
-    if np.abs(gram - np.eye(U.shape[1])).max() > 1e-8:
+    if U.ndim != 2:
+        raise ParameterError(f"{tag} must be a D x d matrix")
+    if not np.all(np.abs(U.T @ U - np.eye(U.shape[1])) <= 1e-8):  # true when d = 0
         raise ParameterError(f"{tag} does not have orthonormal columns")
     return U
 
 
 def _affinity(U1, U2):
+    d = min(U1.shape[1], U2.shape[1])
+    if d == 0:
+        return 0.0
     s = np.linalg.svd(U1.T @ U2, compute_uv=False)
-    val = np.sqrt(np.sum(s ** 2) / min(U1.shape[1], U2.shape[1]))
-    return float(np.clip(val, 0.0, 1.0))
+    return float(np.clip(np.sqrt(np.sum(s ** 2) / d), 0.0, 1.0))
 
 
 def average_affinity(model):
     """Mean pairwise subspace affinity over all C(C-1)/2 cluster pairs, each
     basis checked once. The affinity of two spans is the RMS cosine of their
     principal angles, sqrt(sum_i cos^2(phi_i) / min(d1, d2)): 1 for
-    identical spans, 0 for orthogonal ones."""
+    identical spans, 0 for orthogonal ones. A D x 0 basis, which
+    :func:`estimate_bases` gives a one-member cluster, spans no direction,
+    so every pair that includes it counts as affinity 0."""
     C = model.C
     if C < 2:
         raise ParameterError("need at least 2 clusters")

@@ -13,6 +13,7 @@ columns (width).
 
 import numpy as np
 
+from .datasets import check_int
 from .errors import ParameterError, SizeError
 
 ALPHABET = "AHVD"
@@ -37,10 +38,12 @@ def _pass_adjoint(y, step, axis, sign):
 
 
 def _check_size(h, w, level):
-    if h < 2 ** level or w < 2 ** level:
-        raise SizeError(
-            f"image {h}x{w} too small for level {level} (needs >= {2 ** level})"
-        )
+    """Raise unless ``level`` is an integer >= 1 and h x w images are large
+    enough for it: both sides at least 2**level."""
+    check_int(level, "level", 1)
+    if min(h, w) >> level == 0:  # shifted, as a huge level would make 2**level huge
+        raise SizeError(f"image {h}x{w} too small for level {level} "
+                        f"(needs sides >= 2**{level})")
 
 
 def _step(cube, level, ch):
@@ -58,8 +61,6 @@ def haar_analysis_2d(img, level=1):
     two axes are filtered. Returns four arrays of the input shape.
     """
     img = np.asarray(img, dtype=np.float64)
-    if level < 1:
-        raise ParameterError("level must be >= 1")
     _check_size(img.shape[-2], img.shape[-1], level)
     return tuple(_step(img, level, ch) for ch in ALPHABET)
 
@@ -69,8 +70,6 @@ def haar_synthesis_2d(a, h, v, d, level=1):
     a, h, v, d = (np.asarray(s, dtype=np.float64) for s in (a, h, v, d))
     if not (a.shape == h.shape == v.shape == d.shape):
         raise ParameterError("subband shapes must match")
-    if level < 1:
-        raise ParameterError("level must be >= 1")
     _check_size(a.shape[-2], a.shape[-1], level)
     step = 2 ** (level - 1)
     lo_r = _pass_adjoint(a, step, -1, +1.0) + _pass_adjoint(h, step, -1, -1.0)
@@ -87,8 +86,6 @@ def wp_decompose(ds, J):
     into D x N node matrices: a dict from each path (level = length) to its
     matrix, over the sum_{j=1..J} 4**j nodes in lexicographic path order.
     """
-    if J < 1:
-        raise ParameterError("J must be >= 1")
     _check_size(ds.img_h, ds.img_w, J)
     cubes = {"": ds.images()}  # (N, h, w) stacks, filtered along axes 1, 2
     for j in range(1, J + 1):

@@ -236,6 +236,15 @@ class TestRun:
         rc = main(["run", "--config", str(cfg_path)])
         assert rc == 2
 
+    def test_one_member_clusters_get_finite_diagnostics(self, tmp_path):
+        # the D x 0 basis of a one-member cluster once failed the run after the fit
+        synth_bundle(tmp_path, n_per_cluster=10)
+        with pytest.warns(UserWarning, match="reduced to 0"):
+            assert main(_run_argv(tmp_path, split={"in_fraction": 0.1, "seed": 0})) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        diag = report["runs"][0]["diagnostics"]
+        assert diag["affinity_ambient"] == 0.0 and np.isfinite(list(diag.values())).all()
+
     def test_append_mode(self, tmp_path):
         synth_bundle(tmp_path, n_per_cluster=15)
         cfg_path = tmp_path / "cfg.json"
@@ -549,10 +558,22 @@ class TestErrorExits:
         ({"solver": {"kind": "RTSC", "params": {"q": 4}},
           "grid": {"values": {"q": [3, 5]}, "n_val_subsets": 2, "val_size_per_cluster": 6,
                    "seed": -5}}, "seed must"),
-    ], ids=["solver", "mode", "grid", "split", "mera", "d", "levels", "seeds", "grid-seed"])
+        ({"d": 2.5}, "d must"),
+        ({"levels": True}, "levels must"),
+        ({"pipeline": "wp-mera", "mera": {"lambda": 10, "R": 12.5}}, "mera.R must"),
+        ({"pipeline": "wp-mera", "mera": {"lambda": 10, "R": 12, "sweeps": 0}}, "sweeps must"),
+        ({"pipeline": "wp-mera", "mera": {"lambda": 10, "R": 12, "tol": -1}}, "tol must"),
+        ({"solver": {"kind": "RTSC", "params": {"q": 4.5}}}, "'q' must"),
+        ({"solver": {"kind": "RTSC", "params": {"q": 4}},
+          "grid": {"values": {"q": [3, 5]}, "n_val_subsets": 1.5,
+                   "val_size_per_cluster": 6}}, "n_val_subsets must"),
+    ], ids=["solver", "mode", "grid", "split", "mera", "d", "levels", "seeds", "grid-seed",
+            "d-float", "levels-bool", "mera-R-float", "mera-sweeps", "mera-tol", "rtsc-q-float",
+            "grid-subsets-float"])
     def test_nested_typo_exits_2_before_any_work(self, tmp_path, overrides, typo):
-        # each misspelt key once ran with the default in its place, and each
-        # out-of-range value failed only after the data were loaded
+        # each misspelt key once ran with the default in its place, each
+        # out-of-range value failed only after the data were loaded, and
+        # each non-integer count was truncated by int() or failed mid-run
         synth_bundle(tmp_path)
         with pytest.raises(ConfigError, match=typo):
             ExperimentConfig.from_dict(base_config(tmp_path, **overrides))
@@ -679,6 +700,16 @@ BAD_INPUTS = {
         "--seed", "-1", "--out", str(t / "s.wpsc")]),
     "config-uos-size": (2, lambda t, y: _run_argv(t, dataset={
         "kind": "synthetic", "uos": {"C": "x", "d": 1, "D": 16, "n_per_cluster": 6}})),
+    "config-uos-size-float": (2, lambda t, y: _run_argv(t, dataset={
+        "kind": "synthetic", "uos": {"C": 3.5, "d": 1, "D": 16, "n_per_cluster": 6}})),
+    "config-uos-typo": (2, lambda t, y: _run_argv(t, dataset={
+        "kind": "synthetic", "uos": {"C": 2, "d": 1, "D": 16, "n_per_cluster": 6,
+                                     "noise": 0.5}})),
+    "config-dataset-key": (2, lambda t, y: _run_argv(t, dataset={
+        "kind": "bundle", "path": str(t / "data.wpsc"), "nmae": "q"})),
+    "select-subband-levels": (3, lambda t, y: [
+        "select-subband", "--data", str(t / "data.wpsc"), "--solver", "SSC",
+        "--param", "alpha=10", "--levels", "9", "--out-dir", str(t / "s")]),
     "param-not-number": (2, lambda t, y: [
         "cluster", "--data", str(t / "data.wpsc"), "--solver", "SSC",
         "--param", "alpha=abc", "--out-dir", str(t / "c")]),
@@ -712,9 +743,11 @@ _not_a_string = st.one_of(st.none(), st.integers(), st.floats(),
                           st.lists(st.integers(), max_size=2))
 _not_a_bool = st.one_of(_junk, st.integers(), st.floats(),
                         st.sampled_from(["false", "true", "0", "1"]))
+# integer settings take JSON integers only: 2.5, 4.0 and true are errors
+_not_an_int = st.one_of(st.booleans(), st.floats())
 BAD_CONFIG_VALUES = {
-    ("d",): st.one_of(_junk, st.integers(max_value=0)),
-    ("levels",): st.one_of(_junk, st.integers(max_value=0)),
+    ("d",): st.one_of(_junk, st.integers(max_value=0), _not_an_int),
+    ("levels",): st.one_of(_junk, st.integers(max_value=0), _not_an_int),
     ("split", "in_fraction"): st.one_of(
         _junk, st.floats(max_value=0.0), st.floats(min_value=1.0, exclude_min=True)),
     ("split", "seed"): st.one_of(_junk, st.integers(max_value=-1),
@@ -742,9 +775,13 @@ BAD_CONFIG_VALUES = {
     ("mera", "lambda"): st.one_of(_junk, st.floats(max_value=0.0)),
     ("mera", "R"): st.one_of(_junk, st.integers(max_value=0)),
     ("mera", "max_iter"): st.one_of(_junk, st.integers(max_value=0)),
+    ("mera", "sweeps"): st.one_of(_junk, st.integers(max_value=0), _not_an_int),
+    ("mera", "tol"): st.one_of(_junk, st.floats(max_value=0.0)),
+    ("grid", "n_val_subsets"): st.one_of(_junk, st.integers(max_value=0), _not_an_int),
     ("grid", "seed"): st.one_of(_junk, st.integers(max_value=-1), st.floats(0.1, 0.9)),
     ("dataset", "uos", "seed"): st.one_of(_junk, st.integers(max_value=-1),
                                           st.floats(0.1, 0.9)),
+    ("dataset", "uos", "C"): st.one_of(_junk, st.integers(max_value=0), _not_an_int),
 }
 BAD_PARAMS = st.one_of(
     st.sampled_from(["alpha", "alpha=", "=10", "alpha=NaN", "alpha=Infinity",

@@ -3,7 +3,7 @@ import pytest
 
 import wpsc
 from conftest import checkerboard_noise_uos, make_uos
-from wpsc.errors import ParameterError, SplitError
+from wpsc.errors import ParameterError, SizeError, SplitError
 from wpsc.metrics import evaluate
 from wpsc.selection import (
     Grid,
@@ -161,6 +161,15 @@ class TestSelectSubband:
         unlabeled = wpsc.Dataset(data=ds.data, img_h=ds.img_h, img_w=ds.img_w)
         with pytest.raises(ParameterError):
             select_subband(unlabeled, 2, PlantedCePipeline(ds, {"": 0.0}))
+
+    @pytest.mark.parametrize("chooser", [select_subband, scan_all_subbands])
+    def test_depth_checked_against_image_size_before_any_solve(self, chooser):
+        # a descent that stopped early once returned for a J too deep for its images
+        ds = planted_ds()  # 4 x 4 images take two levels
+        pipe = PlantedCePipeline(ds, {"": 0.0, **{ch: 0.5 for ch in "AHVD"}})
+        with pytest.raises(SizeError, match="level 3"):
+            chooser(ds, 3, pipe)
+        assert pipe.stacks == []
 
     @pytest.mark.parametrize("ce,chosen", [
         ({"": 0.05, "A": 0.2, "H": 0.3, "V": 0.3, "D": 0.4}, ""),

@@ -695,6 +695,8 @@ class TestSolverSpec:
             SolverSpec("LRR", {"lambda": -1})
         with pytest.raises(ParameterError):
             SolverSpec("BOGUS", {})
+        with pytest.raises(ParameterError, match="'k' must be an integer"):
+            SolverSpec("NSN", {"k": 4.5, "d_max": 2})  # once truncated to 4
 
     @pytest.mark.parametrize("kind,params", [
         ("SSC", {"alpha": 10, "mdoe": "outlier"}),

@@ -299,6 +299,13 @@ class TestAverageAffinity:
                                   bases=[e[:, :2], e[:, 2:4], e[:, 4:6]], d=2)
         assert average_affinity(model) == pytest.approx(0.0, abs=1e-12)
 
+    def test_empty_basis_has_affinity_zero(self):
+        # estimate_bases gives a one-member cluster a D x 0 basis
+        U = np.eye(5)[:, :2]
+        model = wpsc.ClusterModel(means=np.zeros((3, 5)),
+                                  bases=[U, np.zeros((5, 0)), U.copy()], d=2)
+        assert average_affinity(model) == pytest.approx(1.0 / 3, abs=1e-15)
+
     def test_checks_each_basis_once(self, monkeypatch):
         import wpsc.subspace as subspace_mod
         rng = np.random.default_rng(11)
