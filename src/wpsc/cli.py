@@ -12,7 +12,6 @@ import argparse
 import csv
 import json
 import math
-import numbers
 import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -21,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .bundle import load_bundle, save_bundle, save_matrix
-from .datasets import (Dataset, SplitSpec, UosSpec, check_int, column_normalize, generate_uos,
-                       load_idx, load_pgm_dir, split, unit_columns)
+from .datasets import (Dataset, SplitSpec, UosSpec, check_int, check_real, column_normalize,
+                       generate_uos, load_idx, load_pgm_dir, split, unit_columns)
 from .errors import (ConfigError, ConsistencyError, ConvergenceError, DataError,
                      DegenerateColumnError, Error, LabelingError)
 from .graph import Partition, affinity_from_representation, spectral_clustering
@@ -161,8 +160,7 @@ def _mera_fields(p):
             raise ConfigError(f"wp-mera pipeline needs mera.{key}")
     for key, value in p.items():
         if key in ("lambda", "tol"):
-            if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
-                raise ConfigError(f"mera.{key} must be positive and finite, got {value!r}")
+            check_real(value, f"mera.{key}")
         else:
             check_int(value, f"mera.{key}", 1)
     return {("lam" if key == "lambda" else key): value for key, value in p.items()}
@@ -192,9 +190,7 @@ def _mera_trace_row(t):
 
 def _metrics_dict(truth, pred):
     rep = evaluate(truth, pred)
-    d = rep.as_dict()
-    d["ce"] = 1.0 - rep.acc
-    return d
+    return {**rep.as_dict(), "ce": 1.0 - rep.acc}
 
 
 def _run_seed(cfg, ds, seed):
@@ -259,12 +255,9 @@ def _run_seed(cfg, ds, seed):
     rec["diagnostics"] = diag
     seconds = time.perf_counter() - t0
 
-    csv_rows = []
-    for phase, m in metrics.items():
-        csv_rows.append([ds.name, cfg.pipeline, sub, seed, phase,
-                         f"{m['acc']:.6f}", f"{m['nmi']:.6f}", f"{m['rand']:.6f}",
-                         f"{m['f']:.6f}", f"{m['purity']:.6f}", f"{m['ce']:.6f}",
-                         f"{seconds:.3f}"])
+    csv_rows = [[ds.name, cfg.pipeline, sub, seed, phase,
+                 *(f"{m[k]:.6f}" for k in ("acc", "nmi", "rand", "f", "purity", "ce")),
+                 f"{seconds:.3f}"] for phase, m in metrics.items()]
     return rec, csv_rows, trace_rows
 
 

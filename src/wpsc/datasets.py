@@ -132,6 +132,16 @@ def check_int(value, name, minimum=0):
         raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def check_real(value, name, maximum=math.inf, zero=False):
+    """Raise ParameterError naming ``name`` unless ``value`` is a finite real
+    number, not a bool, above 0 (or 0 itself when ``zero``), at most ``maximum``."""
+    if (not isinstance(value, numbers.Real) or isinstance(value, bool) or not math.isfinite(value)
+            or not (0 <= value if zero else 0 < value) or value > maximum):
+        bound = "" if maximum == math.inf else f" <= {maximum:g}"
+        raise ParameterError(f"{name} must be a {'nonnegative' if zero else 'positive'} "
+                             f"finite number{bound}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     """Stratified in-/out-of-sample split: each cluster contributes
@@ -141,8 +151,7 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 < self.in_fraction <= 1.0):
-            raise ParameterError("in_fraction must lie in (0, 1]")
+        check_real(self.in_fraction, "in_fraction", maximum=1.0)
         check_int(self.seed, "seed")
 
 
@@ -170,8 +179,7 @@ class UosSpec:
             raise InfeasibleSpecError(
                 f"C*d = {self.C * self.d} exceeds ambient dimension D = {self.D}"
             )
-        if not 0 <= self.noise_sigma < math.inf:
-            raise ParameterError("noise_sigma must be nonnegative and finite")
+        check_real(self.noise_sigma, "noise_sigma", zero=True)
         check_int(self.seed, "seed")
 
 

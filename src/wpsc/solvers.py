@@ -8,13 +8,11 @@ iterative convex programs (ADMM / inexact ALM); NSN and RTSC are greedy
 neighborhood constructions. All are deterministic.
 """
 
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datasets import check_int
+from .datasets import check_int, check_real
 from .errors import ConvergenceError, DegenerateDataError, ParameterError
 from .graph import _smallest
 
@@ -52,9 +50,8 @@ class SolverSpec:
             value = self.params[key]
             if self.kind in ("NSN", "RTSC"):  # neighbour counts and a dimension
                 check_int(value, f"{self.kind} parameter {key!r}", 1)
-            elif not (isinstance(value, numbers.Real) and 0 < value < math.inf):
-                raise ParameterError(f"{self.kind} parameter {key!r} must be positive "
-                                     f"and finite, got {value!r}")
+            else:
+                check_real(value, f"{self.kind} parameter {key!r}")
         if not isinstance(self.params.get("affine", False), bool):
             raise ParameterError(f"SSC parameter 'affine' must be true or false, "
                                  f"got {self.params['affine']!r}")
@@ -62,8 +59,7 @@ class SolverSpec:
             raise ParameterError(f"unknown SSC mode {self.params['mode']!r}")
         if self.kind == "NSN" and self.params["d_max"] > self.params["k"]:
             raise ParameterError("NSN needs d_max <= k")
-        if not (isinstance(self.tol, numbers.Real) and 0 < self.tol < math.inf):
-            raise ParameterError(f"tol must be positive and finite, got {self.tol!r}")
+        check_real(self.tol, "tol")
         if self.max_iter is None:
             object.__setattr__(self, "max_iter", _DEFAULT_MAX_ITER[self.kind])
         # an iterative solver needs an iteration, a greedy one takes none

@@ -580,6 +580,24 @@ class TestErrorExits:
         assert main(_run_argv(tmp_path, **overrides)) == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("overrides,key", [
+        ({"solver": {"kind": "SSC", "params": {"alpha": True}}}, "'alpha'"),
+        ({"solver": {"kind": "LRR", "params": {"lambda": True}}}, "'lambda'"),
+        ({"solver": {"kind": "SSC", "params": {"alpha": 10}, "tol": True}}, "tol"),
+        ({"split": {"in_fraction": True}}, "in_fraction"),
+        ({"dataset": {"kind": "synthetic", "uos": {"C": 2, "d": 1, "D": 16, "n_per_cluster": 6,
+                                                  "noise_sigma": True}}}, "noise_sigma"),
+        ({"pipeline": "wp-mera", "mera": {"lambda": True, "R": 2}}, "mera.lambda"),
+        ({"pipeline": "wp-mera", "mera": {"lambda": 10, "R": 2, "tol": True}}, "mera.tol"),
+    ], ids=["ssc-alpha", "lrr-lambda", "tol", "in-fraction", "noise-sigma", "mera-lambda",
+            "mera-tol"])
+    def test_true_for_a_real_setting_exits_2(self, tmp_path, capsys, overrides, key):
+        # bool is a numbers.Real: each of these once ran with true as 1.0
+        synth_bundle(tmp_path)
+        assert main(_run_argv(tmp_path, **overrides)) == 2
+        assert f"{key} must be a " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv", [
         ["cluster", "--solver", "SSC", "--param", "alpha=10", "--seed", "-1"],
         ["select-subband", "--solver", "SSC", "--param", "alpha=10", "--seed", "-2"],
@@ -745,22 +763,32 @@ _not_a_bool = st.one_of(_junk, st.integers(), st.floats(),
                         st.sampled_from(["false", "true", "0", "1"]))
 # integer settings take JSON integers only: 2.5, 4.0 and true are errors
 _not_an_int = st.one_of(st.booleans(), st.floats())
+
+
+def _not_seeds(value):
+    """False for a valid ``seeds`` value, a nonempty list of integers >= 0,
+    which ``_junk``'s integer lists can draw."""
+    return not (isinstance(value, list) and value
+                and all(type(v) is int and v >= 0 for v in value))
+
+
 BAD_CONFIG_VALUES = {
     ("d",): st.one_of(_junk, st.integers(max_value=0), _not_an_int),
     ("levels",): st.one_of(_junk, st.integers(max_value=0), _not_an_int),
     ("split", "in_fraction"): st.one_of(
-        _junk, st.floats(max_value=0.0), st.floats(min_value=1.0, exclude_min=True)),
+        _junk, st.booleans(), st.floats(max_value=0.0),
+        st.floats(min_value=1.0, exclude_min=True)),
     ("split", "seed"): st.one_of(_junk, st.integers(max_value=-1),
                                  st.floats(0.1, 0.9)),
     ("seeds",): st.one_of(_junk, st.just([]), st.lists(_junk, min_size=1, max_size=2),
-                          st.integers(max_value=-1).map(lambda v: [v])),
+                          st.integers(max_value=-1).map(lambda v: [v])).filter(_not_seeds),
     ("pipeline",): st.one_of(_junk, st.text(max_size=8)).filter(
         lambda v: v not in ("single", "wp-single", "wp-mera")),
     ("solver", "kind"): st.one_of(_junk, st.text(max_size=4)).filter(
         lambda v: v not in ("SSC", "LRR", "NSN", "RTSC")),
-    ("solver", "params", "alpha"): st.one_of(_junk, st.integers(max_value=0),
+    ("solver", "params", "alpha"): st.one_of(_junk, st.booleans(), st.integers(max_value=0),
                                              st.floats(max_value=0.0)),
-    ("solver", "tol"): st.one_of(_junk.filter(lambda v: v is not None),
+    ("solver", "tol"): st.one_of(_junk.filter(lambda v: v is not None), st.booleans(),
                                  st.floats(max_value=0.0)),
     ("solver", "max_iter"): st.one_of(_junk.filter(lambda v: v is not None),
                                       st.integers(max_value=0), st.floats(0.1, 0.9)),
@@ -772,16 +800,18 @@ BAD_CONFIG_VALUES = {
     ("ipd",): _not_a_bool,
     ("export_bundles",): _not_a_bool,
     ("dataset", "name"): _not_a_string,
-    ("mera", "lambda"): st.one_of(_junk, st.floats(max_value=0.0)),
+    ("mera", "lambda"): st.one_of(_junk, st.booleans(), st.floats(max_value=0.0)),
     ("mera", "R"): st.one_of(_junk, st.integers(max_value=0)),
     ("mera", "max_iter"): st.one_of(_junk, st.integers(max_value=0)),
     ("mera", "sweeps"): st.one_of(_junk, st.integers(max_value=0), _not_an_int),
-    ("mera", "tol"): st.one_of(_junk, st.floats(max_value=0.0)),
+    ("mera", "tol"): st.one_of(_junk, st.booleans(), st.floats(max_value=0.0)),
     ("grid", "n_val_subsets"): st.one_of(_junk, st.integers(max_value=0), _not_an_int),
     ("grid", "seed"): st.one_of(_junk, st.integers(max_value=-1), st.floats(0.1, 0.9)),
     ("dataset", "uos", "seed"): st.one_of(_junk, st.integers(max_value=-1),
                                           st.floats(0.1, 0.9)),
     ("dataset", "uos", "C"): st.one_of(_junk, st.integers(max_value=0), _not_an_int),
+    ("dataset", "uos", "noise_sigma"): st.one_of(_junk, st.booleans(),
+                                                 st.floats(max_value=0.0, exclude_max=True)),
 }
 BAD_PARAMS = st.one_of(
     st.sampled_from(["alpha", "alpha=", "=10", "alpha=NaN", "alpha=Infinity",

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -237,6 +240,99 @@ class TestAssignOosMultiview:
         models = [random_model(rng, 8, 3, [1, 2, 0]) for _ in range(2)]
         labels = assign_multiview_batch([np.empty((8, 0))] * 2, models)
         assert labels.dtype == np.int64 and labels.shape == (0,)
+
+
+def exact_labels(views, models):
+    """The exact path: argmin over the concatenated subspace_distances."""
+    clusters = np.concatenate([np.arange(m.C) for m in models])
+    dist = np.concatenate([subspace_distances(X, m) for X, m in zip(views, models)])
+    return clusters[dist.argmin(axis=0)]
+
+
+class TestGemmRanking:
+    def _models(self, rng, zero_at):
+        """Three views of different D, each with a D x 0 basis at ``zero_at``
+        (first, middle or last); in the first, cluster 4 duplicates cluster 1
+        and cluster 5 has cluster 2's span with another mean."""
+        models = []
+        for D, C in ((12, 7), (7, 3), (30, 4)):
+            bases = [orth(rng, D, int(k)) for k in rng.integers(1, 4, size=C)]
+            means = rng.standard_normal((C, D))
+            bases[{"first": 0, "middle": C // 2, "last": C - 1}[zero_at]] = np.zeros((D, 0))
+            if C == 7:
+                bases[4], means[4] = bases[1].copy(), means[1]
+                bases[5] = bases[2].copy()
+            models.append(wpsc.ClusterModel(means=means, bases=bases, d=3))
+        return models
+
+    @pytest.mark.parametrize("zero_at", ["first", "middle", "last"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_exact_argmin(self, seed, order, zero_at):
+        rng = np.random.default_rng(40 + seed)
+        models = self._models(rng, zero_at)
+        n = 200
+        truth = rng.integers(3, size=n)
+        views = [m.means[truth].T
+                 + rng.uniform(0.0, 3.0, n) * rng.standard_normal((m.means.shape[1], n))
+                 for m in models]
+        first = models[0]
+        views[0][:, :10] = first.means[1][:, None]  # on the duplicate pair
+        # columns 10:40 lie as far from cluster 2 as from cluster 5, which
+        # share a span: the rounding alone orders the two, and the other
+        # views are far away
+        U, (m2, m5) = first.bases[2], first.means[[2, 5]]
+        Q = np.linalg.qr(np.column_stack([U, m2 - m5 - U @ (U.T @ (m2 - m5))]))[0]
+        v = 0.1 * rng.standard_normal((12, 30))
+        views[0][:, 10:40] = ((m2 + m5)[:, None] / 2 + U @ rng.standard_normal((U.shape[1], 30))
+                              + v - Q @ (Q.T @ v))
+        for X in views[1:]:
+            X[:, 10:40] *= 100.0
+        views = [np.asarray(X, order=order) for X in views]
+        want = exact_labels(views, models)
+        assert np.isin(want[10:40], [2, 5]).all()
+        assert np.array_equal(assign_multiview_batch(views, models), want)
+        for start in range(0, n, 10):  # one block at a time, each its own fallback
+            block = [X[:, start:start + 10] for X in views]
+            assert np.array_equal(assign_multiview_batch(block, models),
+                                  exact_labels(block, models))
+
+    def _counted(self, monkeypatch):
+        import wpsc.subspace as subspace_mod
+        calls, real = [], subspace_mod.subspace_distances
+        monkeypatch.setattr(subspace_mod, "subspace_distances",
+                            lambda X, m: calls.append(X.shape) or real(X, m))
+        return calls
+
+    def test_separated_block_takes_no_exact_path(self, monkeypatch):
+        rng = np.random.default_rng(50)
+        model = random_model(rng, 40, 4, [3, 0, 2, 1])
+        truth = rng.integers(4, size=300)
+        X = model.means[truth].T + 0.05 * rng.standard_normal((40, 300))
+        calls = self._counted(monkeypatch)
+        assert np.array_equal(assign_multiview_batch([X], [model]), truth)
+        assert calls == []
+
+    def test_exact_tie_takes_exact_path(self, monkeypatch):
+        U = np.eye(4)[:, :1]  # test_tie_goes_to_smallest_index's model
+        model = wpsc.ClusterModel(means=np.zeros((2, 4)), bases=[U, U.copy()], d=1)
+        X = np.random.default_rng(13).standard_normal((4, 300))
+        calls = self._counted(monkeypatch)
+        assert np.array_equal(assign_multiview_batch([X, X], [model, model]), np.zeros(300))
+        assert calls == [(4, 300), (4, 300)]  # the whole block, in every view
+
+    def test_constants_live_with_the_model(self):
+        rng = np.random.default_rng(51)
+        model = random_model(rng, 9, 3, [2, 1, 0])
+        X = rng.standard_normal((9, 20))
+        assign_multiview_batch([X], [model])
+        ranking = model._ranking
+        assign_multiview_batch([X[:, :5]], [model])
+        assert model._ranking is ranking and "_ranking" in vars(model)
+        gone = weakref.ref(ranking[0])
+        del model, ranking
+        gc.collect()
+        assert gone() is None
 
 
 def pair_affinity(U1, U2):
