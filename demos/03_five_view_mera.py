@@ -18,7 +18,7 @@ ds = wpsc.column_normalize(
 ins, outs = wpsc.split(ds, wpsc.SplitSpec(in_fraction=0.75, seed=1))
 print(f"in-sample N={ins.N}, out-of-sample N={outs.N}, C={ds.C}")
 
-pipe = wpsc.WpMeraPipeline(ds.img_h, ds.img_w, lam=10.0, R=12)
+pipe = wpsc.WpMeraPipeline(lam=10.0, R=12)
 fit = pipe.fit(ins, ds.C, seed=1)
 trace = fit.iterations
 print(f"\nADMM converged in {len(trace)} iterations; final per-view "

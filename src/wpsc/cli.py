@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .bundle import load_bundle, save_bundle, save_matrix
-from .datasets import (Dataset, SplitSpec, UosSpec, check_int, check_real, column_normalize,
+from .datasets import (Dataset, SplitSpec, UosSpec, check_int, column_normalize,
                        generate_uos, load_idx, load_pgm_dir, split, unit_columns)
 from .errors import (ConfigError, ConsistencyError, ConvergenceError, DataError,
                      DegenerateColumnError, Error, LabelingError)
@@ -78,7 +78,7 @@ class ExperimentConfig:
         if self.pipeline != "wp-mera" and self.solver is None:
             raise ConfigError(f"pipeline {self.pipeline!r} needs a solver spec")
         for params in self.grid.points() if self.grid else [{}]:
-            _settings(self, params)  # every grid point's spec fails here, not mid-run
+            _pipeline(self, params)  # every grid point's pipeline fails here, not mid-run
 
     @classmethod
     def from_dict(cls, raw):
@@ -150,37 +150,18 @@ def _known_keys(section, name, known):
         raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
 
 
-def _mera_fields(p):
-    """WpMeraPipeline fields from a config 'mera' section: the keys it holds,
-    checked, with ``lambda`` renamed to ``lam``; the pipeline's defaults
-    stand for the keys it leaves out."""
-    _known_keys(p, "mera", ("lambda", "R", "tol", "max_iter", "sweeps"))
-    for key in ("lambda", "R"):
-        if key not in p:
-            raise ConfigError(f"wp-mera pipeline needs mera.{key}")
-    for key, value in p.items():
-        if key in ("lambda", "tol"):
-            check_real(value, f"mera.{key}")
-        else:
-            check_int(value, f"mera.{key}", 1)
-    return {("lam" if key == "lambda" else key): value for key, value in p.items()}
-
-
-def _settings(cfg, params):
-    """A config's MERA fields or solver spec, with grid-search ``params``
-    laid over its MERA or solver parameters."""
+def _pipeline(cfg, params, levels=None):
+    """The pipeline a config runs, with grid-search ``params`` laid over its
+    MERA or solver parameters; ``levels`` sets a single-view descent."""
     if cfg.pipeline == "wp-mera":
-        return _mera_fields({**cfg.mera, **params})
-    return replace(cfg.solver, params={**cfg.solver.params, **params})
-
-
-def _pipeline(cfg, ds, params=None):
-    """The pipeline a config runs, with grid-search ``params`` applied."""
-    settings = _settings(cfg, params or {})
-    if cfg.pipeline == "wp-mera":
-        return WpMeraPipeline(ds.img_h, ds.img_w, **settings)
-    return SingleViewPipeline(solver=settings, ipd_d=cfg.d if cfg.ipd else None,
-                              levels=cfg.levels if cfg.pipeline == "wp-single" else None)
+        mera = {**cfg.mera, **params}
+        _known_keys(mera, "mera", ("lambda", "R", "tol", "max_iter", "sweeps"))
+        for key in ("lambda", "R"):
+            if key not in mera:
+                raise ConfigError(f"wp-mera pipeline needs mera.{key}")
+        return WpMeraPipeline(**{("lam" if k == "lambda" else k): v for k, v in mera.items()})
+    return SingleViewPipeline(replace(cfg.solver, params={**cfg.solver.params, **params}),
+                              ipd_d=cfg.d if cfg.ipd else None, levels=levels)
 
 
 def _mera_trace_row(t):
@@ -207,12 +188,12 @@ def _run_seed(cfg, ds, seed):
     in_ds, out_ds = split(ds, SplitSpec(cfg.split.in_fraction, cfg.split.seed + seed))
     rec["split"] = {"in": in_ds.N, "out": out_ds.N}
 
-    grid_params = None
+    grid_params = {}
     if cfg.grid is not None:
         grid = replace(cfg.grid, seed=cfg.grid.seed + seed)
-        grid_params, table = grid_search(in_ds, grid, lambda p: _pipeline(cfg, ds, p))
+        grid_params, table = grid_search(in_ds, grid, lambda p: _pipeline(cfg, p))
         rec["grid"] = {"best_params": grid_params, "table": table}
-    pipe = _pipeline(cfg, ds, grid_params)
+    pipe = _pipeline(cfg, grid_params, cfg.levels if cfg.pipeline == "wp-single" else None)
     fit = pipe.fit(in_ds, ds.C, seed)
     rec["subband"] = sub = fit.subband
     sel, its = fit.selection, fit.iterations
@@ -485,8 +466,9 @@ def _cmd_select_subband(args):
 
 
 def _cmd_mera(args):
+    pipe = WpMeraPipeline(lam=args.lam, R=args.rank)
     ds, C = _load_normalized(args.data, args.C, needs_C=True)
-    fit = WpMeraPipeline(ds.img_h, ds.img_w, lam=args.lam, R=args.rank).fit(ds, C, args.seed)
+    fit = pipe.fit(ds, C, args.seed)
     out_dir = Path(args.out_dir)
     _emit_labels(out_dir / "labels.csv", fit.labels, ds.labels)
     _write_csv(out_dir / "trace.csv", MERA_TRACE_HEADER, map(_mera_trace_row, fit.iterations))

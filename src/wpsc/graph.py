@@ -42,19 +42,20 @@ def affinity_from_representation(Z):
 
 
 def ipd_threshold(Z, d):
-    """Keep the d largest-magnitude entries per column, zero the rest.
+    """Keep the d largest-magnitude entries per column, zero the rest; of
+    each member of a B x N x N stack Z, as one call.
 
     Ties are broken toward smaller row indices (``_smallest`` on -|Z|).
     Idempotent, and the kept entries are preserved exactly.
     """
     Z = np.asarray(Z, dtype=np.float64)
-    n = Z.shape[0]
+    n = Z.shape[-2]
     if not 1 <= d <= n:
         raise ParameterError(f"d must lie in [1, {n}]")
     if d >= n:
         return Z.copy()
     out = np.zeros_like(Z)
-    np.copyto(out, Z, where=_smallest(-np.abs(Z), d, axis=0))
+    np.copyto(out, Z, where=_smallest(-np.abs(Z), d, axis=-2))
     return out
 
 

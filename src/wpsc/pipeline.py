@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import Dataset, _seal, unit_columns
+from .datasets import Dataset, _seal, check_int, check_real, unit_columns
 from .errors import DegenerateColumnError, ParameterError
 from .graph import Partition, affinity_from_representation, ipd_threshold, spectral_clustering
 from .mera import FIVE_VIEW_ORDER, mera_mvsc, unify_views
@@ -83,53 +83,57 @@ class SingleViewPipeline:
     ipd_d: int | None = None
     levels: int | None = None
 
+    def __post_init__(self):
+        for key in ("ipd_d", "levels"):
+            if getattr(self, key) is not None:
+                check_int(getattr(self, key), key, 1)
+
     def representation(self, X):
         """Self-representation of the unit-norm columns of X, IPD-thresholded
         when ``ipd_d`` is set; of each member of a B x D x N stack X, as a
         B x N x N stack solved in one solver call."""
-        M = self.solver.solve(unit_columns(X))
-        if self.ipd_d is not None:
-            M = (np.stack([ipd_threshold(m, self.ipd_d) for m in M]) if M.ndim == 3
-                 else ipd_threshold(M, self.ipd_d))
-        return M
+        return self._represent(unit_columns(X))
 
     def run(self, X, C, seed=0):
         """Cluster the columns of X into C groups; returns a label vector, or
         for a B x D x N stack X one label vector per member, in a list."""
-        M = self.representation(X)
-        labels = [spectral_clustering(affinity_from_representation(m), C, seed).labels
-                  for m in (M if M.ndim == 3 else [M])]
-        return labels if M.ndim == 3 else labels[0]
+        return _labels(self.representation(X), C, seed)
+
+    def _represent(self, U):
+        M = self.solver.solve(U)
+        return M if self.ipd_d is None else ipd_threshold(M, self.ipd_d)
 
     def fit(self, ds, C, seed=0):
         """:class:`Fit` of the dataset's data, or of the chosen subband with
         the labels the descent gave it."""
         if self.levels is None:
-            sel, X = None, node_matrix(ds, "")
-            labels = self.run(X, C, seed)
+            sel, U = None, unit_columns(node_matrix(ds, ""))
+            labels = _labels(self._represent(U), C, seed)
         else:
             if ds.labels is not None and ds.C != C:
                 raise ParameterError(f"the descent clusters into {ds.C} groups, not C = {C}")
             sel = select_subband(ds, self.levels, self, seed)
-            X, labels = node_matrix(ds, sel.chosen), sel.labels
-        return Fit(Partition(labels=labels, C=C), [unit_columns(X)],
-                   sel.chosen if sel else "", selection=sel)
+            U, labels = unit_columns(node_matrix(ds, sel.chosen)), sel.labels
+        return Fit(Partition(labels=labels, C=C), [U], sel.chosen if sel else "", selection=sel)
 
 
 @dataclass(frozen=True)
 class WpMeraPipeline:
-    """Five-view MERA clustering wrapped in the pipeline interface.
+    """Five-view MERA clustering wrapped in the pipeline interface; its
+    settings are checked on construction and named by their ``mera``
+    config keys."""
 
-    Carries the image geometry so it can rebuild views from a raw matrix
-    (e.g. a validation subset or a subband node)."""
-
-    img_h: int
-    img_w: int
     lam: float
     R: int
     tol: float = 1e-6
     max_iter: int = 200
     sweeps: int = 2
+
+    def __post_init__(self):
+        check_real(self.lam, "mera.lambda")
+        check_real(self.tol, "mera.tol")
+        for key in ("R", "max_iter", "sweeps"):
+            check_int(getattr(self, key), f"mera.{key}", 1)
 
     def fit(self, ds, C, seed=0):
         """Builds the (O, A, H, V, D) views, runs the multi-view MERA solver,
@@ -143,9 +147,12 @@ class WpMeraPipeline:
         part = spectral_clustering(affinity_from_representation(unify_views(tensor)), C, seed)
         return Fit(part, views, _FIVE_VIEWS, iterations=iterations, tensor=tensor)
 
-    def run(self, X, C, seed=0):
-        carrier = Dataset(data=X, img_h=self.img_h, img_w=self.img_w)
-        return self.fit(carrier, C, seed).labels
+
+def _labels(M, C, seed):
+    """Spectral labels of a representation, or a list of them for a stack."""
+    labels = [spectral_clustering(affinity_from_representation(m), C, seed).labels
+              for m in (M if M.ndim == 3 else [M])]
+    return labels if M.ndim == 3 else labels[0]
 
 
 def five_views(ds):

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datasets import _seal, check_int
+from .datasets import _take, check_int
 from .errors import ParameterError, SplitError
 from .metrics import evaluate
 from .wavelet import ALPHABET, _check_size, node_matrix
@@ -152,7 +152,8 @@ def grid_search(ds, grid, make_pipeline):
 
     Every grid point is scored on the same seeded stratified subsets; the
     argmax of mean ACC wins, ties going to the earlier point in grid
-    order. Returns (best_params, table) where the table holds one row per
+    order; every point's pipeline is fitted to each subset, a labeled
+    Dataset. Returns (best_params, table) where the table holds one row per
     grid point with its subset accuracies.
     """
     if ds.labels is None:
@@ -163,9 +164,9 @@ def grid_search(ds, grid, make_pipeline):
     pipelines = [make_pipeline(params) for params in points]
     accs = [[] for _ in points]
     for s, idx in enumerate(subsets):  # each subset's columns are taken once
-        X, truth = _seal(ds.data[:, idx]), ds.labels[idx]
+        sub = _take(ds, idx, f"val{s}")
         for pipeline, point_accs in zip(pipelines, accs):
-            point_accs.append(evaluate(truth, pipeline.run(X, C, seed=grid.seed + s)).acc)
+            point_accs.append(evaluate(sub.labels, pipeline.fit(sub, C, grid.seed + s).labels).acc)
     table = [{"params": dict(params), "mean_acc": float(np.mean(point_accs)),
               "accs": point_accs} for params, point_accs in zip(points, accs)]
     best = max(table, key=lambda row: row["mean_acc"])  # the first of equal means

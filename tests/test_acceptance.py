@@ -172,7 +172,7 @@ def test_c08_mera_solver():
         exact_ok = f4.fit_errors[-1] / np.linalg.norm(Y4) <= 1e-8
         # (iv) five-view synthetic pipeline
         ds = make_uos(C=3, d=2, D=64, n=12, sigma=0.0, seed=108)
-        fit = wpsc.WpMeraPipeline(ds.img_h, ds.img_w, lam=10.0, R=12).fit(ds, 3, seed=0)
+        fit = wpsc.WpMeraPipeline(lam=10.0, R=12).fit(ds, 3, seed=0)
         acc = wpsc.evaluate(ds.labels, fit.labels).acc
     ok = iso_ok and mono_ok and exact_ok and acc >= 0.95 and sw.seconds < 300.0
     report(8, ok, f"MERA: isometry defect {max(factors.isometry_defects):.1e} "
@@ -253,7 +253,7 @@ def test_c11_coil20_spot_check():
                 ds.labels, 5, 50, seed=111)):
             sub = wpsc.Dataset(data=ds.data[:, idx], img_h=ds.img_h,
                                img_w=ds.img_w, labels=ds.labels[idx])
-            pipe = wpsc.WpMeraPipeline(sub.img_h, sub.img_w, lam=0.1, R=13)
+            pipe = wpsc.WpMeraPipeline(lam=0.1, R=13)
             fit = pipe.fit(sub, sub.C, seed=s)
             accs.append(wpsc.evaluate(sub.labels, fit.labels).acc)
         mean_acc = float(np.mean(accs))

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wpsc
+from conftest import checkerboard_noise_uos
 from wpsc.bundle import load_bundle, save_bundle
 from wpsc.cli import ExperimentConfig, main, run_experiment, emit_report
 from wpsc.datasets import UosSpec, generate_uos
@@ -462,6 +463,30 @@ class TestRun:
         assert run["grid"]["best_params"]["alpha"] in (5, 10)
         assert len(run["grid"]["table"]) == 2
 
+    def test_grid_scores_each_point_on_the_data_without_the_descent(self, tmp_path):
+        # the data view loses to the clean A band here, so a grid that ran the
+        # descent would score the wp-single points higher than the single ones
+        save_bundle(checkerboard_noise_uos(n=16), tmp_path / "data.wpsc")
+        grid = {"values": {"alpha": [5, 10]}, "n_val_subsets": 2, "val_size_per_cluster": 8}
+        tables = {}
+        for pipeline in ("single", "wp-single"):
+            out = tmp_path / pipeline
+            assert main(_run_argv(tmp_path, pipeline=pipeline, grid=grid,
+                                  output_dir=str(out))) == 0
+            tables[pipeline] = json.loads((out / "report.json").read_text())["runs"][0]["grid"]
+        assert tables["wp-single"]["table"] == tables["single"]["table"]
+        assert max(row["mean_acc"] for row in tables["single"]["table"]) < 1.0
+
+    def test_wp_mera_grid_has_one_row_per_point(self, tmp_path):
+        synth_bundle(tmp_path, n_per_cluster=16)
+        grid = {"values": {"lambda": [1, 10], "R": [8, 12]}, "n_val_subsets": 2,
+                "val_size_per_cluster": 6}
+        assert main(_run_argv(tmp_path, pipeline="wp-mera", mera={"lambda": 10, "R": 12},
+                              grid=grid)) == 0
+        rows = list(csv.DictReader(open(tmp_path / "out" / "grid.csv")))
+        assert [json.loads(r["params"]) for r in rows] == [
+            {"lambda": lam, "R": R} for lam in (1, 10) for R in (8, 12)]
+
 
 class TestErrorExits:
     def test_convergence_failure_exits_4_and_flushes(self, tmp_path, capsys):
@@ -602,9 +627,15 @@ class TestErrorExits:
         ["cluster", "--solver", "SSC", "--param", "alpha=10", "--seed", "-1"],
         ["select-subband", "--solver", "SSC", "--param", "alpha=10", "--seed", "-2"],
         ["mera", "--lam", "10", "--rank", "12", "--seed", "-3"],
-    ], ids=["cluster", "select-subband", "mera"])
+        ["mera", "--lam", "10", "--rank", "0"],
+        ["mera", "--lam", "-1", "--rank", "12"],
+        ["mera", "--lam", "nan", "--rank", "12"],
+        ["cluster", "--solver", "SSC", "--param", "alpha=10", "--ipd-d", "0"],
+    ], ids=["cluster", "select-subband", "mera", "mera-rank-0", "mera-lam-negative",
+            "mera-lam-nan", "cluster-ipd-d-0"])
     def test_negative_seed_exits_2_before_loading(self, tmp_path, monkeypatch, argv):
-        # spectral clustering rejects the seed too, but only after the solve
+        # spectral clustering rejects the seed too, but only after the solve;
+        # a bad MERA setting or IPD d once failed only after the load
         synth_bundle(tmp_path)
         loads = []
         monkeypatch.setattr("wpsc.cli.load_bundle", lambda *args: loads.append(args))

@@ -445,7 +445,7 @@ class TestMeraMvsc:
         strict=False)
     def test_residuals_strictly_non_increasing_after_burn_in(self):
         ds = make_uos(C=3, d=2, D=64, n=12, seed=0)
-        trace = WpMeraPipeline(8, 8, lam=10.0, R=12).fit(ds, 3, seed=0).iterations
+        trace = WpMeraPipeline(lam=10.0, R=12).fit(ds, 3, seed=0).iterations
         res = np.array([max(t["view_residuals"]) for t in trace])[5:]
         assert np.all(np.diff(res) <= 0)
 
@@ -454,7 +454,7 @@ class TestMeraMvsc:
         # minimum and decay by orders of magnitude overall
         for seed in range(3):
             ds = make_uos(C=3, d=2, D=64, n=12, seed=seed)
-            trace = WpMeraPipeline(8, 8, lam=10.0, R=12).fit(ds, 3, seed=seed).iterations
+            trace = WpMeraPipeline(lam=10.0, R=12).fit(ds, 3, seed=seed).iterations
             res = np.array([max(t["view_residuals"]) for t in trace])[5:]
             running_min = np.minimum.accumulate(res)
             assert np.all(res <= 2.0 * np.maximum(running_min, 1e-300))
@@ -468,7 +468,7 @@ class TestMeraMvsc:
         for seed in range(4):
             ds = make_uos(C=3, d=2, D=64, n=16, sigma=0.05, seed=seed)
             ins, outs = split(ds, SplitSpec(0.8, seed))
-            fit = WpMeraPipeline(8, 8, lam=10.0, R=12).fit(ins, ds.C, seed=seed)
+            fit = WpMeraPipeline(lam=10.0, R=12).fit(ins, ds.C, seed=seed)
             in_acc = wpsc.evaluate(ins.labels, fit.labels).acc
             out_pred = fit.assign(outs, fit.models(2))
             out_acc = wpsc.evaluate(outs.labels, out_pred).acc

@@ -5,7 +5,7 @@ import pytest
 
 import wpsc
 from conftest import make_uos
-from wpsc.errors import DegenerateColumnError
+from wpsc.errors import DegenerateColumnError, ParameterError
 from wpsc.graph import Partition, spectral_clustering
 from wpsc.pipeline import Fit, SingleViewPipeline, WpMeraPipeline, five_views, unit_columns
 from wpsc.subspace import assign_multiview_batch, block_width
@@ -77,18 +77,31 @@ def test_five_views_order_and_shapes():
     assert np.abs(views[0] - ds.data).max() <= 1e-12
 
 
-def test_wp_mera_pipeline_object_matches_function():
-    ds = make_uos(C=3, d=2, D=64, n=12, sigma=0.0, seed=3)
-    pipe = WpMeraPipeline(img_h=8, img_w=8, lam=10.0, R=12)
-    labels_a = pipe.run(ds.data, ds.C, seed=3)
-    fit = pipe.fit(ds, ds.C, seed=3)
-    assert np.array_equal(labels_a, fit.labels)
+@pytest.mark.parametrize("key, value", [
+    ("lam", -1.0), ("lam", float("nan")), ("lam", True), ("R", 0), ("R", 12.0), ("R", True),
+    ("tol", 0.0), ("tol", True), ("max_iter", 0), ("sweeps", 0), ("sweeps", 2.5),
+])
+def test_wp_mera_pipeline_checks_its_settings(key, value):
+    # each of these once reached mera_mvsc: a TypeError, a ConvergenceError or a run
+    settings = {"lam": 10.0, "R": 12, key: value}
+    name = "mera.lambda" if key == "lam" else f"mera.{key}"
+    with pytest.raises(ParameterError, match=f"^{name} must be "):
+        WpMeraPipeline(**settings)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("ipd_d", 0), ("ipd_d", 2.5), ("ipd_d", True), ("levels", 0), ("levels", 1.5),
+])
+def test_single_view_pipeline_checks_its_settings(key, value):
+    # an ipd_d of 2.5 once failed after the solve, and True ran as 1
+    with pytest.raises(ParameterError, match=f"^{key} must be "):
+        SingleViewPipeline(wpsc.SolverSpec("SSC", {"alpha": 10}), **{key: value})
 
 
 @pytest.mark.parametrize("pipe, subband", [
     (SingleViewPipeline(wpsc.SolverSpec("SSC", {"alpha": 10})), ""),
     (SingleViewPipeline(wpsc.SolverSpec("SSC", {"alpha": 10}), levels=2), "A"),
-    (WpMeraPipeline(img_h=4, img_w=4, lam=10.0, R=12), "O+A+H+V+D"),
+    (WpMeraPipeline(lam=10.0, R=12), "O+A+H+V+D"),
 ], ids=["single", "wp-single", "wp-mera"])
 def test_assign_builds_views_as_the_fit_did(pipe, subband):
     # on clean planted data every in-sample point lies on its cluster's

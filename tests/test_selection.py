@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -251,17 +253,17 @@ class _SubsetTolerantFactory:
         labels = self.ds.labels
 
         class _P:
-            def run(_self, X, C, seed=0):
+            def fit(_self, sub, C, seed=0):
                 # recover subset identity by matching columns
                 idx = []
-                for col in X.T:
+                for col in sub.data.T:
                     hit = np.flatnonzero(np.all(np.isclose(
                         self.ds.data, col[:, None], atol=1e-12), axis=0))[0]
                     idx.append(hit)
                 pred = labels[np.asarray(idx)].copy()
                 n_flip = round(ce * len(pred))
                 pred[:n_flip] = (pred[:n_flip] + 1) % C
-                return pred
+                return SimpleNamespace(labels=pred)
 
         return _P()
 
