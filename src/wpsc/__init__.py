@@ -20,12 +20,7 @@ from .datasets import (
     split,
     unit_columns,
 )
-from .graph import (
-    Partition,
-    affinity_from_representation,
-    ipd_threshold,
-    spectral_clustering,
-)
+from .graph import Partition, affinity_from_representation, ipd_threshold, spectral_clustering
 from .mera import (
     MeraFactors,
     choose_grid,
@@ -47,11 +42,6 @@ from .subspace import (
     estimate_bases,
     mean_principal_angle,
 )
-from .wavelet import (
-    haar_analysis_2d,
-    haar_synthesis_2d,
-    node_matrix,
-    wp_decompose,
-)
+from .wavelet import haar_analysis_2d, haar_synthesis_2d, node_matrix, wp_decompose
 
 __version__ = "0.1.0"

@@ -9,6 +9,7 @@ import numbers
 import re
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +90,11 @@ class Dataset:
         if self.labels is None:
             return None
         return int(self.labels.max()) + 1 if self.labels.size else 0
+
+    @cached_property
+    def unit(self):
+        """``unit_columns(data)``, kept from the first use on."""
+        return unit_columns(self.data)
 
     def images(self):
         """View of the data as an (N, img_h, img_w) stack."""
@@ -249,9 +255,7 @@ def load_idx(images_path, labels_path=None, name=None):
     if labels_path is not None:
         (n_labels,), raw_labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1)
         if n_labels != n_images:
-            raise ConsistencyError(
-                f"{n_images} images but {n_labels} labels"
-            )
+            raise ConsistencyError(f"{n_images} images but {n_labels} labels")
         labels = _relabel(raw_labels.astype(np.int64), labels_path)
     if name is None:
         name = Path(images_path).stem

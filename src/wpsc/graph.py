@@ -136,45 +136,60 @@ def kmeans(points, k, seed, restarts=KMEANS_RESTARTS, max_iter=KMEANS_MAX_ITER):
 
 
 def _plusplus_seeds(points, k, seed, restarts):
-    """k-means++ centers of all restarts, drawn in one batched pass.
+    """The (R, k, m) k-means++ centers ``_plusplus_exact`` draws for each
+    restart r from ``default_rng(seed + r)``, bit for bit.
 
-    Restart r's generator sees the calls one-at-a-time seeding makes:
-    ``integers(n)`` for the first center, then one ``random()`` per further
-    center (``integers(n)`` again once all mass sits on chosen centers).
-    Returns the (R, k, m) centers.
+    Generator r gives ``integers(n)``, then its k-1 uniforms u in one
+    ``random(k - 1)``. A step measures every restart's points against its
+    newest centre with one GEMM, ||x||^2 + ||c||^2 - 2 c.x clamped at 0,
+    min-accumulates these into weights w' and draws the count of entries
+    <= u of F' = cumsum(w') / T', T' = sum w'. As in ``_nearest``, w' is
+    within 2 gamma_(m+2) M^2 of the exact weights w, M = 2 max ||x||, and
+    beta = 4 (m+3) eps M^2 also covers the rounding of M and beta. The cdf
+    of ``choice``, cumsum(w / sum w) over its last entry, and F' are within
+    gamma_(4n+1) and gamma_(2n+1) of the real cdfs of w and w', which differ
+    by at most 2 n beta / sum w <= 4 n beta / T' if T' > 4 n beta. So a u
+    farther than delta = 4 (n+1) eps + 4 n beta / T' from every entry of F'
+    (which needs T' > 4 n beta, and then sum w > 0) is drawn as ``choice``
+    draws it. A restart with any other draw is seeded again alone by
+    ``_plusplus_exact``, so the centres do not depend on the BLAS thread
+    count (barring underflow and overflow).
     """
     n, m = points.shape
+    sq = np.einsum("ij,ij->i", points, points)
+    beta = 16 * (m + 3) * _EPS * sq.max()  # 4 (m+3) eps (2 max ||x||)^2
     rngs = [np.random.default_rng(seed + r) for r in range(restarts)]
-    centers = np.empty((restarts, k, m))
     idx = np.array([rng.integers(n) for rng in rngs], dtype=np.int64)
+    u = np.array([rng.random(k - 1) for rng in rngs])
+    centers, settled, d2 = np.empty((restarts, k, m)), np.ones(restarts, dtype=bool), np.inf
     for c in range(k):
         centers[:, c] = points[idx]
         if c + 1 < k:
-            col = ((points[None, :, :] - centers[:, c, None, :]) ** 2).sum(axis=2)
-            d2 = col if c == 0 else np.minimum(d2, col)
-            idx = _draw(d2, rngs)
+            col = sq + sq[idx, None] - 2.0 * (centers[:, c] @ points.T)
+            d2 = np.minimum(d2, np.maximum(col, 0.0))
+            cdf = d2.cumsum(axis=1)
+            with np.errstate(divide="ignore", invalid="ignore"):  # rows without mass
+                delta = 4 * (n + 1) * _EPS + 4 * n * beta / cdf[:, -1:]
+                cdf /= cdf[:, -1:]
+            settled &= (np.abs(cdf - u[:, c, None]) > delta).all(axis=1)
+            idx = (cdf <= u[:, c, None]).sum(axis=1)
+    for r in np.flatnonzero(~settled):
+        centers[r] = _plusplus_exact(points, k, np.random.default_rng(seed + r))
     return centers
 
 
-def _draw(d2, rngs):
-    """Row r's next center, as ``rngs[r].choice(n, p=d2[r] / total)`` draws
-    it: ``choice`` maps one ``random()`` through the normalized cdf with
-    ``searchsorted(side="right")``, which on a nondecreasing cdf is the count
-    of entries <= u."""
-    n = d2.shape[1]
-    total = d2.sum(axis=1)
-    live = total > 0
-    u = np.zeros(len(rngs))
-    idx = np.empty(len(rngs), dtype=np.int64)
-    for r, rng in enumerate(rngs):
-        if live[r]:
-            u[r] = rng.random()
-        else:  # all remaining mass sits on chosen centers
-            idx[r] = rng.integers(n)
-    with np.errstate(invalid="ignore"):  # 0/0 on the rows without mass
-        cdf = (d2 / total[:, None]).cumsum(axis=1)
-        cdf /= cdf[:, -1:]
-    return np.where(live, (cdf <= u[:, None]).sum(axis=1), idx)
+def _plusplus_exact(points, k, rng):
+    """One restart's k-means++ centers drawn one at a time from ``rng``:
+    ``choice`` on the exact D^2 weights, ``integers(n)`` if they are 0."""
+    n = len(points)
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[rng.integers(n)]
+    for c in range(1, k):
+        col = ((points - centers[c - 1]) ** 2).sum(axis=1)
+        d2 = col if c == 1 else np.minimum(d2, col)
+        total = d2.sum()
+        centers[c] = points[rng.choice(n, p=d2 / total) if total > 0 else rng.integers(n)]
+    return centers
 
 
 def _lloyd_group(points, centers, max_iter):

@@ -51,24 +51,16 @@ class MeraFactors:
 
     def isometry_defect(self):
         """Worst deviation of the factor unfoldings from orthonormality."""
-        w1 = self.W1.reshape(-1, self.W1.shape[-1])
-        w2 = self.W2.reshape(-1, self.W2.shape[-1])
         m = self.U1.shape[0] * self.U1.shape[1]
-        u1 = self.U1.reshape(m, m)
-        defects = [
-            np.abs(w1.T @ w1 - np.eye(w1.shape[1])).max(),
-            np.abs(w2.T @ w2 - np.eye(w2.shape[1])).max(),
-            np.abs(u1.T @ u1 - np.eye(m)).max(),
-        ]
-        return float(max(defects))
+        unfoldings = (self.W1.reshape(-1, self.W1.shape[-1]),
+                      self.W2.reshape(-1, self.W2.shape[-1]), self.U1.reshape(m, m))
+        return float(max(np.abs(a.T @ a - np.eye(a.shape[1])).max() for a in unfoldings))
 
     def check(self):
         defect = self.isometry_defect()
         self.isometry_defects.append(defect)
         if defect > 1e-8:
-            raise ConsistencyError(
-                f"MERA factor unfoldings deviate from isometry by {defect:.3e}"
-            )
+            raise ConsistencyError(f"MERA factor unfoldings deviate from isometry by {defect:.3e}")
 
 
 def choose_grid(N):

@@ -37,7 +37,8 @@ def evaluate(truth, pred):
     """Score a predicted labeling against ground truth.
 
     ACC maximizes the match fraction over label bijections: the Hungarian
-    method with potentials on the contingency table, in numpy
+    method with potentials on the contingency table, in numpy, unless each
+    true class has its own most frequent predicted label
     (``_max_matching``). NMI uses sqrt(H_t * H_p) normalization; Rand and F
     count agreeing pairs; purity takes the dominant truth class per
     predicted cluster.
@@ -83,6 +84,16 @@ def evaluate(truth, pred):
 
 
 def _max_matching(M):
+    """Rows and columns of a maximum-weight matching of a nonnegative table,
+    sorted by row: the row argmaxes when r <= c and they are distinct (the
+    sum of the row maxima bounds every matching), else ``_hungarian``'s."""
+    best = M.argmax(axis=1)
+    if len(M) <= M.shape[1] and np.unique(best).size == len(M):
+        return np.arange(len(M)), best
+    return _hungarian(M)
+
+
+def _hungarian(M):
     """Rows and columns of a maximum-weight matching of a nonnegative table.
 
     The Hungarian method with potentials (Kuhn 1955), one shortest

@@ -107,7 +107,7 @@ class SingleViewPipeline:
         """:class:`Fit` of the dataset's data, or of the chosen subband with
         the labels the descent gave it."""
         if self.levels is None:
-            sel, U = None, unit_columns(node_matrix(ds, ""))
+            sel, U = None, ds.unit
             labels = _labels(self._represent(U), C, seed)
         else:
             if ds.labels is not None and ds.C != C:

@@ -163,7 +163,7 @@ def grid_search(ds, grid, make_pipeline):
     C, points = ds.C, list(grid.points())
     pipelines = [make_pipeline(params) for params in points]
     accs = [[] for _ in points]
-    for s, idx in enumerate(subsets):  # each subset's columns are taken once
+    for s, idx in enumerate(subsets):  # taken once; ``Dataset.unit`` normalizes it once
         sub = _take(ds, idx, f"val{s}")
         for pipeline, point_accs in zip(pipelines, accs):
             point_accs.append(evaluate(sub.labels, pipeline.fit(sub, C, grid.seed + s).labels).acc)

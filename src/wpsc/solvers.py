@@ -16,12 +16,7 @@ from .datasets import check_int, check_real
 from .errors import ConvergenceError, DegenerateDataError, ParameterError
 from .graph import _smallest
 
-_REQUIRED_PARAMS = {
-    "SSC": ("alpha",),
-    "LRR": ("lambda",),
-    "NSN": ("k", "d_max"),
-    "RTSC": ("q",),
-}
+_REQUIRED_PARAMS = {"SSC": ("alpha",), "LRR": ("lambda",), "NSN": ("k", "d_max"), "RTSC": ("q",)}
 _OPTIONAL_PARAMS = {"SSC": ("mode", "affine")}
 
 _DEFAULT_MAX_ITER = {"SSC": 200, "LRR": 500, "NSN": 0, "RTSC": 0}
@@ -159,9 +154,7 @@ def solve_ssc(X, alpha, mode="noise", affine=False, tol=1e-6, max_iter=200):
     G = np.matmul(X.transpose(0, 2, 1), X)
     mu_e = _coherence_floor(G)
     if not mu_e.all():
-        raise DegenerateDataError(
-            "all columns mutually orthogonal; self-expression is degenerate"
-        )
+        raise DegenerateDataError("all columns mutually orthogonal; self-expression is degenerate")
     lam = (alpha / mu_e)[:, None, None]
     rho = lam
     lam_xtx = np.multiply(lam, G, out=G)

@@ -320,29 +320,35 @@ class TestKmeans:
             assert np.array_equal(kmeans(c_order, k, seed), kmeans(f_order, k, seed))
         assert layouts and all(layouts)
 
-    def test_draw_matches_generator_choice(self):
-        # one stream per row; half the rows put the stream's next uniform u
-        # exactly on a cdf entry, where only side="right" counts the tie, and
-        # one row has no mass left (the integers(n) fallback)
-        n, rows = 37, 1000
-        d2 = np.random.default_rng(99).random((rows, n))
-        d2[d2 < 0.3] = 0.0
-        for s in range(0, rows, 2):
-            u = np.random.default_rng(s).random()
-            d2[s] = 0.0
-            d2[s, [3, 11]] = u, 1.0 - u  # both exact: u is a multiple of 2**-53
-        d2[7] = 0.0
-        rngs = [np.random.default_rng(s) for s in range(rows)]
-        got = graph_mod._draw(d2, rngs)
-        ties = 0
-        for s in range(rows):
-            ref = np.random.default_rng(s)
-            total = d2[s].sum()
-            want = ref.choice(n, p=d2[s] / total) if total > 0 else ref.integers(n)
-            assert got[s] == want, s
-            assert rngs[s].bit_generator.state == ref.bit_generator.state, s
-            ties += s % 2 == 0 and want == 11  # u <= cdf[3..10] < cdf[11]
-        assert ties == rows // 2
+    @pytest.mark.parametrize("k", [2, 5, 20])
+    def test_uniform_block_matches_sequential_draws(self, k):
+        # the seeding takes each restart's k - 1 uniforms in one random(k - 1)
+        # call, in place of the one random() per draw that choice makes
+        for s in range(50):
+            block, one = np.random.default_rng(s), np.random.default_rng(s)
+            assert block.integers(100) == one.integers(100)
+            assert np.array_equal(block.random(k - 1),
+                                  [one.random() for _ in range(k - 1)]), s
+            assert block.bit_generator.state == one.bit_generator.state, s
+
+    @pytest.mark.parametrize("n,k,m", [(64, 4, 4), (60, 5, 5), (200, 20, 20), (37, 9, 3)])
+    def test_exact_fallback_matches_fast_path(self, n, k, m, monkeypatch):
+        # row-normalized points, as spectral clustering embeds them; the
+        # fast path settles every draw here, and a bound scaled up by 2**52
+        # leaves none settled, so every restart is seeded again alone
+        pts = blobs(4, k, m, n // k + 1, 0.3)[:n]
+        pts = np.asfortranarray(pts / np.linalg.norm(pts, axis=1, keepdims=True))
+        restarts = graph_mod.KMEANS_RESTARTS
+        exact = []
+        real = graph_mod._plusplus_exact
+        monkeypatch.setattr(graph_mod, "_plusplus_exact",
+                            lambda *args: exact.append(1) or real(*args))
+        fast = graph_mod._plusplus_seeds(pts, k, 2, restarts)
+        assert not exact
+        monkeypatch.setattr(graph_mod, "_EPS", 1.0)
+        slow = graph_mod._plusplus_seeds(pts, k, 2, restarts)
+        assert len(exact) == restarts
+        assert np.array_equal(fast, slow)
 
     def test_group_mixes_repair_early_stop_and_max_iter(self, monkeypatch):
         # one lockstep group whose restarts end differently: a duplicated

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.optimize import linear_sum_assignment
 
+from wpsc import metrics
 from wpsc.errors import ParameterError
 from wpsc.metrics import _max_matching, evaluate, wilcoxon_signed_rank
 
@@ -164,6 +165,27 @@ class TestMaxMatching:
         M[np.arange(20), perm] = 45
         rows, cols = _max_matching(M)
         assert np.array_equal(rows, np.arange(20)) and np.array_equal(cols, perm)
+
+    def test_distinct_row_maxima_skip_the_hungarian_method(self, monkeypatch):
+        # a permuted diagonal (with stray counts) is matched by its row
+        # argmaxes; once two rows share an argmax, the Hungarian method runs
+        calls = []
+        real = metrics._hungarian
+        monkeypatch.setattr(metrics, "_hungarian", lambda M: calls.append(1) or real(M))
+        perm = np.random.default_rng(1).permutation(20)
+        M = np.zeros((20, 23), dtype=np.int64)
+        M[np.arange(20), perm] = 45
+        M[3, perm[4]] = 7
+        rows, cols = _max_matching(M)
+        assert not calls
+        assert np.array_equal(rows, np.arange(20)) and np.array_equal(cols, perm)
+        M[5, perm[6]] = 50  # rows 5 and 6 now both peak in column perm[6]
+        want_rows, want_cols = linear_sum_assignment(M, maximize=True)
+        rows, cols = _max_matching(M)
+        assert calls == [1]
+        assert M[rows, cols].sum() == M[want_rows, want_cols].sum()
+        _max_matching(M.T)  # more rows than columns
+        assert calls == [1, 1]
 
 
 class TestWilcoxon:

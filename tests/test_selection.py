@@ -241,6 +241,26 @@ class TestGridSearch:
         _, table = grid_search(ds, grid, _SubsetTolerantFactory(ds))
         assert len(table) == 6
 
+    def test_each_subset_is_normalized_once(self, monkeypatch):
+        # 3 grid points x 4 subsets: the points' fits share their subset's
+        # normalized columns, so 4 normalizations in all
+        ds = make_uos(C=2, d=2, D=16, n=20, seed=1)
+        calls = []
+        real = wpsc.datasets.unit_columns
+
+        def counting(X):
+            calls.append(X.shape)
+            return real(X)
+
+        monkeypatch.setattr(wpsc.datasets, "unit_columns", counting)
+        monkeypatch.setattr(wpsc.pipeline, "unit_columns", counting)
+        grid = Grid(values={"q": [3, 4, 5]}, n_val_subsets=4,
+                    val_size_per_cluster=8, seed=0)
+        _, table = grid_search(
+            ds, grid, lambda p: wpsc.SingleViewPipeline(wpsc.SolverSpec("RTSC", p)))
+        assert calls == [(16, 16)] * 4
+        assert len(table) == 3 and all(len(row["accs"]) == 4 for row in table)
+
 
 class _SubsetTolerantFactory:
     """make_pipeline for grid tests: plants labels regardless of the subset."""
