@@ -20,10 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from .bundle import load_bundle, save_bundle, save_matrix
-from .datasets import (Dataset, SplitSpec, UosSpec, check_int, column_normalize,
-                       generate_uos, load_idx, load_pgm_dir, split, unit_columns)
+from .datasets import (Dataset, SplitSpec, UosSpec, _normalized_in_place, _take, check_int,
+                       generate_uos, load_idx, load_pgm_dir, split_indices, unit_columns)
 from .errors import (ConfigError, ConsistencyError, ConvergenceError, DataError,
-                     DegenerateColumnError, Error, LabelingError)
+                     DegenerateColumnError, EmptyInputError, Error, LabelingError)
 from .graph import Partition, affinity_from_representation, spectral_clustering
 from .mera import FIVE_VIEW_ORDER, choose_grid, unify_views
 from .metrics import evaluate
@@ -97,6 +97,8 @@ class ExperimentConfig:
         """Fail fast on config/dataset inconsistencies (before any solve)."""
         if ds.labels is None:
             raise ConfigError("experiments need a labeled dataset")
+        if not ds.N:
+            raise EmptyInputError(f"{ds.name or 'dataset'}: no points")
         counts = np.bincount(ds.labels)
         n_in = int(sum(math.ceil(self.split.in_fraction * c) for c in counts))
         if self.pipeline == "wp-mera":
@@ -185,8 +187,10 @@ def _run_seed(cfg, ds, seed):
     t0 = time.perf_counter()
     rec = {"seed": seed, "pipeline": cfg.pipeline}
     trace_rows = []
-    in_ds, out_ds = split(ds, SplitSpec(cfg.split.in_fraction, cfg.split.seed + seed))
-    rec["split"] = {"in": in_ds.N, "out": out_ds.N}
+    # only the in-sample columns are copied; held-out points stream by index
+    in_idx, out_idx = split_indices(ds, SplitSpec(cfg.split.in_fraction, cfg.split.seed + seed))
+    in_ds = _take(ds, in_idx, "in")
+    rec["split"] = {"in": in_ds.N, "out": out_idx.size}
 
     grid_params = {}
     if cfg.grid is not None:
@@ -219,8 +223,8 @@ def _run_seed(cfg, ds, seed):
             save_matrix(unify_views(fit.tensor), out_dir / f"unified_s{seed}.wpsc")
 
     models = fit.models(cfg.d)
-    if out_ds.N:
-        metrics["out"] = _metrics_dict(out_ds.labels, fit.assign(out_ds, models))
+    if out_idx.size:
+        metrics["out"] = _metrics_dict(ds.labels[out_idx], fit.assign(ds, models, out_idx))
     # the first view of the single and MERA pipelines is the data itself
     ambient = (models[0] if sel is None
                else estimate_bases(unit_columns(in_ds.data), fit.part, cfg.d))
@@ -260,7 +264,7 @@ def run_experiment(cfg):
     """
     ds = _stage("load", load_dataset, cfg.dataset)
     _stage("validate", cfg.validate_against, ds)
-    ds = _stage("normalize", column_normalize, ds)
+    ds = _stage("normalize", _normalized_in_place, ds)
     runs, csv_rows, trace_rows = [], [], []
 
     def results():
@@ -385,7 +389,10 @@ def _load_normalized(path, C=None, needs_C=False):
     """The bundle at ``path``, column-normalized, and its cluster count:
     ``C`` (the ``--C`` option) if given, else the number of label classes
     (None if unlabeled). With ``needs_C``, unlabeled data need ``C``."""
-    ds = column_normalize(load_bundle(path))
+    ds = load_bundle(path)
+    if not ds.N:
+        raise EmptyInputError(f"{path}: no points")
+    ds = _normalized_in_place(ds)
     if needs_C and ds.labels is None and C is None:
         raise ConfigError("unlabeled data: pass --C")
     return ds, C or ds.C
@@ -393,11 +400,11 @@ def _load_normalized(path, C=None, needs_C=False):
 
 def _emit_labels(path, labels, truth):
     """Write ``labels`` to the CSV file ``path``, one per line; print their
-    metrics against ``truth`` and return them, or, without truth, print
-    where the labels went and return None."""
+    metrics against ``truth`` and return them, or, without truth or
+    labels, print where the labels went and return None."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(str(int(v)) for v in labels) + "\n")
-    if truth is None:
+    path.write_text("".join(f"{int(v)}\n" for v in labels))
+    if truth is None or not len(labels):
         print(f"wrote {path}")
         return None
     m = _metrics_dict(truth, labels)

@@ -347,11 +347,18 @@ def unit_columns(X):
     """Column-normalize a raw matrix, or each member of a B x D x N stack;
     zero columns are an error. The result is read-only."""
     X = np.asarray(X, dtype=np.float64)
+    return _seal(X / _column_norms(X))
+
+
+def _column_norms(X, name=None):
+    """The column norms ``unit_columns`` divides by; a zero column is a
+    DegenerateColumnError naming up to eight of them (after ``name``)."""
     norms = np.linalg.norm(X, axis=-2, keepdims=True)
-    zero = np.flatnonzero((norms == 0.0).reshape(-1, X.shape[-1]).any(axis=0))[:8].tolist()
+    zero = np.flatnonzero((norms == 0.0).any(axis=tuple(range(X.ndim - 1))))[:8].tolist()
     if zero:
-        raise DegenerateColumnError(f"zero column(s) at indices {zero}", zero)
-    return _seal(X / norms)
+        where = "" if name is None else f"{name or 'dataset'}: "
+        raise DegenerateColumnError(f"{where}zero column(s) at indices {zero}", zero)
+    return norms
 
 
 def column_normalize(ds):
@@ -359,19 +366,26 @@ def column_normalize(ds):
 
     A zero column is an error: downstream solvers divide by column norms.
     """
-    try:
-        return ds.with_data(unit_columns(ds.data))
-    except DegenerateColumnError as exc:
-        raise DegenerateColumnError(f"{ds.name or 'dataset'}: {exc}") from None
+    return ds.with_data(_seal(ds.data / _column_norms(ds.data, ds.name)))
 
 
-def split(ds, spec):
-    """Stratified split into (in_sample, out_sample) datasets.
+def _normalized_in_place(ds):
+    """``column_normalize(ds)`` computed in the matrix of ``ds`` itself, which
+    its caller alone holds, so the raw and the normalized matrix never
+    exist together. Returns ``ds``."""
+    norms = _column_norms(ds.data, ds.name)
+    chain = [ds.data]  # unsealed from the memory it owns (see _sealed) up
+    while chain[-1].base is not None:
+        chain.append(chain[-1].base)
+    for a in reversed(chain):
+        a.setflags(write=True)
+    np.divide(ds.data, norms, out=ds.data)
+    _seal(ds.data)
+    return ds
 
-    Each cluster contributes ceil(in_fraction * N_c) in-sample points,
-    selected by a seeded permutation; both halves keep the original column
-    order. Requires labels.
-    """
+
+def split_indices(ds, spec):
+    """Sorted column indices of the (in_sample, out_sample) halves of :func:`split`."""
     if ds.labels is None:
         raise SplitError("split requires labels for stratification")
     rng = np.random.default_rng(spec.seed)
@@ -384,8 +398,17 @@ def split(ds, spec):
         perm = rng.permutation(members.size)
         in_idx.append(members[perm[:n_in]])
         out_idx.append(members[perm[n_in:]])
-    in_idx = np.sort(np.concatenate(in_idx))
-    out_idx = np.sort(np.concatenate(out_idx))
+    return np.sort(np.concatenate(in_idx)), np.sort(np.concatenate(out_idx))
+
+
+def split(ds, spec):
+    """Stratified split into (in_sample, out_sample) datasets.
+
+    Each cluster contributes ceil(in_fraction * N_c) in-sample points,
+    selected by a seeded permutation; both halves keep the original column
+    order. Requires labels.
+    """
+    in_idx, out_idx = split_indices(ds, spec)
     return _take(ds, in_idx, "in"), _take(ds, out_idx, "out")
 
 

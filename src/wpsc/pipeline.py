@@ -44,25 +44,30 @@ class Fit:
         """One d-dimensional subspace model per view, fitted to the partition."""
         return [estimate_bases(Xv, self.part, d) for Xv in self.views]
 
-    def assign(self, ds, models):
-        """Labels of the points of ``ds``: the nearest subspace over views
-        built the way the in-sample views were, one model per view.
+    def assign(self, ds, models, columns=None):
+        """Labels of the points of ``ds``, or of its ``columns`` (an index
+        array) in their order: the nearest subspace over views built the
+        way the in-sample views were, one model per view.
 
         The points stream through in column-major blocks of
-        :func:`block_width` columns: each block's views are built, normalized
-        and measured, and only its labels are kept. The labels equal those of
-        one pass over the column-major ``ds.data``, whatever its layout.
+        :func:`block_width` columns taken from ``ds.data``: each block's
+        views are built, normalized and measured, and only its labels are
+        kept. The labels equal those of one pass over the column-major
+        points, whatever the layout of ``ds.data``. A zero column is named
+        by its index in ``ds``.
         """
+        index = np.arange(ds.N) if columns is None else np.asarray(columns)
         step, labels = block_width(ds.D), []
-        for start in range(0, max(ds.N, 1), step):  # an empty ds is one block
+        for start in range(0, max(index.size, 1), step):  # no points are one block
+            cols = index[start:start + step]
             # numpy sums the norm of a lone row-major column in another order
             # than the columns of a wider block; column-major blocks agree
-            block = _seal(np.asfortranarray(ds.data[:, start:start + step]))
+            block = _seal(np.asfortranarray(ds.data[:, cols]))
             try:  # one block's views are alive at a time
                 labels.append(assign_multiview_batch(
                     self._views(Dataset(data=block, img_h=ds.img_h, img_w=ds.img_w)), models))
             except DegenerateColumnError as exc:
-                zero = [start + i for i in exc.columns]
+                zero = cols[exc.columns].tolist()
                 raise DegenerateColumnError(f"zero column(s) at indices {zero}", zero) from None
         return np.concatenate(labels)
 

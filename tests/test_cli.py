@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from conftest import checkerboard_noise_uos
 from wpsc.bundle import load_bundle, save_bundle
 from wpsc.cli import ExperimentConfig, main, run_experiment, emit_report
 from wpsc.datasets import UosSpec, generate_uos
-from wpsc.errors import ConfigError
+from wpsc.errors import ConfigError, EmptyInputError
 
 
 def synth_bundle(tmp_path, **kw):
@@ -123,6 +124,25 @@ class TestSubcommands:
         assert rc == 0
         metrics = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert metrics["acc"] == 1.0
+
+    @pytest.mark.parametrize("labeled", [False, True])
+    def test_oos_without_held_out_points_writes_no_labels(self, tmp_path, capsys, labeled):
+        # a D x 0 held-out bundle once failed with a raw ValueError
+        path, _ = synth_bundle(tmp_path)
+        out = tmp_path / "o"
+        rc = main(["oos", "--in-data", str(path), "--out-data", _no_points(tmp_path, labeled),
+                   "--d", "2", "--out-dir", str(out)])
+        assert rc == 0
+        assert (out / "oos_labels.csv").read_bytes() == b""
+        assert capsys.readouterr().out.strip() == f"wrote {out / 'oos_labels.csv'}"
+
+
+def _no_points(tmp_path, labeled=True):
+    """Path of a bundle of 8x8 images that holds no points."""
+    path = tmp_path / "empty.wpsc"
+    save_bundle(wpsc.Dataset(data=np.empty((64, 0)), img_h=8, img_w=8,
+                             labels=[] if labeled else None), path)
+    return str(path)
 
 
 class TestRun:
@@ -762,6 +782,13 @@ BAD_INPUTS = {
     "param-not-number": (2, lambda t, y: [
         "cluster", "--data", str(t / "data.wpsc"), "--solver", "SSC",
         "--param", "alpha=abc", "--out-dir", str(t / "c")]),
+    "run-no-points": (3, lambda t, y: _run_argv(t, dataset={
+        "kind": "bundle", "path": _no_points(t)})),
+    "cluster-no-points": (3, lambda t, y: [
+        "cluster", "--data", _no_points(t), "--solver", "SSC", "--param", "alpha=10",
+        "--out-dir", str(t / "c")]),
+    "oos-in-data-no-points": (3, lambda t, y: [
+        "oos", "--in-data", _no_points(t), "--out-data", str(t / "data.wpsc"), "--d", "2"]),
     "param-typo": (2, lambda t, y: [
         "cluster", "--data", str(t / "data.wpsc"), "--solver", "SSC", "--param", "alpha=10",
         "--param", "mdoe=outlier", "--out-dir", str(t / "c")]),
@@ -908,6 +935,33 @@ class TestRunExperimentApi:
                                   "tol": 1e-6, "max_iter": 200}
         assert echo["split"] == {"in_fraction": 0.8, "seed": 0}
         assert json.loads(json.dumps(echo))["seeds"] == [0]
+
+    def test_no_points_fail_validation(self, tmp_path):
+        _no_points(tmp_path)
+        cfg = ExperimentConfig.from_dict(base_config(tmp_path))
+        with pytest.raises(EmptyInputError, match="no points"):
+            cfg.validate_against(load_bundle(tmp_path / "empty.wpsc"))
+
+    def test_run_holds_about_one_copy_of_the_data(self, tmp_path):
+        # mostly held-out points; the bound lies between a run that holds the
+        # raw and the normalized matrix together and both split halves next
+        # to the normalized one (a traced peak of about 2.7 copies of the
+        # data here) and one that holds the normalized matrix and the
+        # in-sample columns, whose peak (2.0 copies) comes while the norms'
+        # squares exist next to the loaded matrix
+        synth_bundle(tmp_path, C=4, d=3, D=1024, n_per_cluster=100, noise_sigma=0.1)
+        cfg = ExperimentConfig.from_dict(base_config(
+            tmp_path, solver={"kind": "RTSC", "params": {"q": 5}}, d=3,
+            split={"in_fraction": 0.1, "seed": 0}))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            results = run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert results["report"]["runs"][0]["metrics"]["out"]["acc"] == 1.0
+        assert peak <= 2.35 * 1024 * 400 * 8
 
     def test_emit_report_paths(self, tmp_path):
         synth_bundle(tmp_path, n_per_cluster=15)

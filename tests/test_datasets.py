@@ -13,12 +13,15 @@ from wpsc.datasets import (
     Dataset,
     SplitSpec,
     UosSpec,
+    _normalized_in_place,
     column_normalize,
     generate_uos,
     load_idx,
     load_pgm_dir,
     most_square_shape,
     split,
+    split_indices,
+    unit_columns,
 )
 from wpsc.errors import (
     ConsistencyError,
@@ -112,7 +115,62 @@ class TestColumnNormalize:
             column_normalize(ds)
 
 
+    @pytest.mark.parametrize("order", "CF")
+    def test_in_place_equals_column_normalize(self, order):
+        ds = generate_uos(UosSpec(C=3, d=2, D=16, n_per_cluster=7, noise_sigma=0.3, seed=5))
+        data = _read_only(np.array(ds.data * 3.0, order=order))
+        raw = Dataset(data=data, img_h=4, img_w=4, labels=ds.labels, name="x")
+        want = column_normalize(raw)
+        got = _normalized_in_place(raw)
+        assert got is raw and got.data is data and got.name == "x"
+        assert np.array_equal(got.data, want.data)
+        assert not data.flags.writeable
+
+    def test_in_place_reseals_a_loaded_bundle(self, tmp_path):
+        # a bundle's matrix is a read-only view of a read-only array it owns
+        ds = make_uos(C=2, d=2, D=16, n=5, seed=1)
+        save_bundle(Dataset(data=ds.data * 2.0, img_h=4, img_w=4), tmp_path / "b.wpsc")
+        want = unit_columns(load_bundle(tmp_path / "b.wpsc").data)
+        loaded = load_bundle(tmp_path / "b.wpsc")
+        data = loaded.data
+        _normalized_in_place(loaded)
+        assert loaded.data is data and data.flags.f_contiguous
+        assert np.array_equal(data, want)
+        assert not data.flags.writeable and not data.base.flags.writeable
+        assert Dataset(data=data, img_h=4, img_w=4).data is data
+
+    def test_in_place_zero_column_leaves_the_data(self):
+        data = np.arange(1.0, 13.0).reshape(4, 3)
+        data[:, 1] = 0.0
+        ds = Dataset(data=data, img_h=2, img_w=2, name="z")
+        with pytest.raises(DegenerateColumnError) as want:
+            column_normalize(ds)
+        with pytest.raises(DegenerateColumnError, match=r"^z: .*\[1\]") as got:
+            _normalized_in_place(ds)
+        assert str(got.value) == str(want.value)
+        assert np.array_equal(ds.data, data)
+
+    def test_no_points(self):
+        # a D x 0 matrix once failed in unit_columns with a raw ValueError
+        assert unit_columns(np.empty((4, 0))).shape == (4, 0)
+        assert unit_columns(np.empty((2, 4, 0))).shape == (2, 4, 0)
+        ds = Dataset(data=np.empty((4, 0)), img_h=2, img_w=2, labels=[])
+        assert column_normalize(ds).N == 0
+        assert _normalized_in_place(ds).data.shape == (4, 0)
+
+
 class TestSplit:
+    def test_split_takes_split_indices(self):
+        ds = generate_uos(UosSpec(C=3, d=2, D=16, n_per_cluster=9, seed=0))
+        spec = SplitSpec(0.4, 7)
+        in_idx, out_idx = split_indices(ds, spec)
+        ins, outs = split(ds, spec)
+        assert np.array_equal(np.sort(np.concatenate([in_idx, out_idx])), np.arange(ds.N))
+        for half, idx in ((ins, in_idx), (outs, out_idx)):
+            assert np.array_equal(idx, np.sort(idx))
+            assert np.array_equal(half.data, ds.data[:, idx])
+            assert np.array_equal(half.labels, ds.labels[idx])
+
     def test_balanced_80_20(self):
         ds = generate_uos(UosSpec(C=2, d=2, D=16, n_per_cluster=50, seed=0))
         ins, outs = split(ds, SplitSpec(0.8, 1))

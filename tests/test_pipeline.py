@@ -134,13 +134,25 @@ def _fit_for(subband):
     return Fit(Partition(labels=ins.labels, C=3), _views(subband, ins), subband)
 
 
+def _scattered(ds, order):
+    """A wider dataset that holds the columns of ``ds`` at the returned
+    indices, in no particular order, among columns of its own."""
+    rng = np.random.default_rng(1)
+    columns = rng.permutation(2 * ds.N + 5)[:ds.N]
+    X = np.asarray(rng.standard_normal((ds.D, 2 * ds.N + 5)), order=order)
+    X[:, columns] = ds.data
+    return wpsc.Dataset(data=X, img_h=ds.img_h, img_w=ds.img_w), columns
+
+
 @pytest.mark.parametrize("subband", ["", "AH", "O+A+H+V+D"])
 @pytest.mark.parametrize("order", "CF")
 @pytest.mark.parametrize("extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 7)],
                          ids=["1", "B-1", "B", "B+1", "3B+7"])
-def test_streamed_assign_equals_one_pass(subband, order, extra, monkeypatch):
+@pytest.mark.parametrize("by_index", [False, True], ids=["dataset", "columns"])
+def test_streamed_assign_equals_one_pass(subband, order, extra, by_index, monkeypatch):
     # the one-pass reference builds and normalizes every view over all
-    # points in column-major order, then measures them in the same blocks
+    # points in column-major order, then measures them in the same blocks;
+    # points given by index are measured as the dataset they make up
     B = block_width(64)
     ds = _held_out(extra[0] * B + extra[1], order)
     fit = _fit_for(subband)
@@ -152,7 +164,11 @@ def test_streamed_assign_equals_one_pass(subband, order, extra, monkeypatch):
         return assign_multiview_batch(views, models)
 
     monkeypatch.setattr(wpsc.pipeline, "assign_multiview_batch", spy)
-    labels = fit.assign(ds, models)
+    if by_index:
+        wide, columns = _scattered(ds, order)
+        labels = fit.assign(wide, models, columns)
+    else:
+        labels = fit.assign(ds, models)
     one_pass = _views(subband, _held_out(ds.N, "F"))
     assert len(measured) == -(-ds.N // B)
     for k, views in enumerate(measured):  # the same bits in the same blocks
@@ -170,8 +186,13 @@ def test_streamed_assign_names_zero_columns_by_their_index():
     X = np.array(_held_out(2 * B, "F").data)
     X[:, [B + 3, B + 5]] = 0.0
     fit = _fit_for("")
+    ds, models = wpsc.Dataset(data=X, img_h=8, img_w=8), fit.models(2)
     with pytest.raises(DegenerateColumnError, match=rf"\[{B + 3}, {B + 5}\]"):
-        fit.assign(wpsc.Dataset(data=X, img_h=8, img_w=8), fit.models(2))
+        fit.assign(ds, models)
+    # by index, in reverse: still the indices in ds, in the order given
+    with pytest.raises(DegenerateColumnError, match=rf"\[{B + 5}, {B + 3}\]"):
+        fit.assign(ds, models, np.arange(2 * B)[::-1])
+    assert fit.assign(ds, models, np.arange(B)).shape == (B,)
 
 
 @pytest.mark.parametrize("subband", ["", "O+A+H+V+D"])
