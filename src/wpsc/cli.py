@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .bundle import load_bundle, save_bundle, save_matrix
-from .datasets import (Dataset, SplitSpec, UosSpec, _normalized_in_place, _take, check_int,
-                       generate_uos, load_idx, load_pgm_dir, split_indices, unit_columns)
+from .datasets import (Dataset, SplitSpec, UosSpec, check_int, generate_uos, load_idx,
+                       load_pgm_dir, normalize_in_place, split_in_sample, unit_columns)
 from .errors import (ConfigError, ConsistencyError, ConvergenceError, DataError,
                      DegenerateColumnError, EmptyInputError, Error, LabelingError)
 from .graph import Partition, affinity_from_representation, spectral_clustering
@@ -188,8 +188,7 @@ def _run_seed(cfg, ds, seed):
     rec = {"seed": seed, "pipeline": cfg.pipeline}
     trace_rows = []
     # only the in-sample columns are copied; held-out points stream by index
-    in_idx, out_idx = split_indices(ds, SplitSpec(cfg.split.in_fraction, cfg.split.seed + seed))
-    in_ds = _take(ds, in_idx, "in")
+    in_ds, out_idx = split_in_sample(ds, SplitSpec(cfg.split.in_fraction, cfg.split.seed + seed))
     rec["split"] = {"in": in_ds.N, "out": out_idx.size}
 
     grid_params = {}
@@ -264,7 +263,7 @@ def run_experiment(cfg):
     """
     ds = _stage("load", load_dataset, cfg.dataset)
     _stage("validate", cfg.validate_against, ds)
-    ds = _stage("normalize", _normalized_in_place, ds)
+    ds = _stage("normalize", normalize_in_place, ds)
     runs, csv_rows, trace_rows = [], [], []
 
     def results():
@@ -392,7 +391,7 @@ def _load_normalized(path, C=None, needs_C=False):
     ds = load_bundle(path)
     if not ds.N:
         raise EmptyInputError(f"{path}: no points")
-    ds = _normalized_in_place(ds)
+    ds = normalize_in_place(ds)
     if needs_C and ds.labels is None and C is None:
         raise ConfigError("unlabeled data: pass --C")
     return ds, C or ds.C

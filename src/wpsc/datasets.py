@@ -39,6 +39,8 @@ class Dataset:
     read-only so they can be shared across threads. A contiguous float64
     matrix that no one can write (see :func:`_sealed`) is kept as it is;
     any other ``data`` is copied, and the caller's array is left untouched.
+    The one exception is :func:`normalize_in_place`, for a dataset whose
+    matrix its caller alone holds.
     """
 
     data: np.ndarray
@@ -369,10 +371,13 @@ def column_normalize(ds):
     return ds.with_data(_seal(ds.data / _column_norms(ds.data, ds.name)))
 
 
-def _normalized_in_place(ds):
-    """``column_normalize(ds)`` computed in the matrix of ``ds`` itself, which
-    its caller alone holds, so the raw and the normalized matrix never
-    exist together. Returns ``ds``."""
+def normalize_in_place(ds):
+    """``column_normalize(ds)`` computed in the matrix of ``ds`` itself, so
+    the raw and the normalized matrix never exist together. The caller must
+    alone hold that matrix; ``ds.unit`` must not be cached yet, as it would
+    go stale. Returns ``ds``."""
+    if "unit" in ds.__dict__:
+        raise ParameterError(f"{ds.name or 'dataset'}: its unit columns are cached")
     norms = _column_norms(ds.data, ds.name)
     chain = [ds.data]  # unsealed from the memory it owns (see _sealed) up
     while chain[-1].base is not None:
@@ -384,8 +389,9 @@ def _normalized_in_place(ds):
     return ds
 
 
-def split_indices(ds, spec):
-    """Sorted column indices of the (in_sample, out_sample) halves of :func:`split`."""
+def split_in_sample(ds, spec):
+    """The in-sample half of :func:`split` and the sorted column indices of
+    its held-out half, whose columns are not copied."""
     if ds.labels is None:
         raise SplitError("split requires labels for stratification")
     rng = np.random.default_rng(spec.seed)
@@ -398,7 +404,7 @@ def split_indices(ds, spec):
         perm = rng.permutation(members.size)
         in_idx.append(members[perm[:n_in]])
         out_idx.append(members[perm[n_in:]])
-    return np.sort(np.concatenate(in_idx)), np.sort(np.concatenate(out_idx))
+    return _take(ds, np.sort(np.concatenate(in_idx)), "in"), np.sort(np.concatenate(out_idx))
 
 
 def split(ds, spec):
@@ -408,8 +414,8 @@ def split(ds, spec):
     selected by a seeded permutation; both halves keep the original column
     order. Requires labels.
     """
-    in_idx, out_idx = split_indices(ds, spec)
-    return _take(ds, in_idx, "in"), _take(ds, out_idx, "out")
+    in_ds, out_idx = split_in_sample(ds, spec)
+    return in_ds, _take(ds, out_idx, "out")
 
 
 def _take(ds, idx, tag):

@@ -36,8 +36,7 @@ def affinity_from_representation(Z):
     Z = np.asarray(Z, dtype=np.float64)
     if not np.all(np.isfinite(Z)):
         raise ParameterError("representation matrix must be finite")
-    A = np.abs(Z)
-    W = (A + A.T) / 2.0
+    W = (np.abs(Z) + np.abs(Z).T) / 2.0
     np.fill_diagonal(W, 0.0)
     return W
 
@@ -77,18 +76,14 @@ def _smallest(a, q, axis):
 
 
 def _check_affinity(W):
-    """(W + W^T) / 2, in the array of the symmetry check."""
     W = np.asarray(W, dtype=np.float64)
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
         raise ParameterError("affinity must be square")
-    S = np.subtract(W, W.T)
-    if np.abs(S, out=S).max(initial=0.0) > 1e-12:
+    if np.abs(W - W.T).max(initial=0.0) > 1e-12:
         raise ParameterError("affinity must be symmetric within 1e-12")
     if W.min(initial=0.0) < 0:
         raise ParameterError("affinity must be nonnegative")
-    np.add(W, W.T, out=S)
-    S /= 2.0
-    return S
+    return (W + W.T) / 2.0
 
 
 def spectral_clustering(W, C, seed=0):
@@ -101,21 +96,19 @@ def spectral_clustering(W, C, seed=0):
     inertia wins. Deterministic given seed.
     """
     check_int(seed, "seed")
-    L = _check_affinity(W)  # a new array, which becomes L
-    n = L.shape[0]
+    W = _check_affinity(W)
+    n = W.shape[0]
     if C < 2:
         raise ParameterError("C must be >= 2")
     if C > n:
         raise ParameterError(f"C = {C} exceeds N = {n}")
-    deg = np.maximum(L.sum(axis=1), DEGREE_FLOOR)
+    deg = np.maximum(W.sum(axis=1), DEGREE_FLOOR)
     inv_sqrt = 1.0 / np.sqrt(deg)
-    L *= np.outer(inv_sqrt, inv_sqrt)
-    np.negative(L, out=L)  # exact: the bits of (-W) o outer(d^-1/2, d^-1/2)
+    L = -W * np.outer(inv_sqrt, inv_sqrt)
     L[np.diag_indices(n)] += 1.0
     vecs = eigh(L)[1][:, :C]
     norms = np.linalg.norm(vecs, axis=1)
     emb = vecs / np.where(norms > 0, norms, 1.0)[:, None]
-    del L, vecs  # only the embedding lives through k-means
     labels = kmeans(emb, C, seed)
     return Partition(labels=labels, C=C)
 

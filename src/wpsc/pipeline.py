@@ -56,10 +56,10 @@ class Fit:
         points, whatever the layout of ``ds.data``. A zero column is named
         by its index in ``ds``.
         """
-        index = np.arange(ds.N) if columns is None else np.asarray(columns)
+        n = ds.N if columns is None else len(columns)
         step, labels = block_width(ds.D), []
-        for start in range(0, max(index.size, 1), step):  # no points are one block
-            cols = index[start:start + step]
+        for start in range(0, max(n, 1), step):  # no points are one block
+            cols = slice(start, start + step) if columns is None else columns[start:start + step]
             # numpy sums the norm of a lone row-major column in another order
             # than the columns of a wider block; column-major blocks agree
             block = _seal(np.asfortranarray(ds.data[:, cols]))
@@ -67,7 +67,7 @@ class Fit:
                 labels.append(assign_multiview_batch(
                     self._views(Dataset(data=block, img_h=ds.img_h, img_w=ds.img_w)), models))
             except DegenerateColumnError as exc:
-                zero = cols[exc.columns].tolist()
+                zero = np.arange(ds.N)[cols][exc.columns].tolist()
                 raise DegenerateColumnError(f"zero column(s) at indices {zero}", zero) from None
         return np.concatenate(labels)
 

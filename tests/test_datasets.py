@@ -13,14 +13,14 @@ from wpsc.datasets import (
     Dataset,
     SplitSpec,
     UosSpec,
-    _normalized_in_place,
     column_normalize,
     generate_uos,
     load_idx,
     load_pgm_dir,
     most_square_shape,
+    normalize_in_place,
     split,
-    split_indices,
+    split_in_sample,
     unit_columns,
 )
 from wpsc.errors import (
@@ -121,7 +121,7 @@ class TestColumnNormalize:
         data = _read_only(np.array(ds.data * 3.0, order=order))
         raw = Dataset(data=data, img_h=4, img_w=4, labels=ds.labels, name="x")
         want = column_normalize(raw)
-        got = _normalized_in_place(raw)
+        got = normalize_in_place(raw)
         assert got is raw and got.data is data and got.name == "x"
         assert np.array_equal(got.data, want.data)
         assert not data.flags.writeable
@@ -133,7 +133,7 @@ class TestColumnNormalize:
         want = unit_columns(load_bundle(tmp_path / "b.wpsc").data)
         loaded = load_bundle(tmp_path / "b.wpsc")
         data = loaded.data
-        _normalized_in_place(loaded)
+        normalize_in_place(loaded)
         assert loaded.data is data and data.flags.f_contiguous
         assert np.array_equal(data, want)
         assert not data.flags.writeable and not data.base.flags.writeable
@@ -146,9 +146,17 @@ class TestColumnNormalize:
         with pytest.raises(DegenerateColumnError) as want:
             column_normalize(ds)
         with pytest.raises(DegenerateColumnError, match=r"^z: .*\[1\]") as got:
-            _normalized_in_place(ds)
+            normalize_in_place(ds)
         assert str(got.value) == str(want.value)
         assert np.array_equal(ds.data, data)
+
+    def test_in_place_refuses_cached_unit_columns(self):
+        # ds.unit would keep the raw matrix's unit columns after the division
+        ds = Dataset(data=np.arange(1.0, 13.0).reshape(4, 3), img_h=2, img_w=2, name="u")
+        unit = ds.unit
+        with pytest.raises(ParameterError, match="^u: .*cached"):
+            normalize_in_place(ds)
+        assert ds.unit is unit and np.array_equal(ds.data, np.arange(1.0, 13.0).reshape(4, 3))
 
     def test_no_points(self):
         # a D x 0 matrix once failed in unit_columns with a raw ValueError
@@ -156,20 +164,22 @@ class TestColumnNormalize:
         assert unit_columns(np.empty((2, 4, 0))).shape == (2, 4, 0)
         ds = Dataset(data=np.empty((4, 0)), img_h=2, img_w=2, labels=[])
         assert column_normalize(ds).N == 0
-        assert _normalized_in_place(ds).data.shape == (4, 0)
+        assert normalize_in_place(ds).data.shape == (4, 0)
 
 
 class TestSplit:
-    def test_split_takes_split_indices(self):
+    def test_split_in_sample_is_the_in_half_of_split(self):
         ds = generate_uos(UosSpec(C=3, d=2, D=16, n_per_cluster=9, seed=0))
         spec = SplitSpec(0.4, 7)
-        in_idx, out_idx = split_indices(ds, spec)
+        in_ds, out_idx = split_in_sample(ds, spec)
         ins, outs = split(ds, spec)
-        assert np.array_equal(np.sort(np.concatenate([in_idx, out_idx])), np.arange(ds.N))
-        for half, idx in ((ins, in_idx), (outs, out_idx)):
-            assert np.array_equal(idx, np.sort(idx))
-            assert np.array_equal(half.data, ds.data[:, idx])
-            assert np.array_equal(half.labels, ds.labels[idx])
+        in_idx = np.setdiff1d(np.arange(ds.N), out_idx)
+        assert in_ds.name == ins.name and np.array_equal(in_ds.labels, ins.labels)
+        assert np.array_equal(in_ds.data, ins.data)
+        assert np.array_equal(in_ds.data, ds.data[:, in_idx])
+        assert np.array_equal(out_idx, np.sort(out_idx))
+        assert np.array_equal(outs.data, ds.data[:, out_idx])
+        assert np.array_equal(outs.labels, ds.labels[out_idx])
 
     def test_balanced_80_20(self):
         ds = generate_uos(UosSpec(C=2, d=2, D=16, n_per_cluster=50, seed=0))

@@ -134,71 +134,6 @@ class TestSpectralClustering:
         assert np.array_equal(a.labels, b.labels)
 
 
-    @pytest.mark.parametrize("order", "CF")
-    def test_inputs_are_left_unchanged(self, order):
-        Z = np.asarray(np.random.default_rng(2).standard_normal((30, 30)), order=order)
-        Z_before = Z.copy()
-        W = affinity_from_representation(Z)
-        assert np.array_equal(Z, Z_before) and Z.flags.writeable
-        W = np.asarray(W, order=order)
-        W_before = W.copy()
-        spectral_clustering(W, 3, seed=0)
-        assert np.array_equal(W, W_before) and W.flags.writeable
-        W.setflags(write=False)  # nothing is written to a read-only input either
-        spectral_clustering(W, 3, seed=0)
-
-    def test_embedding_equals_the_out_of_place_reference(self, monkeypatch):
-        # the Laplacian is built in place; the points k-means gets, and so
-        # the labels, keep every bit of the reference below
-        seen = []
-
-        def spy(points, k, seed):
-            seen.append(np.array(points))
-            return kmeans(points, k, seed)
-
-        monkeypatch.setattr(graph_mod, "kmeans", spy)
-        rng = np.random.default_rng(11)
-        for _ in range(40):
-            n = int(rng.integers(5, 120))
-            A = rng.random((n, n)) * (rng.random((n, n)) < rng.uniform(0.05, 1.0))
-            A[rng.integers(n)] = 0.0  # an isolated vertex or none at all
-            W = np.asarray(A + A.T, order="CF"[int(rng.integers(2))])
-            np.fill_diagonal(W, 0.0)
-            C, seed = int(rng.integers(2, min(n, 8) + 1)), int(rng.integers(100))
-            want = reference_spectral_clustering(W, C, seed)
-            got = spectral_clustering(W, C, seed)
-            assert np.array_equal(seen[-1], seen[-2])
-            assert np.array_equal(got.labels, want.labels)
-
-
-def reference_spectral_clustering(W, C, seed=0):
-    """``spectral_clustering`` as it was before it built L in place,
-    verbatim but for the module names, ``_check_affinity`` inlined."""
-    graph_mod.check_int(seed, "seed")
-    W = np.asarray(W, dtype=np.float64)
-    if W.ndim != 2 or W.shape[0] != W.shape[1]:
-        raise ParameterError("affinity must be square")
-    if np.abs(W - W.T).max(initial=0.0) > 1e-12:
-        raise ParameterError("affinity must be symmetric within 1e-12")
-    if W.min(initial=0.0) < 0:
-        raise ParameterError("affinity must be nonnegative")
-    W = (W + W.T) / 2.0
-    n = W.shape[0]
-    if C < 2:
-        raise ParameterError("C must be >= 2")
-    if C > n:
-        raise ParameterError(f"C = {C} exceeds N = {n}")
-    deg = np.maximum(W.sum(axis=1), graph_mod.DEGREE_FLOOR)
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    L = -W * np.outer(inv_sqrt, inv_sqrt)
-    L[np.diag_indices(n)] += 1.0
-    vecs = graph_mod.eigh(L)[1][:, :C]
-    norms = np.linalg.norm(vecs, axis=1)
-    emb = vecs / np.where(norms > 0, norms, 1.0)[:, None]
-    labels = graph_mod.kmeans(emb, C, seed)
-    return Partition(labels=labels, C=C)
-
-
 class TestPartition:
     def test_members(self):
         p = Partition(labels=np.array([0, 1, 0, 2]), C=3)
