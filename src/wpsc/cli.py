@@ -187,7 +187,6 @@ def _run_seed(cfg, ds, seed):
     t0 = time.perf_counter()
     rec = {"seed": seed, "pipeline": cfg.pipeline}
     trace_rows = []
-    # only the in-sample columns are copied; held-out points stream by index
     in_ds, out_idx = split_in_sample(ds, SplitSpec(cfg.split.in_fraction, cfg.split.seed + seed))
     rec["split"] = {"in": in_ds.N, "out": out_idx.size}
 
