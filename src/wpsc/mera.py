@@ -20,12 +20,11 @@ on which the network is Yhat_r = U1^T K, with K = W1 B W2^T regrouped as
 (a b) x (x d e) and U1 read as the (a b) x (y z) matrix.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datasets import most_square_shape
+from .datasets import check_int, check_real, most_square_shape
 from .errors import ConsistencyError, ConvergenceError, NoGridError, ParameterError
 
 ALM_MU0 = 1e-4
@@ -117,10 +116,10 @@ def _layer(f):
     return K.reshape(I1, I2, I3, -1).transpose(1, 2, 0, 3).reshape(I2 * I3, -1)
 
 
-def _disentangle(Yr, f):
-    # Y' = U1 Yr, (a b) x (x d e), regrouped as (x a) x (b d e)
+def _disentangle(Yr, f, out=None):
+    # Y' = U1 Yr (into ``out``), (a b) x (x d e), regrouped as (x a) x (b d e)
     (I1, I2, _), I3 = f.W1.shape, f.W2.shape[0]
-    Yp = f.U1.reshape(I2 * I3, -1) @ Yr
+    Yp = np.matmul(f.U1.reshape(I2 * I3, -1), Yr, out=out)
     return Yp.reshape(I2, I3, I1, -1).transpose(2, 0, 1, 3).reshape(I1 * I2, -1)
 
 
@@ -148,11 +147,15 @@ def mera_fit(Y, R, tol=1e-8, max_iter=100, init=None):
     per sweep updates U1, W1, W2 via the SVD of their environment matrices
     and recomputes the top core. Stops when the relative fit improvement
     drops below ``tol`` or after ``max_iter`` sweeps. Isometry invariants
-    are verified every sweep, to 1e-8.
+    are verified every sweep, to 1e-8. A ``Y`` that folds a row-major
+    unfolding (as :func:`mera_mvsc` builds it) is read without a copy.
     """
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim != 5 or Y.shape[0] != Y.shape[2] or Y.shape[1] != Y.shape[3]:
         raise ParameterError("expected a 5-way tensor with I1 = I3, I2 = I4")
+    check_int(R, "R", 1)
+    check_int(max_iter, "max_iter")
+    check_real(tol, "tol", zero=True)
     I1, I2, I3, I4, I5 = Y.shape
     if not 1 <= R <= min(I1 * I2, I3 * I4 * I5):
         raise ParameterError(f"R = {R} outside [1, {min(I1 * I2, I3 * I4 * I5)}]")
@@ -172,15 +175,20 @@ def mera_fit(Y, R, tol=1e-8, max_iter=100, init=None):
     factors.check()
     if factors.contraction is None:
         factors.contraction = mera_contract(factors)
-    err = float(np.linalg.norm(Yr - _unfold(factors.contraction)))
+    # one scratch of Yr's shape takes U1 Yr and every fit difference
+    work = np.empty(Yr.shape)
+    np.subtract(Y, factors.contraction, out=_fold(work, Y.shape))
+    err = float(np.linalg.norm(work))
     factors.fit_errors = [err]
     K = _layer(factors)
     for _ in range(max_iter):
         U1 = _procrustes(K @ Yr.T)
         factors.U1 = U1.reshape(factors.U1.shape)
-        Yp = _disentangle(Yr, factors)
+        factors.contraction = K = None  # both go stale here; free them for the new ones
+        Yp = _disentangle(Yr, factors, out=work)
         W1 = _procrustes(Yp @ factors.W2.reshape(-1, R) @ factors.B.T)
         W1tYp = W1.T @ Yp  # shared by the W2 environment and the top core
+        del Yp
         W2 = _procrustes(W1tYp.T @ factors.B)
         factors.W1, factors.W2 = W1.reshape(I1, I2, R), W2.reshape(I3, I4, I5, R)
         factors.B = W1tYp @ W2
@@ -188,7 +196,7 @@ def mera_fit(Y, R, tol=1e-8, max_iter=100, init=None):
         K = _layer(factors)
         Yhat_r = U1.T @ K
         factors.contraction = _fold(Yhat_r, Y.shape)
-        new_err = float(np.linalg.norm(Yr - Yhat_r))
+        new_err = float(np.linalg.norm(np.subtract(Yr, Yhat_r, out=work)))
         factors.fit_errors.append(new_err)
         if err - new_err < tol * max(err, 1e-300):
             break
@@ -230,44 +238,57 @@ def mera_mvsc(views, lam, R, tol=1e-6, max_iter=200, sweeps=2, trace=None):
 
     Returns
     -------
-    The MERA-reconstructed N x N x V self-representation tensor.
+    The MERA-reconstructed N x N x V self-representation tensor, column-major.
     """
     if not views:
         raise ParameterError("need at least one view")
+    check_real(lam, "lambda")
+    check_int(R, "R", 1)
+    check_real(tol, "tol", zero=True)
+    check_int(max_iter, "max_iter", 1)
+    check_int(sweeps, "sweeps", 1)
     views = [np.ascontiguousarray(Xv, dtype=np.float64) for Xv in views]
     N = views[0].shape[1]
     if any(Xv.shape[1] != N for Xv in views):
         raise ParameterError("all views must share the number of columns N")
     if not all(np.isfinite(Xv).all() for Xv in views):
         raise ParameterError("MERA views must be finite")
-    if not (math.isfinite(lam) and lam > 0):
-        raise ParameterError(f"lambda must be positive and finite, got {lam}")
-    if max_iter < 1:
-        raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
     V = len(views)
     A_dim, Q_dim = choose_grid(N)
     dims = (A_dim, Q_dim, A_dim, Q_dim, V)
-    if not 1 <= R <= N:
+    if R > N:
         raise ParameterError(f"R = {R} outside [1, {N}], the min unfolding rank")
 
     # G + I has all eigenvalues >= 1, so the explicit inverse is accurate
     inverse = [np.linalg.inv(Xv.T @ Xv + np.eye(N)) for Xv in views]
-    Z = np.zeros((N, N, V))
-    Zhat = np.zeros((N, N, V))
-    E = [np.zeros_like(Xv) for Xv in views]
+    # one working set: column-major Z, Zhat and M2 (contiguous view slices),
+    # the consensus and its gap in a row-major unfolding that mera_fit reads
+    # without a copy, one D x N scratch for all views, and E^v from its first
+    # kept row on (zero until then)
+    Z, Zhat, M2 = (np.zeros((N, N, V), order="F") for _ in range(3))
+    Z5, Zhat5, M25 = (reshape_to_5d(T, dims) for T in (Z, Zhat, M2))
+    consensus = _fold(np.empty((Q_dim * A_dim, A_dim * Q_dim * V)), dims)
+    scratch = np.empty((max(Xv.shape[0] for Xv in views), N))
+    rhs, Zv = np.empty((N, N)), np.empty((N, N))
+    E = [None] * V
     W = [np.zeros_like(Xv) for Xv in views]
-    work = [np.empty_like(Xv) for Xv in views]
-    M2 = np.zeros((N, N, V))
     mu = ALM_MU0
     factors = None
     for it in range(max_iter):
         mu_next = min(mu * ALM_RHO, ALM_MU_MAX)
         res_views = []
         for v, Xv in enumerate(views):
-            S = work[v]
-            np.subtract(Xv, E[v], out=S)
-            S += W[v]
-            Zv = inverse[v] @ (Xv.T @ S + Zhat[:, :, v] - M2[:, :, v] / mu)
+            S = scratch[:Xv.shape[0]]
+            if E[v] is None:
+                np.add(Xv, W[v], out=S)
+            else:
+                np.subtract(Xv, E[v], out=S)
+                S += W[v]
+            # Z^v = inverse (Xv^T S + Zhat^v - M2^v / mu)
+            np.matmul(Xv.T, S, out=rhs)
+            rhs += Zhat[:, :, v]
+            rhs -= np.divide(M2[:, :, v], mu, out=Zv)
+            np.matmul(inverse[v], rhs, out=Zv)
             Z[:, :, v] = Zv
             # S = (Xv - Xv Z) + W, shrunk row-wise into E
             np.matmul(Xv, Zv, out=S)
@@ -275,21 +296,23 @@ def mera_mvsc(views, lam, R, tol=1e-6, max_iter=200, sweeps=2, trace=None):
             S += W[v]
             norms = np.sqrt(np.einsum("dn,dn->d", S, S))
             keep = np.maximum(0.0, 1.0 - (lam / mu) / np.where(norms > 0, norms, 1.0))
-            np.multiply(S, keep[:, None], out=E[v])
-            # S (1 - s) = W + gap; the gap goes into the old dual's buffer
-            S *= (1.0 - keep)[:, None]
+            if E[v] is not None or keep.any():
+                E[v] = np.multiply(S, keep[:, None], out=E[v])
+                S *= (1.0 - keep)[:, None]  # S (1 - s) = W + gap
             gap = np.subtract(S, W[v], out=W[v])
-            res_views.append(float(np.abs(gap).max()))
+            res_views.append(float(np.abs(gap, out=gap).max()))
             # M1 += mu * gap, stored divided by the next mu
-            S *= mu / mu_next
-            W[v], work[v] = S, gap
-        consensus = reshape_to_5d(Z + M2 / mu, dims)
+            np.multiply(S, mu / mu_next, out=W[v])
+        np.divide(M25, mu, out=consensus)
+        consensus += Z5
         factors = mera_fit(consensus, R, max_iter=sweeps,
                            init=factors, tol=0.0)
-        Zhat = reshape_from_5d(factors.contraction, dims)
-        gap_consensus = Z - Zhat
-        res_consensus = float(np.abs(gap_consensus).max())
-        M2 += mu * gap_consensus
+        np.copyto(Zhat5, factors.contraction)
+        # Zhat holds the contraction now, which the next warm start reads
+        factors.contraction = Zhat5
+        gap_consensus = np.subtract(Z5, Zhat5, out=consensus)
+        M25 += np.multiply(mu, gap_consensus, out=Z5)  # Z is rebuilt before it is read
+        res_consensus = float(np.abs(gap_consensus, out=gap_consensus).max())
         if trace is not None:
             trace.append({
                 "iteration": it,

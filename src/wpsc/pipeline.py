@@ -163,6 +163,9 @@ def _labels(M, C, seed):
 def five_views(ds):
     """Original data plus the four level-1 subbands, column-normalized.
 
-    Returns a list of five D x N matrices in the fixed order O, A, H, V, D.
+    Returns a list of five read-only, row-major D x N matrices in the fixed
+    order O, A, H, V, D: the layout :func:`mera_mvsc` computes in, so the
+    solver and the :class:`Fit` share one copy of each view.
     """
-    return [unit_columns(node_matrix(ds, p)) for p in ("", *ALPHABET)]
+    return [_seal(np.ascontiguousarray(unit_columns(node_matrix(ds, p))))
+            for p in ("", *ALPHABET)]

@@ -12,6 +12,10 @@ from wpsc.mera import (
     ALM_MU_MAX,
     ALM_RHO,
     MeraFactors,
+    _disentangle,
+    _fold,
+    _layer,
+    _procrustes,
     _top_core,
     _unfold,
     choose_grid,
@@ -46,7 +50,8 @@ def contract_oracle(f):
     return out
 
 
-def reference_mera_mvsc(views, lam, R, tol=1e-6, max_iter=200, sweeps=2, trace=None):
+def reference_cholesky_mera_mvsc(views, lam, R, tol=1e-6, max_iter=200, sweeps=2,
+                                 trace=None):
     """The ADMM loop of ``mera_mvsc`` before it kept one memory layout,
     reused ``Xv @ Z`` for the gaps and took the fit's last contraction:
     a verbatim copy, kept as the reference."""
@@ -103,6 +108,110 @@ def reference_mera_mvsc(views, lam, R, tol=1e-6, max_iter=200, sweeps=2, trace=N
         f"MERA multi-view ADMM did not converge in {max_iter} iterations",
         residuals={"data": max(res_views), "consensus": res_consensus},
     )
+
+
+def reference_mera_mvsc(views, lam, R, tol=1e-6, max_iter=200, sweeps=2, trace=None):
+    """``mera_mvsc`` as it was before it ran in one working set, when each
+    outer iteration allocated its N x N x V arrays afresh and every view
+    had E, W and a scratch of its own: a verbatim copy of the loop, without
+    the argument checks, kept as the reference for the bits."""
+    views = [np.ascontiguousarray(Xv, dtype=np.float64) for Xv in views]
+    N, V = views[0].shape[1], len(views)
+    A_dim, Q_dim = choose_grid(N)
+    dims = (A_dim, Q_dim, A_dim, Q_dim, V)
+    inverse = [np.linalg.inv(Xv.T @ Xv + np.eye(N)) for Xv in views]
+    Z = np.zeros((N, N, V))
+    Zhat = np.zeros((N, N, V))
+    E = [np.zeros_like(Xv) for Xv in views]
+    W = [np.zeros_like(Xv) for Xv in views]
+    work = [np.empty_like(Xv) for Xv in views]
+    M2 = np.zeros((N, N, V))
+    mu = ALM_MU0
+    factors = None
+    for it in range(max_iter):
+        mu_next = min(mu * ALM_RHO, ALM_MU_MAX)
+        res_views = []
+        for v, Xv in enumerate(views):
+            S = work[v]
+            np.subtract(Xv, E[v], out=S)
+            S += W[v]
+            Zv = inverse[v] @ (Xv.T @ S + Zhat[:, :, v] - M2[:, :, v] / mu)
+            Z[:, :, v] = Zv
+            np.matmul(Xv, Zv, out=S)
+            np.subtract(Xv, S, out=S)
+            S += W[v]
+            norms = np.sqrt(np.einsum("dn,dn->d", S, S))
+            keep = np.maximum(0.0, 1.0 - (lam / mu) / np.where(norms > 0, norms, 1.0))
+            np.multiply(S, keep[:, None], out=E[v])
+            S *= (1.0 - keep)[:, None]
+            gap = np.subtract(S, W[v], out=W[v])
+            res_views.append(float(np.abs(gap).max()))
+            S *= mu / mu_next
+            W[v], work[v] = S, gap
+        consensus = reshape_to_5d(Z + M2 / mu, dims)
+        factors = reference_unfolded_mera_fit(consensus, R, max_iter=sweeps,
+                                              init=factors, tol=0.0)
+        Zhat = reshape_from_5d(factors.contraction, dims)
+        gap_consensus = Z - Zhat
+        res_consensus = float(np.abs(gap_consensus).max())
+        M2 += mu * gap_consensus
+        if trace is not None:
+            trace.append({
+                "iteration": it,
+                "view_residuals": res_views,
+                "residual_consensus": res_consensus,
+                "fit_error": factors.fit_errors[-1],
+                "mu": mu,
+            })
+        mu = mu_next
+        if max(res_views) < tol and res_consensus < tol:
+            return Zhat
+    raise ConvergenceError(
+        f"MERA multi-view ADMM did not converge in {max_iter} iterations",
+        residuals={"data": max(res_views), "consensus": res_consensus},
+    )
+
+
+def reference_unfolded_mera_fit(Y, R, tol=1e-8, max_iter=100, init=None):
+    """The sweeps of ``mera_fit`` as they were before they shared one
+    scratch, when every unfolding, difference and disentangled product was
+    a fresh array: a verbatim copy, without the argument checks."""
+    Y = np.asarray(Y, dtype=np.float64)
+    I1, I2, I3, I4, I5 = Y.shape
+    Yr = _unfold(Y)
+    if init is None:
+        U, _, Vt = np.linalg.svd(Y.reshape(I1 * I2, I3 * I4 * I5), full_matrices=False)
+        factors = MeraFactors(U[:, :R].reshape(I1, I2, R), Vt[:R].T.reshape(I3, I4, I5, R),
+                              np.eye(I2 * I3).reshape(I2, I3, I2, I3), np.zeros((R, R)))
+        factors.B = _top_core(Yr, factors)
+    else:
+        factors = MeraFactors(init.W1.copy(), init.W2.copy(), init.U1.copy(),
+                              init.B.copy(), contraction=init.contraction)
+    factors.check()
+    if factors.contraction is None:
+        factors.contraction = mera_contract(factors)
+    err = float(np.linalg.norm(Yr - _unfold(factors.contraction)))
+    factors.fit_errors = [err]
+    K = _layer(factors)
+    for _ in range(max_iter):
+        U1 = _procrustes(K @ Yr.T)
+        factors.U1 = U1.reshape(factors.U1.shape)
+        Yp = _disentangle(Yr, factors)
+        W1 = _procrustes(Yp @ factors.W2.reshape(-1, R) @ factors.B.T)
+        W1tYp = W1.T @ Yp
+        W2 = _procrustes(W1tYp.T @ factors.B)
+        factors.W1, factors.W2 = W1.reshape(I1, I2, R), W2.reshape(I3, I4, I5, R)
+        factors.B = W1tYp @ W2
+        factors.check()
+        K = _layer(factors)
+        Yhat_r = U1.T @ K
+        factors.contraction = _fold(Yhat_r, Y.shape)
+        new_err = float(np.linalg.norm(Yr - Yhat_r))
+        factors.fit_errors.append(new_err)
+        if err - new_err < tol * max(err, 1e-300):
+            break
+        err = new_err
+    return factors
 
 
 def _einsum(spec, *operands):
@@ -399,6 +508,18 @@ class TestMeraFit:
         with pytest.raises(ParameterError):
             mera_fit(np.zeros((2, 2, 2, 2, 1)), R=5)
 
+    @pytest.mark.parametrize("kw", [{"R": 3.0}, {"R": True}, {"max_iter": 2.5},
+                                    {"max_iter": -1}, {"tol": float("nan")}, {"tol": -1e-8}])
+    def test_bad_parameter_is_parameter_error(self, kw):
+        with pytest.raises(ParameterError):
+            mera_fit(np.zeros((2, 3, 2, 3, 2)), **{"R": 2, **kw})
+
+    def test_zero_sweeps_return_the_start(self):
+        Y = np.random.default_rng(21).standard_normal((2, 3, 2, 3, 2))
+        factors = mera_fit(Y, R=2, max_iter=0)
+        assert len(factors.fit_errors) == 1
+        assert np.array_equal(factors.contraction, mera_contract(factors))
+
 
 class TestUnifyViews:
     def test_single_view_returns_slice(self):
@@ -490,7 +611,7 @@ class TestMeraMvsc:
         views = [np.asarray(Xv, order=order) for Xv in five_views(ds)]
         got_trace, ref_trace = [], []
         got = mera_mvsc(views, lam=10.0, R=12, trace=got_trace)
-        ref = reference_mera_mvsc(views, lam=10.0, R=12, trace=ref_trace)
+        ref = reference_cholesky_mera_mvsc(views, lam=10.0, R=12, trace=ref_trace)
         assert len(got_trace) == len(ref_trace) > 1
         assert got.shape == ref.shape == (36, 36, 5)
         rel = np.abs(got - ref).max() / np.abs(ref).max()
@@ -522,7 +643,7 @@ class TestMeraMvsc:
         views = five_views(ds)
         got_trace, ref_trace = [], []
         for solve, trace in ((mera_mvsc, got_trace),
-                             (reference_mera_mvsc, ref_trace)):
+                             (reference_cholesky_mera_mvsc, ref_trace)):
             with pytest.raises(ConvergenceError):
                 solve(views, lam=10.0, R=12, tol=0.0, max_iter=100, trace=trace)
         assert len(got_trace) == len(ref_trace) == 100
@@ -533,10 +654,33 @@ class TestMeraMvsc:
             for key in ("residual_consensus", "fit_error"):
                 assert got[key] == pytest.approx(ref[key], rel=0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("lam,rows", [(1e-5, None), (10.0, None),
+                                          (10.0, (256, 100, 128, 256, 37))],
+                             ids=["shrink-from-start", "shrink-mid-run", "mixed-D"])
+    def test_bits_match_fresh_array_loop(self, lam, rows):
+        # E keeps rows from iteration 0 at lam = 1e-5 and from about
+        # iteration 36 at lam = 10; views of different D share one scratch
+        ds = make_uos(C=3, d=2, D=256, n=12, sigma=0.05, seed=0)
+        views = five_views(ds)
+        if rows is not None:
+            views = [Xv[:D] for Xv, D in zip(views, rows)]
+        got_trace, ref_trace = [], []
+        got = mera_mvsc(views, lam=lam, R=12, trace=got_trace)
+        ref = reference_mera_mvsc(views, lam=lam, R=12, trace=ref_trace)
+        assert len(got_trace) > 1
+        assert np.array_equal(got, ref)
+        assert got_trace == ref_trace
+        # the column-major tensor averages to the same bits
+        assert np.array_equal(unify_views(got), unify_views(ref))
+
     @pytest.mark.parametrize("kw", [{"max_iter": 0}, {"max_iter": -1},
                                     {"lam": float("nan")}, {"lam": float("inf")},
-                                    {"R": 0}])
+                                    {"R": 0}, {"max_iter": 2.5}, {"sweeps": 1.5},
+                                    {"sweeps": 0}, {"R": 3.0}, {"R": True},
+                                    {"lam": True}, {"tol": -1e-6}, {"tol": "1e-6"}])
     def test_bad_parameter_is_parameter_error(self, kw):
+        # a float count once escaped as a TypeError, and sweeps = 0 ran
+        # without a sweep into a ConvergenceError
         ds = make_uos(C=3, d=2, D=40, n=12, seed=2)
         args = {"lam": 10.0, "R": 6, **kw}
         with pytest.raises(ParameterError):

@@ -75,6 +75,33 @@ def test_five_views_order_and_shapes():
         assert np.abs(np.linalg.norm(v, axis=0) - 1.0).max() <= 1e-12
     # view 0 is the (re-normalized) original data
     assert np.abs(views[0] - ds.data).max() <= 1e-12
+    # row-major and read-only, so mera_mvsc and the Fit share them, also
+    # for column-major data, as bundles load
+    fortran = wpsc.Dataset(data=np.asfortranarray(ds.data), img_h=ds.img_h, img_w=ds.img_w)
+    for vs in (views, five_views(fortran)):
+        assert all(v.flags.c_contiguous and not v.flags.writeable for v in vs)
+
+
+def test_wp_mera_fit_holds_one_working_set():
+    # D = 1024, N = 60, V = 5, column-major as a bundle loads. The bound
+    # allows each view once, W^v and E^v per view and one shared D x N
+    # scratch (2V + 1), and 16 N x N x V arrays: the solver's Z, Zhat, M2,
+    # consensus unfolding and inverses, mera_fit's scratch, layer and
+    # contraction, and N x N temporaries, which are 1/V of one each. The
+    # fit peaked at 19.2 D x N; with a row-major copy of every view and E,
+    # W and a scratch per view it peaked at 29.3
+    D, N, V = 1024, 60, 5
+    ds = make_uos(C=5, d=5, D=D, n=12, sigma=0.05, seed=0)
+    ds = wpsc.Dataset(data=np.asfortranarray(ds.data), img_h=32, img_w=32, labels=ds.labels)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fit = WpMeraPipeline(lam=10.0, R=12).fit(ds, 5, seed=0)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert wpsc.evaluate(ds.labels, fit.labels).acc == 1.0
+    assert peak <= ((3 * V + 1) * D * N + 16 * N * N * V) * 8
 
 
 @pytest.mark.parametrize("key, value", [

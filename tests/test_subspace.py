@@ -101,6 +101,15 @@ class TestEstimateBases:
         for U in model.bases:
             assert np.abs(U.T @ U - np.eye(U.shape[1])).max() <= 1e-10
 
+    def test_model_does_not_depend_on_layout(self):
+        # the in-sample views of a MERA fit are row-major, bundles column-major
+        ds = make_uos(C=3, d=2, D=40, n=15, sigma=0.1, seed=6)
+        part = Partition(labels=ds.labels, C=3)
+        models = [estimate_bases(np.asarray(ds.data, order=o), part, 2) for o in "CF"]
+        assert np.array_equal(models[0].means, models[1].means)
+        for a, b in zip(models[0].bases, models[1].bases):
+            assert np.array_equal(a, b)
+
     def test_bases_own_only_their_columns(self):
         # each basis once viewed the thin U of its cluster, 64 x 20 here
         ds = make_uos(C=2, d=3, D=64, n=20, sigma=0.1, seed=4)
