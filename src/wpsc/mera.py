@@ -263,14 +263,12 @@ def mera_mvsc(views, lam, R, tol=1e-6, max_iter=200, sweeps=2, trace=None):
     inverse = [np.linalg.inv(Xv.T @ Xv + np.eye(N)) for Xv in views]
     # one working set: column-major Z, Zhat and M2 (contiguous view slices),
     # the consensus and its gap in a row-major unfolding that mera_fit reads
-    # without a copy, one D x N scratch for all views, and E^v from its first
-    # kept row on (zero until then)
+    # without a copy, and one D x N scratch for all views
     Z, Zhat, M2 = (np.zeros((N, N, V), order="F") for _ in range(3))
     Z5, Zhat5, M25 = (reshape_to_5d(T, dims) for T in (Z, Zhat, M2))
     consensus = _fold(np.empty((Q_dim * A_dim, A_dim * Q_dim * V)), dims)
     scratch = np.empty((max(Xv.shape[0] for Xv in views), N))
-    rhs, Zv = np.empty((N, N)), np.empty((N, N))
-    E = [None] * V
+    E = [np.zeros_like(Xv) for Xv in views]
     W = [np.zeros_like(Xv) for Xv in views]
     mu = ALM_MU0
     factors = None
@@ -279,16 +277,9 @@ def mera_mvsc(views, lam, R, tol=1e-6, max_iter=200, sweeps=2, trace=None):
         res_views = []
         for v, Xv in enumerate(views):
             S = scratch[:Xv.shape[0]]
-            if E[v] is None:
-                np.add(Xv, W[v], out=S)
-            else:
-                np.subtract(Xv, E[v], out=S)
-                S += W[v]
-            # Z^v = inverse (Xv^T S + Zhat^v - M2^v / mu)
-            np.matmul(Xv.T, S, out=rhs)
-            rhs += Zhat[:, :, v]
-            rhs -= np.divide(M2[:, :, v], mu, out=Zv)
-            np.matmul(inverse[v], rhs, out=Zv)
+            np.subtract(Xv, E[v], out=S)
+            S += W[v]
+            Zv = inverse[v] @ (Xv.T @ S + Zhat[:, :, v] - M2[:, :, v] / mu)
             Z[:, :, v] = Zv
             # S = (Xv - Xv Z) + W, shrunk row-wise into E
             np.matmul(Xv, Zv, out=S)
@@ -296,9 +287,8 @@ def mera_mvsc(views, lam, R, tol=1e-6, max_iter=200, sweeps=2, trace=None):
             S += W[v]
             norms = np.sqrt(np.einsum("dn,dn->d", S, S))
             keep = np.maximum(0.0, 1.0 - (lam / mu) / np.where(norms > 0, norms, 1.0))
-            if E[v] is not None or keep.any():
-                E[v] = np.multiply(S, keep[:, None], out=E[v])
-                S *= (1.0 - keep)[:, None]  # S (1 - s) = W + gap
+            np.multiply(S, keep[:, None], out=E[v])
+            S *= (1.0 - keep)[:, None]  # S (1 - s) = W + gap
             gap = np.subtract(S, W[v], out=W[v])
             res_views.append(float(np.abs(gap, out=gap).max()))
             # M1 += mu * gap, stored divided by the next mu

@@ -68,7 +68,7 @@ def estimate_bases(X, part, d):
         members = part.members(c)
         if members.size == 0:
             raise ParameterError(f"cluster {c} is empty")
-        block = np.asfortranarray(X[:, members])  # the sums below depend on the layout
+        block = X[:, members]
         means[c] = block.mean(axis=1)
         centered = block - means[c][:, None]
         d_c = d

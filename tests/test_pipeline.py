@@ -88,7 +88,7 @@ def test_wp_mera_fit_holds_one_working_set():
     # scratch (2V + 1), and 16 N x N x V arrays: the solver's Z, Zhat, M2,
     # consensus unfolding and inverses, mera_fit's scratch, layer and
     # contraction, and N x N temporaries, which are 1/V of one each. The
-    # fit peaked at 19.2 D x N; with a row-major copy of every view and E,
+    # fit peaked at 19.3 D x N; with a row-major copy of every view and E,
     # W and a scratch per view it peaked at 29.3
     D, N, V = 1024, 60, 5
     ds = make_uos(C=5, d=5, D=D, n=12, sigma=0.05, seed=0)
