@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .bundle import load_bundle, save_bundle, save_matrix
-from .datasets import (Dataset, SplitSpec, UosSpec, check_int, generate_uos, load_idx,
-                       load_pgm_dir, normalize_in_place, split_in_sample, unit_columns)
+from .datasets import (Dataset, SplitSpec, UosSpec, check_int, column_normalize, generate_uos,
+                       load_idx, load_pgm_dir, split_in_sample, unit_columns)
 from .errors import (ConfigError, ConsistencyError, ConvergenceError, DataError,
                      DegenerateColumnError, EmptyInputError, Error, LabelingError)
 from .graph import Partition, affinity_from_representation, spectral_clustering
@@ -262,7 +262,7 @@ def run_experiment(cfg):
     """
     ds = _stage("load", load_dataset, cfg.dataset)
     _stage("validate", cfg.validate_against, ds)
-    ds = _stage("normalize", normalize_in_place, ds)
+    ds = _stage("normalize", column_normalize, ds)
     runs, csv_rows, trace_rows = [], [], []
 
     def results():
@@ -387,13 +387,15 @@ def _load_normalized(path, C=None, needs_C=False):
     """The bundle at ``path``, column-normalized, and its cluster count:
     ``C`` (the ``--C`` option) if given, else the number of label classes
     (None if unlabeled). With ``needs_C``, unlabeled data need ``C``."""
+    if C is not None:  # before the load; spectral clustering needs two clusters
+        check_int(C, "C", 2)
     ds = load_bundle(path)
     if not ds.N:
         raise EmptyInputError(f"{path}: no points")
-    ds = normalize_in_place(ds)
+    ds = column_normalize(ds)
     if needs_C and ds.labels is None and C is None:
         raise ConfigError("unlabeled data: pass --C")
-    return ds, C or ds.C
+    return ds, C if C is not None else ds.C
 
 
 def _emit_labels(path, labels, truth):

@@ -39,8 +39,6 @@ class Dataset:
     read-only so they can be shared across threads. A contiguous float64
     matrix that no one can write (see :func:`_sealed`) is kept as it is;
     any other ``data`` is copied, and the caller's array is left untouched.
-    The one exception is :func:`normalize_in_place`, for a dataset whose
-    matrix its caller alone holds.
     """
 
     data: np.ndarray
@@ -369,24 +367,6 @@ def column_normalize(ds):
     A zero column is an error: downstream solvers divide by column norms.
     """
     return ds.with_data(_seal(ds.data / _column_norms(ds.data, ds.name)))
-
-
-def normalize_in_place(ds):
-    """``column_normalize(ds)`` computed in the matrix of ``ds`` itself, so
-    the raw and the normalized matrix never exist together. The caller must
-    alone hold that matrix; ``ds.unit`` must not be cached yet, as it would
-    go stale. Returns ``ds``."""
-    if "unit" in ds.__dict__:
-        raise ParameterError(f"{ds.name or 'dataset'}: its unit columns are cached")
-    norms = _column_norms(ds.data, ds.name)
-    chain = [ds.data]  # unsealed from the memory it owns (see _sealed) up
-    while chain[-1].base is not None:
-        chain.append(chain[-1].base)
-    for a in reversed(chain):
-        a.setflags(write=True)
-    np.divide(ds.data, norms, out=ds.data)
-    _seal(ds.data)
-    return ds
 
 
 def split_in_sample(ds, spec):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import wpsc
 from conftest import checkerboard_noise_uos
 from wpsc.bundle import load_bundle, save_bundle
-from wpsc.cli import ExperimentConfig, main, run_experiment, emit_report
+from wpsc.cli import ExperimentConfig, emit_report, load_dataset, main, run_experiment
 from wpsc.datasets import UosSpec, generate_uos
 from wpsc.errors import ConfigError, EmptyInputError
 
@@ -721,6 +721,19 @@ def _run_argv(tmp_path, **overrides):
     return ["run", "--config", _write(tmp_path / "cfg.json", json.dumps(cfg))]
 
 
+def _bundle_variant(tmp_path, name, zero_column=None, labeled=True):
+    """Path of a copy of the test's bundle, with column ``zero_column`` set
+    to zero or without its labels."""
+    ds = load_bundle(tmp_path / "data.wpsc")
+    data = np.array(ds.data)
+    if zero_column is not None:
+        data[:, zero_column] = 0.0
+    path = tmp_path / f"{name}.wpsc"
+    save_bundle(wpsc.Dataset(data=data, img_h=ds.img_h, img_w=ds.img_w,
+                             labels=ds.labels if labeled else None), path)
+    return str(path)
+
+
 # case -> (exit code, argv built from the test's directory and the bundle labels)
 BAD_INPUTS = {
     "oos-labels-not-integer": (3, lambda t, y: _oos_argv(t, ["1.5", *y[1:]])),
@@ -792,6 +805,21 @@ BAD_INPUTS = {
     "param-typo": (2, lambda t, y: [
         "cluster", "--data", str(t / "data.wpsc"), "--solver", "SSC", "--param", "alpha=10",
         "--param", "mdoe=outlier", "--out-dir", str(t / "c")]),
+    "cluster-C-zero": (2, lambda t, y: [
+        "cluster", "--data", str(t / "data.wpsc"), "--solver", "SSC", "--param", "alpha=10",
+        "--C", "0", "--out-dir", str(t / "c")]),
+    "mera-C-zero": (2, lambda t, y: [
+        "mera", "--data", str(t / "data.wpsc"), "--lam", "10", "--rank", "12",
+        "--C", "0", "--out-dir", str(t / "m")]),
+    "cluster-C-zero-unlabeled": (2, lambda t, y: [
+        "cluster", "--data", _bundle_variant(t, "bare", labeled=False), "--solver", "SSC",
+        "--param", "alpha=10", "--C", "0", "--out-dir", str(t / "c")]),
+    "run-zero-column": (3, lambda t, y: _run_argv(t, dataset={
+        "kind": "bundle", "path": _bundle_variant(t, "zero", zero_column=1), "name": "zeros"})),
+}
+# case -> what its error message must say
+BAD_INPUT_MESSAGES = {
+    "run-zero-column": "zeros: zero column(s) at indices [1]",
 }
 
 
@@ -804,6 +832,7 @@ def test_bad_input_exits_without_traceback(tmp_path, case):
     out = subprocess.run(cmd, env=env, capture_output=True, text=True)
     assert out.returncode == code, out.stderr
     assert "Traceback" not in out.stderr
+    assert BAD_INPUT_MESSAGES.get(case, "") in out.stderr
 
 
 # Malformed values per config slot: wrong types, non-finite numbers and
@@ -942,13 +971,28 @@ class TestRunExperimentApi:
         with pytest.raises(EmptyInputError, match="no points"):
             cfg.validate_against(load_bundle(tmp_path / "empty.wpsc"))
 
+    def test_run_never_writes_into_the_loaded_matrix(self, tmp_path, monkeypatch):
+        synth_bundle(tmp_path, n_per_cluster=15)
+        loaded = []
+
+        def load(spec):
+            ds = load_dataset(spec)
+            loaded.append((ds, ds.data.copy()))
+            return ds
+
+        monkeypatch.setattr("wpsc.cli.load_dataset", load)
+        run_experiment(ExperimentConfig.from_dict(base_config(tmp_path)))
+        [(ds, raw)] = loaded
+        assert np.array_equal(ds.data, raw)
+        assert not ds.data.flags.writeable
+
     def test_run_holds_about_one_copy_of_the_data(self, tmp_path):
         # mostly held-out points; the bound lies between a run that holds the
         # raw and the normalized matrix together and both split halves next
         # to the normalized one (a traced peak of about 2.7 copies of the
         # data here) and one that holds the normalized matrix and the
-        # in-sample columns, whose peak (2.0 copies) comes while the norms'
-        # squares exist next to the loaded matrix
+        # in-sample columns, whose peak (2.0 copies) comes while the raw and
+        # the normalized matrix coexist during the division
         synth_bundle(tmp_path, C=4, d=3, D=1024, n_per_cluster=100, noise_sigma=0.1)
         cfg = ExperimentConfig.from_dict(base_config(
             tmp_path, solver={"kind": "RTSC", "params": {"q": 5}}, d=3,
