@@ -392,6 +392,8 @@ def _load_normalized(path, C=None, needs_C=False):
     ds = load_bundle(path)
     if not ds.N:
         raise EmptyInputError(f"{path}: no points")
+    if C is not None and C > ds.N:  # before the solve, which spectral clustering follows
+        raise ConfigError(f"C = {C} exceeds N = {ds.N}")
     ds = column_normalize(ds)
     if needs_C and ds.labels is None and C is None:
         raise ConfigError("unlabeled data: pass --C")

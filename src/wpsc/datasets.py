@@ -60,7 +60,8 @@ class Dataset:
             raise ConsistencyError(
                 f"img_h*img_w = {self.img_h * self.img_w} != D = {data.shape[0]}"
             )
-        if not np.all(np.isfinite(data)):
+        # NaN propagates through min and max; no D x N mask is made
+        if data.size and not (np.isfinite(data.min()) and np.isfinite(data.max())):
             raise ConsistencyError("data contains NaN or Inf entries")
         object.__setattr__(self, "data", data)
         if self.labels is not None:

@@ -222,8 +222,10 @@ def mera_mvsc(views, lam, R, tol=1e-6, max_iter=200, sweeps=2, trace=None):
     (Boyd et al. 2011, section 3.1.1): with S = X^v - X^v Z^v + W^v, the
     E-step is E^v = S * s row-wise with s = max(0, 1 - (lam/mu) / ||S_row||),
     and the dual step W^v <- (W^v + gap) * mu / mu_next is M1 += mu * gap
-    divided by the next mu. Deterministic, and the output does not depend
-    on the memory layout of the views.
+    divided by the next mu. Since W^v + gap = S * (1 - s), only S and s are
+    kept per view; each step rebuilds E^v and W^v from them, rounding as if
+    both were stored. Deterministic, and the output does not depend on the
+    memory layout of the views.
 
     Parameters
     ----------
@@ -263,36 +265,37 @@ def mera_mvsc(views, lam, R, tol=1e-6, max_iter=200, sweeps=2, trace=None):
     inverse = [np.linalg.inv(Xv.T @ Xv + np.eye(N)) for Xv in views]
     # one working set: column-major Z, Zhat and M2 (contiguous view slices),
     # the consensus and its gap in a row-major unfolding that mera_fit reads
-    # without a copy, and one D x N scratch for all views
+    # without a copy, per view the last shrink input P and its row factors
+    # keep, and two D x N buffers for all views
     Z, Zhat, M2 = (np.zeros((N, N, V), order="F") for _ in range(3))
     Z5, Zhat5, M25 = (reshape_to_5d(T, dims) for T in (Z, Zhat, M2))
     consensus = _fold(np.empty((Q_dim * A_dim, A_dim * Q_dim * V)), dims)
-    scratch = np.empty((max(Xv.shape[0] for Xv in views), N))
-    E = [np.zeros_like(Xv) for Xv in views]
-    W = [np.zeros_like(Xv) for Xv in views]
-    mu = ALM_MU0
+    S_buf, T_buf = (np.empty((max(Xv.shape[0] for Xv in views), N)) for _ in range(2))
+    P = [np.zeros_like(Xv) for Xv in views]
+    keep = [np.zeros(Xv.shape[0]) for Xv in views]
+    mu, r = ALM_MU0, 1.0
     factors = None
     for it in range(max_iter):
         mu_next = min(mu * ALM_RHO, ALM_MU_MAX)
         res_views = []
         for v, Xv in enumerate(views):
-            S = scratch[:Xv.shape[0]]
-            np.subtract(Xv, E[v], out=S)
-            S += W[v]
+            Pv, S, T = P[v], S_buf[:Xv.shape[0]], T_buf[:Xv.shape[0]]
+            np.subtract(Xv, np.multiply(Pv, keep[v][:, None], out=S), out=S)  # Xv - E
+            np.multiply(Pv, (1.0 - keep[v])[:, None], out=T)
+            T *= r  # W, with r = mu / mu_next of the step that made Pv
+            S += T
             Zv = inverse[v] @ (Xv.T @ S + Zhat[:, :, v] - M2[:, :, v] / mu)
             Z[:, :, v] = Zv
-            # S = (Xv - Xv Z) + W, shrunk row-wise into E
-            np.matmul(Xv, Zv, out=S)
-            np.subtract(Xv, S, out=S)
-            S += W[v]
-            norms = np.sqrt(np.einsum("dn,dn->d", S, S))
-            keep = np.maximum(0.0, 1.0 - (lam / mu) / np.where(norms > 0, norms, 1.0))
-            np.multiply(S, keep[:, None], out=E[v])
-            S *= (1.0 - keep)[:, None]  # S (1 - s) = W + gap
-            gap = np.subtract(S, W[v], out=W[v])
+            # Pv = (Xv - Xv Z) + W, shrunk row-wise: E = Pv s
+            np.matmul(Xv, Zv, out=Pv)
+            np.subtract(Xv, Pv, out=Pv)
+            Pv += T
+            norms = np.sqrt(np.einsum("dn,dn->d", Pv, Pv))
+            keep[v] = np.maximum(0.0, 1.0 - (lam / mu) / np.where(norms > 0, norms, 1.0))
+            gap = np.multiply(Pv, (1.0 - keep[v])[:, None], out=S)  # Pv (1 - s) = W + gap
+            gap -= T
             res_views.append(float(np.abs(gap, out=gap).max()))
-            # M1 += mu * gap, stored divided by the next mu
-            np.multiply(S, mu / mu_next, out=W[v])
+        r = mu / mu_next  # M1 += mu * gap, stored divided by the next mu
         np.divide(M25, mu, out=consensus)
         consensus += Z5
         factors = mera_fit(consensus, R, max_iter=sweeps,

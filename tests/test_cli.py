@@ -662,6 +662,25 @@ class TestErrorExits:
         assert main([*argv, "--data", str(tmp_path / "data.wpsc")]) == 2
         assert loads == []
 
+    @pytest.mark.parametrize("argv", [
+        ["cluster", "--solver", "SSC", "--param", "alpha=10"],
+        ["mera", "--lam", "10", "--rank", "12"],
+    ], ids=["cluster", "mera"])
+    def test_C_above_N_exits_2_before_the_solve(self, tmp_path, monkeypatch, capsys, argv):
+        # spectral clustering rejects it too, but only after the solve
+        import wpsc.pipeline as pipeline_mod
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the solver ran")
+
+        synth_bundle(tmp_path)
+        monkeypatch.setattr(wpsc.SolverSpec, "solve", unreachable)
+        monkeypatch.setattr(pipeline_mod, "mera_mvsc", unreachable)
+        assert main([*argv, "--data", str(tmp_path / "data.wpsc"), "--C", "37",
+                     "--out-dir", str(tmp_path / "o")]) == 2
+        assert "C = 37 exceeds N = 36" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_bundle_exits_3(self, tmp_path):
         bad = tmp_path / "bad.wpsc"
         bad.write_bytes(b"garbage")
@@ -814,12 +833,20 @@ BAD_INPUTS = {
     "cluster-C-zero-unlabeled": (2, lambda t, y: [
         "cluster", "--data", _bundle_variant(t, "bare", labeled=False), "--solver", "SSC",
         "--param", "alpha=10", "--C", "0", "--out-dir", str(t / "c")]),
+    "cluster-C-above-N": (2, lambda t, y: [
+        "cluster", "--data", str(t / "data.wpsc"), "--solver", "SSC", "--param", "alpha=10",
+        "--C", "100", "--out-dir", str(t / "c")]),
+    "mera-C-above-N": (2, lambda t, y: [
+        "mera", "--data", str(t / "data.wpsc"), "--lam", "10", "--rank", "12",
+        "--C", "100", "--out-dir", str(t / "m")]),
     "run-zero-column": (3, lambda t, y: _run_argv(t, dataset={
         "kind": "bundle", "path": _bundle_variant(t, "zero", zero_column=1), "name": "zeros"})),
 }
 # case -> what its error message must say
 BAD_INPUT_MESSAGES = {
     "run-zero-column": "zeros: zero column(s) at indices [1]",
+    "cluster-C-above-N": "C = 100 exceeds N = 36",
+    "mera-C-above-N": "C = 100 exceeds N = 36",
 }
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -311,6 +312,25 @@ class TestDatasetInvariants:
         data[0, 0] = np.nan
         with pytest.raises(ConsistencyError):
             Dataset(data=data, img_h=2, img_w=2)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf], ids=["inf", "-inf"])
+    def test_inf_rejected(self, bad):
+        data = np.zeros((4, 2))
+        data[3, 1] = bad
+        with pytest.raises(ConsistencyError, match="NaN or Inf"):
+            Dataset(data=data, img_h=2, img_w=2)
+
+    def test_finiteness_check_makes_no_mask(self):
+        # a D x N bool mask would take D * N bytes on every construction
+        data = np.ones((1024, 200))
+        data.setflags(write=False)
+        tracemalloc.start()
+        try:
+            Dataset(data=data, img_h=32, img_w=32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < data.size // 8
 
     def test_label_gap_rejected(self):
         with pytest.raises(ConsistencyError):

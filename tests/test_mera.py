@@ -659,7 +659,7 @@ class TestMeraMvsc:
                              ids=["shrink-from-start", "shrink-mid-run", "mixed-D"])
     def test_bits_match_fresh_array_loop(self, lam, rows):
         # E keeps rows from iteration 0 at lam = 1e-5 and from about
-        # iteration 36 at lam = 10; views of different D share one scratch
+        # iteration 36 at lam = 10; views of different D share two buffers
         ds = make_uos(C=3, d=2, D=256, n=12, sigma=0.05, seed=0)
         views = five_views(ds)
         if rows is not None:
@@ -672,6 +672,18 @@ class TestMeraMvsc:
         assert got_trace == ref_trace
         # the column-major tensor averages to the same bits
         assert np.array_equal(unify_views(got), unify_views(ref))
+
+    def test_bits_match_fresh_array_loop_past_mu_cap(self):
+        # from about iteration 80 mu / mu_next is 1, so W^v is rebuilt
+        # from the shrink input with a factor of 1
+        ds = make_uos(C=3, d=2, D=256, n=12, sigma=0.05, seed=0)
+        views = five_views(ds)
+        got_trace, ref_trace = [], []
+        for solve, trace in ((mera_mvsc, got_trace), (reference_mera_mvsc, ref_trace)):
+            with pytest.raises(ConvergenceError):
+                solve(views, lam=10.0, R=12, tol=0.0, max_iter=100, trace=trace)
+        assert len(got_trace) == 100 and got_trace[-1]["mu"] == ALM_MU_MAX
+        assert got_trace == ref_trace
 
     @pytest.mark.parametrize("kw", [{"max_iter": 0}, {"max_iter": -1},
                                     {"lam": float("nan")}, {"lam": float("inf")},
