@@ -20,10 +20,10 @@ print(f"in-sample N={ins.N}, out-of-sample N={outs.N}, C={ds.C}")
 
 pipe = wpsc.WpMeraPipeline(lam=10.0, R=12)
 fit = pipe.fit(ins, ds.C, seed=1)
-trace = fit.iterations
-print(f"\nADMM converged in {len(trace)} iterations; final per-view "
-      f"residual {max(trace[-1]['view_residuals']):.2e}, MERA fit error "
-      f"{trace[-1]['fit_error']:.2e}")
+conv = fit.record["convergence"]
+print(f"\nADMM converged in {conv['iterations']} iterations; final per-view "
+      f"residual {conv['final_residual']:.2e}, MERA fit error "
+      f"{conv['final_fit_error']:.2e}")
 
 in_acc = wpsc.evaluate(ins.labels, fit.labels).acc
 print(f"in-sample accuracy: {in_acc:.3f}")

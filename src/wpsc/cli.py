@@ -27,7 +27,8 @@ from .errors import (ConfigError, ConsistencyError, ConvergenceError, DataError,
 from .graph import Partition, affinity_from_representation, spectral_clustering
 from .mera import FIVE_VIEW_ORDER, choose_grid, unify_views
 from .metrics import evaluate
-from .pipeline import Fit, SingleViewPipeline, WpMeraPipeline
+from .pipeline import (MERA_TRACE_HEADER, SELECTION_HEADER, Fit, SingleViewPipeline,
+                       WpMeraPipeline)
 from .selection import Grid, grid_search, scan_all_subbands, select_subband
 from .solvers import SolverSpec
 from .subspace import average_affinity, estimate_bases, mean_principal_angle
@@ -35,8 +36,6 @@ from .wavelet import wp_decompose
 
 METRICS_HEADER = ["dataset", "pipeline", "subband", "seed", "phase",
                   "acc", "nmi", "rand", "f", "purity", "ce", "seconds"]
-MERA_TRACE_HEADER = ["iteration", *(f"res_{n}" for n in FIVE_VIEW_ORDER), "fit_error", "mu"]
-SELECTION_HEADER = ["order", "subband", "ce"]
 GRID_HEADER = ["seed", "params", "mean_acc", "accs"]
 PIPELINES = ("single", "wp-single", "wp-mera")
 
@@ -166,11 +165,6 @@ def _pipeline(cfg, params, levels=None):
                               ipd_d=cfg.d if cfg.ipd else None, levels=levels)
 
 
-def _mera_trace_row(t):
-    """One MERA iteration record as a row under MERA_TRACE_HEADER."""
-    return [t["iteration"], *t["view_residuals"], t["fit_error"], t["mu"]]
-
-
 def _metrics_dict(truth, pred):
     rep = evaluate(truth, pred)
     return {**rep.as_dict(), "ce": 1.0 - rep.acc}
@@ -186,7 +180,7 @@ def _run_seed(cfg, ds, seed):
     """
     t0 = time.perf_counter()
     rec = {"seed": seed, "pipeline": cfg.pipeline}
-    trace_rows = []
+    descent = cfg.pipeline == "wp-single"
     in_ds, out_idx = split_in_sample(ds, SplitSpec(cfg.split.in_fraction, cfg.split.seed + seed))
     rec["split"] = {"in": in_ds.N, "out": out_idx.size}
 
@@ -195,26 +189,15 @@ def _run_seed(cfg, ds, seed):
         grid = replace(cfg.grid, seed=cfg.grid.seed + seed)
         grid_params, table = grid_search(in_ds, grid, lambda p: _pipeline(cfg, p))
         rec["grid"] = {"best_params": grid_params, "table": table}
-    pipe = _pipeline(cfg, grid_params, cfg.levels if cfg.pipeline == "wp-single" else None)
-    fit = pipe.fit(in_ds, ds.C, seed)
+    fit = _pipeline(cfg, grid_params, cfg.levels if descent else None).fit(in_ds, ds.C, seed)
     rec["subband"] = sub = fit.subband
-    sel, its = fit.selection, fit.iterations
-    if sel is not None:
-        rec["selection"] = {"evaluated": [[p, ce] for p, ce in sel.evaluated],
-                            "stopped_reason": sel.stopped_reason}
-        trace_rows += [[seed, i, p, ce] for i, (p, ce) in enumerate(sel.evaluated)]
-    if its is not None:
-        rec["convergence"] = {"iterations": len(its),
-                              "final_residual": max(its[-1]["view_residuals"]),
-                              "final_fit_error": its[-1]["fit_error"],
-                              "lambda": pipe.lam, "R": pipe.R}
-        trace_rows += [[seed, *_mera_trace_row(t)] for t in its]
+    rec.update(fit.record)
     metrics = {"in": _metrics_dict(in_ds.labels, fit.labels)}
     if cfg.export_bundles:
         out_dir = Path(cfg.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         save_bundle(in_ds, out_dir / f"in_s{seed}.wpsc")
-        if sel is not None:
+        if descent:
             save_bundle(in_ds.with_data(fit.views[0]),
                         out_dir / f"{in_ds.name}__{sub}_s{seed}.wpsc")
         elif fit.tensor is not None:
@@ -224,11 +207,11 @@ def _run_seed(cfg, ds, seed):
     if out_idx.size:
         metrics["out"] = _metrics_dict(ds.labels[out_idx], fit.assign(ds, models, out_idx))
     # the first view of the single and MERA pipelines is the data itself
-    ambient = (models[0] if sel is None
-               else estimate_bases(unit_columns(in_ds.data), fit.part, cfg.d))
+    ambient = (estimate_bases(unit_columns(in_ds.data), fit.part, cfg.d) if descent
+               else models[0])
     diag = {"affinity_ambient": average_affinity(ambient)}
     diag["angle_ambient"] = mean_principal_angle(diag["affinity_ambient"])
-    if sel is not None:
+    if descent:
         diag["affinity_subband"] = average_affinity(models[0])
         diag["angle_subband"] = mean_principal_angle(diag["affinity_subband"])
     elif len(models) > 1:
@@ -241,7 +224,7 @@ def _run_seed(cfg, ds, seed):
     csv_rows = [[ds.name, cfg.pipeline, sub, seed, phase,
                  *(f"{m[k]:.6f}" for k in ("acc", "nmi", "rand", "f", "purity", "ce")),
                  f"{seconds:.3f}"] for phase, m in metrics.items()]
-    return rec, csv_rows, trace_rows
+    return rec, csv_rows, [[seed, *row] for row in fit.trace]
 
 
 def _stage(name, fn, *args, **kwargs):
@@ -480,7 +463,7 @@ def _cmd_mera(args):
     fit = pipe.fit(ds, C, args.seed)
     out_dir = Path(args.out_dir)
     _emit_labels(out_dir / "labels.csv", fit.labels, ds.labels)
-    _write_csv(out_dir / "trace.csv", MERA_TRACE_HEADER, map(_mera_trace_row, fit.iterations))
+    _write_csv(out_dir / "trace.csv", MERA_TRACE_HEADER, fit.trace)
 
 
 def _cmd_oos(args):

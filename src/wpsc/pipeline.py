@@ -2,7 +2,7 @@
 subband descent and the five-view MERA flow, each fitted into one
 :class:`Fit`. Used by subband selection, the CLI, and demos."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -10,12 +10,15 @@ from .datasets import Dataset, _seal, check_int, check_real, unit_columns
 from .errors import DegenerateColumnError, ParameterError
 from .graph import Partition, affinity_from_representation, ipd_threshold, spectral_clustering
 from .mera import FIVE_VIEW_ORDER, mera_mvsc, unify_views
-from .selection import SelectionTrace, select_subband
+from .selection import select_subband
 from .solvers import SolverSpec
 from .subspace import assign_multiview_batch, block_width, estimate_bases
 from .wavelet import ALPHABET, node_matrix
 
 _FIVE_VIEWS = "+".join(FIVE_VIEW_ORDER)
+# the columns of the Fit.trace rows of the MERA and of the descent
+MERA_TRACE_HEADER = ["iteration", *(f"res_{n}" for n in FIVE_VIEW_ORDER), "fit_error", "mu"]
+SELECTION_HEADER = ["order", "subband", "ce"]
 
 
 @dataclass(frozen=True)
@@ -24,16 +27,17 @@ class Fit:
 
     ``views`` are the column-normalized in-sample views it clustered, and
     ``subband`` names them: '' for the data, the chosen packet path, or
-    'O+A+H+V+D' for the five MERA views. ``selection`` holds the subband
-    descent's trace, ``iterations`` and ``tensor`` the MERA per-iteration
-    records and N x N x V tensor; each is None for a pipeline without one.
+    'O+A+H+V+D' for the five MERA views. ``record`` holds the report keys
+    the fit adds: the descent's ``selection``, the MERA ``convergence``.
+    ``trace`` holds its rows under SELECTION_HEADER or MERA_TRACE_HEADER,
+    and ``tensor`` the MERA N x N x V tensor (None without one).
     """
 
     part: Partition
     views: list
     subband: str = ""
-    selection: SelectionTrace | None = None
-    iterations: list | None = None
+    record: dict = field(default_factory=dict)
+    trace: list = field(default_factory=list)
     tensor: np.ndarray | None = None
 
     @property
@@ -112,14 +116,16 @@ class SingleViewPipeline:
         """:class:`Fit` of the dataset's data, or of the chosen subband with
         the labels the descent gave it."""
         if self.levels is None:
-            sel, U = None, ds.unit
-            labels = _labels(self._represent(U), C, seed)
-        else:
-            if ds.labels is not None and ds.C != C:
-                raise ParameterError(f"the descent clusters into {ds.C} groups, not C = {C}")
-            sel = select_subband(ds, self.levels, self, seed)
-            U, labels = unit_columns(node_matrix(ds, sel.chosen)), sel.labels
-        return Fit(Partition(labels=labels, C=C), [U], sel.chosen if sel else "", selection=sel)
+            return Fit(Partition(labels=_labels(self._represent(ds.unit), C, seed), C=C),
+                       [ds.unit])
+        if ds.labels is not None and ds.C != C:
+            raise ParameterError(f"the descent clusters into {ds.C} groups, not C = {C}")
+        sel = select_subband(ds, self.levels, self, seed)
+        evaluated = [[p, ce] for p, ce in sel.evaluated]
+        return Fit(Partition(labels=sel.labels, C=C),
+                   [unit_columns(node_matrix(ds, sel.chosen))], sel.chosen,
+                   {"selection": {"evaluated": evaluated, "stopped_reason": sel.stopped_reason}},
+                   [[i, *row] for i, row in enumerate(evaluated)])
 
 
 @dataclass(frozen=True)
@@ -146,11 +152,16 @@ class WpMeraPipeline:
         clusters into a :class:`Fit`."""
         if C is None or C < 2:
             raise ParameterError("need C >= 2")
-        views, iterations = five_views(ds), []
+        views, its = five_views(ds), []
         tensor = mera_mvsc(views, lam=self.lam, R=self.R, tol=self.tol,
-                           max_iter=self.max_iter, sweeps=self.sweeps, trace=iterations)
+                           max_iter=self.max_iter, sweeps=self.sweeps, trace=its)
         part = spectral_clustering(affinity_from_representation(unify_views(tensor)), C, seed)
-        return Fit(part, views, _FIVE_VIEWS, iterations=iterations, tensor=tensor)
+        record = {"convergence": {"iterations": len(its),
+                                  "final_residual": max(its[-1]["view_residuals"]),
+                                  "final_fit_error": its[-1]["fit_error"],
+                                  "lambda": self.lam, "R": self.R}}
+        trace = [[t["iteration"], *t["view_residuals"], t["fit_error"], t["mu"]] for t in its]
+        return Fit(part, views, _FIVE_VIEWS, record, trace, tensor)
 
 
 def _labels(M, C, seed):

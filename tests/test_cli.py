@@ -193,7 +193,7 @@ class TestRun:
         del cfg["solver"]
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
-        reports, labels = [], []
+        reports, labels, traces = [], [], []
         for threads in ("1", "2"):
             env = {**os.environ, "PYTHONPATH": str(Path(wpsc.__file__).parents[1]),
                    **{k: threads for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
@@ -206,7 +206,13 @@ class TestRun:
                 assert out.returncode == 0, out.stderr
             reports.append(json.loads((tmp_path / "out" / "report.json").read_text()))
             labels.append((tmp_path / "m" / "labels.csv").read_text())
+            traces.append(list(csv.DictReader(open(tmp_path / "out" / "trace.csv"))))
         assert labels[0] == labels[1]
+        # the residual and fit_error columns may move; the iteration count
+        # and the penalty schedule may not
+        assert len(traces[0]) == len(traces[1]) > 0
+        for key in ("seed", "iteration", "mu"):
+            assert [r[key] for r in traces[0]] == [r[key] for r in traces[1]]
         for report in reports:
             for run in report["runs"]:
                 del run["convergence"]["final_fit_error"]
@@ -374,6 +380,42 @@ class TestRun:
         assert len(run["selection"]["evaluated"]) in (5, 9)
         rows = list(csv.DictReader(open(tmp_path / "out" / "trace.csv")))
         assert len(rows) == len(run["selection"]["evaluated"])
+
+    def test_run_and_mera_write_one_trace_format(self, tmp_path):
+        # with every point in-sample, a wp-mera run fits what `wpsc mera`
+        # fits, so the trace rows agree but for the run's seed column
+        path, _ = synth_bundle(tmp_path)
+        cfg = base_config(tmp_path, pipeline="wp-mera", mera={"lambda": 10, "R": 12},
+                          split={"in_fraction": 1.0, "seed": 0})
+        del cfg["solver"]
+        assert main(["run", "--config", _write(tmp_path / "cfg.json", json.dumps(cfg))]) == 0
+        assert main(["mera", "--data", str(path), "--lam", "10", "--rank", "12",
+                     "--out-dir", str(tmp_path / "m")]) == 0
+        run_rows = list(csv.reader(open(tmp_path / "out" / "trace.csv")))
+        mera_rows = list(csv.reader(open(tmp_path / "m" / "trace.csv")))
+        assert run_rows[0][0] == "seed" and len(run_rows) > 1
+        assert [row[1:] for row in run_rows] == mera_rows
+
+    def test_run_reports_the_fit_record_and_trace(self, tmp_path, monkeypatch):
+        # report.json and trace.csv carry what the fit says, whatever
+        # pipeline made it
+        synth_bundle(tmp_path)
+
+        class Stub:
+            def fit(self, ds, C, seed=0):
+                return wpsc.Fit(wpsc.Partition(labels=ds.labels, C=C), [ds.unit],
+                                record={"made_up": {"k": [1, "x"]}},
+                                trace=[[7, "AH", 0.25], [8, "", 0.5]])
+
+        monkeypatch.setattr("wpsc.cli._pipeline", lambda *args, **kwargs: Stub())
+        assert main(_run_argv(tmp_path)) == 0
+        run = json.loads((tmp_path / "out" / "report.json").read_text())["runs"][0]
+        assert run["made_up"] == {"k": [1, "x"]}
+        assert set(run) == {"seed", "pipeline", "split", "subband", "metrics",
+                            "diagnostics", "made_up"}
+        rows = list(csv.reader(open(tmp_path / "out" / "trace.csv")))
+        assert rows == [["seed", "order", "subband", "ce"],
+                        ["0", "7", "AH", "0.25"], ["0", "8", "", "0.5"]]
 
     def test_wp_single_solves_each_node_once(self, tmp_path, monkeypatch):
         # the final fit reuses the descent's labels of the chosen subband,

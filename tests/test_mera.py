@@ -26,8 +26,12 @@ from wpsc.mera import (
     reshape_to_5d,
     unify_views,
 )
-from wpsc.pipeline import WpMeraPipeline, five_views
+from wpsc.pipeline import MERA_TRACE_HEADER, WpMeraPipeline, five_views
 from wpsc.solvers import _shrink_columns
+
+# the per-view residual columns of a MERA Fit.trace row
+RES_COLUMNS = [i for i, name in enumerate(MERA_TRACE_HEADER) if name.startswith("res_")]
+
 
 def contract_oracle(f):
     """Loop-based network evaluation, independent of einsum."""
@@ -566,8 +570,8 @@ class TestMeraMvsc:
         strict=False)
     def test_residuals_strictly_non_increasing_after_burn_in(self):
         ds = make_uos(C=3, d=2, D=64, n=12, seed=0)
-        trace = WpMeraPipeline(lam=10.0, R=12).fit(ds, 3, seed=0).iterations
-        res = np.array([max(t["view_residuals"]) for t in trace])[5:]
+        trace = WpMeraPipeline(lam=10.0, R=12).fit(ds, 3, seed=0).trace
+        res = np.array(trace)[5:, RES_COLUMNS].max(axis=1)
         assert np.all(np.diff(res) <= 0)
 
     def test_residual_envelope_after_burn_in(self):
@@ -575,8 +579,8 @@ class TestMeraMvsc:
         # minimum and decay by orders of magnitude overall
         for seed in range(3):
             ds = make_uos(C=3, d=2, D=64, n=12, seed=seed)
-            trace = WpMeraPipeline(lam=10.0, R=12).fit(ds, 3, seed=seed).iterations
-            res = np.array([max(t["view_residuals"]) for t in trace])[5:]
+            trace = WpMeraPipeline(lam=10.0, R=12).fit(ds, 3, seed=seed).trace
+            res = np.array(trace)[5:, RES_COLUMNS].max(axis=1)
             running_min = np.minimum.accumulate(res)
             assert np.all(res <= 2.0 * np.maximum(running_min, 1e-300))
             assert res[-1] < 1e-2 * res[0]
