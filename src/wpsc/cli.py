@@ -21,14 +21,15 @@ import numpy as np
 
 from .bundle import load_bundle, save_bundle, save_matrix
 from .datasets import (Dataset, SplitSpec, UosSpec, check_int, column_normalize, generate_uos,
-                       load_idx, load_pgm_dir, split_in_sample, unit_columns)
+                       load_idx, load_pgm_dir, split_in_sample)
 from .errors import (ConfigError, ConsistencyError, ConvergenceError, DataError,
                      DegenerateColumnError, EmptyInputError, Error, LabelingError)
-from .graph import Partition, affinity_from_representation, spectral_clustering
-from .mera import FIVE_VIEW_ORDER, choose_grid, unify_views
+# bench/smoke.py checks that its span tracer wraps this spectral_clustering binding
+from .graph import Partition, affinity_from_representation, spectral_clustering  # noqa: F401
+from .mera import choose_grid, unify_views
 from .metrics import evaluate
-from .pipeline import (MERA_TRACE_HEADER, SELECTION_HEADER, Fit, SingleViewPipeline,
-                       WpMeraPipeline)
+from .pipeline import (FIVE_VIEW_ORDER, MERA_TRACE_HEADER, SELECTION_HEADER, Fit,
+                       SingleViewPipeline, WpMeraPipeline, _partition)
 from .selection import Grid, grid_search, scan_all_subbands, select_subband
 from .solvers import SolverSpec
 from .subspace import average_affinity, estimate_bases, mean_principal_angle
@@ -102,10 +103,10 @@ class ExperimentConfig:
         n_in = int(sum(math.ceil(self.split.in_fraction * c) for c in counts))
         if self.pipeline == "wp-mera":
             choose_grid(n_in)  # raises NoGridError on e.g. prime N
-        if "wp" in self.pipeline and min(ds.img_h, ds.img_w) >> self.levels == 0:  # < 2**levels
-            raise ConfigError(
-                f"{ds.img_h}x{ds.img_w} images too small for levels={self.levels}"
-            )
+        depth = {"wp-single": self.levels, "wp-mera": 1}.get(self.pipeline)  # levels transformed
+        if depth and min(ds.img_h, ds.img_w) >> depth == 0:  # < 2**depth
+            raise ConfigError(f"{ds.img_h}x{ds.img_w} images too small for "
+                              f"{self.pipeline} at level {depth}")
 
     def echo(self):
         """JSON-serializable canonical form for the report; it leaves out
@@ -207,8 +208,7 @@ def _run_seed(cfg, ds, seed):
     if out_idx.size:
         metrics["out"] = _metrics_dict(ds.labels[out_idx], fit.assign(ds, models, out_idx))
     # the first view of the single and MERA pipelines is the data itself
-    ambient = (estimate_bases(unit_columns(in_ds.data), fit.part, cfg.d) if descent
-               else models[0])
+    ambient = estimate_bases(in_ds.unit, fit.part, cfg.d) if descent else models[0]
     diag = {"affinity_ambient": average_affinity(ambient)}
     diag["angle_ambient"] = mean_principal_angle(diag["affinity_ambient"])
     if descent:
@@ -433,13 +433,11 @@ def _cmd_cluster(args):
     ds, C = _load_normalized(args.data, args.C, needs_C=True)
     out_dir = Path(args.out_dir)
     M = pipe.representation(ds.data)
-    W = affinity_from_representation(M)
     if args.export_matrix:
         out_dir.mkdir(parents=True, exist_ok=True)
         save_matrix(M, out_dir / "representation.wpsc")
-        save_matrix(W, out_dir / "affinity.wpsc")
-    labels = spectral_clustering(W, C, args.seed).labels
-    m = _emit_labels(out_dir / "labels.csv", labels, ds.labels)
+        save_matrix(affinity_from_representation(M), out_dir / "affinity.wpsc")
+    m = _emit_labels(out_dir / "labels.csv", _partition(M, C, args.seed).labels, ds.labels)
     if m is not None:
         (out_dir / "metrics.json").write_text(json.dumps(m, indent=2, sort_keys=True) + "\n")
 

@@ -30,7 +30,6 @@ from .errors import ConsistencyError, ConvergenceError, NoGridError, ParameterEr
 ALM_MU0 = 1e-4
 ALM_RHO = 1.5
 ALM_MU_MAX = 1e10
-FIVE_VIEW_ORDER = ("O", "A", "H", "V", "D")
 
 
 @dataclass

@@ -9,12 +9,13 @@ import numpy as np
 from .datasets import Dataset, _seal, check_int, check_real, unit_columns
 from .errors import DegenerateColumnError, ParameterError
 from .graph import Partition, affinity_from_representation, ipd_threshold, spectral_clustering
-from .mera import FIVE_VIEW_ORDER, mera_mvsc, unify_views
+from .mera import mera_mvsc, unify_views
 from .selection import select_subband
 from .solvers import SolverSpec
 from .subspace import assign_multiview_batch, block_width, estimate_bases
 from .wavelet import ALPHABET, node_matrix
 
+FIVE_VIEW_ORDER = ("O", "A", "H", "V", "D")
 _FIVE_VIEWS = "+".join(FIVE_VIEW_ORDER)
 # the columns of the Fit.trace rows of the MERA and of the descent
 MERA_TRACE_HEADER = ["iteration", *(f"res_{n}" for n in FIVE_VIEW_ORDER), "fit_error", "mu"]
@@ -69,16 +70,12 @@ class Fit:
             block = _seal(np.asfortranarray(ds.data[:, cols]))
             try:  # one block's views are alive at a time
                 labels.append(assign_multiview_batch(
-                    self._views(Dataset(data=block, img_h=ds.img_h, img_w=ds.img_w)), models))
+                    _views(Dataset(data=block, img_h=ds.img_h, img_w=ds.img_w), self.subband),
+                    models))
             except DegenerateColumnError as exc:
                 zero = np.arange(ds.N)[cols][exc.columns].tolist()
                 raise DegenerateColumnError(f"zero column(s) at indices {zero}", zero) from None
         return np.concatenate(labels)
-
-    def _views(self, ds):
-        """The views of ``ds`` built the way the in-sample views were."""
-        return (five_views(ds) if self.subband == _FIVE_VIEWS
-                else [unit_columns(node_matrix(ds, self.subband))])
 
 
 @dataclass(frozen=True)
@@ -106,7 +103,8 @@ class SingleViewPipeline:
     def run(self, X, C, seed=0):
         """Cluster the columns of X into C groups; returns a label vector, or
         for a B x D x N stack X one label vector per member, in a list."""
-        return _labels(self.representation(X), C, seed)
+        part = _partition(self.representation(X), C, seed)
+        return [p.labels for p in part] if isinstance(part, list) else part.labels
 
     def _represent(self, U):
         M = self.solver.solve(U)
@@ -116,14 +114,12 @@ class SingleViewPipeline:
         """:class:`Fit` of the dataset's data, or of the chosen subband with
         the labels the descent gave it."""
         if self.levels is None:
-            return Fit(Partition(labels=_labels(self._represent(ds.unit), C, seed), C=C),
-                       [ds.unit])
+            return Fit(_partition(self._represent(ds.unit), C, seed), [ds.unit])
         if ds.labels is not None and ds.C != C:
             raise ParameterError(f"the descent clusters into {ds.C} groups, not C = {C}")
         sel = select_subband(ds, self.levels, self, seed)
         evaluated = [[p, ce] for p, ce in sel.evaluated]
-        return Fit(Partition(labels=sel.labels, C=C),
-                   [unit_columns(node_matrix(ds, sel.chosen))], sel.chosen,
+        return Fit(Partition(labels=sel.labels, C=C), _views(ds, sel.chosen), sel.chosen,
                    {"selection": {"evaluated": evaluated, "stopped_reason": sel.stopped_reason}},
                    [[i, *row] for i, row in enumerate(evaluated)])
 
@@ -155,7 +151,7 @@ class WpMeraPipeline:
         views, its = five_views(ds), []
         tensor = mera_mvsc(views, lam=self.lam, R=self.R, tol=self.tol,
                            max_iter=self.max_iter, sweeps=self.sweeps, trace=its)
-        part = spectral_clustering(affinity_from_representation(unify_views(tensor)), C, seed)
+        part = _partition(unify_views(tensor), C, seed)
         record = {"convergence": {"iterations": len(its),
                                   "final_residual": max(its[-1]["view_residuals"]),
                                   "final_fit_error": its[-1]["fit_error"],
@@ -164,11 +160,18 @@ class WpMeraPipeline:
         return Fit(part, views, _FIVE_VIEWS, record, trace, tensor)
 
 
-def _labels(M, C, seed):
-    """Spectral labels of a representation, or a list of them for a stack."""
-    labels = [spectral_clustering(affinity_from_representation(m), C, seed).labels
-              for m in (M if M.ndim == 3 else [M])]
-    return labels if M.ndim == 3 else labels[0]
+def _partition(M, C, seed):
+    """Spectral partition of a representation, or a list of them for a stack."""
+    parts = [spectral_clustering(affinity_from_representation(m), C, seed)
+             for m in (M if M.ndim == 3 else [M])]
+    return parts if M.ndim == 3 else parts[0]
+
+
+def _views(ds, subband):
+    """The column-normalized views of ``ds`` that ``subband`` names: the
+    five MERA views, or the one packet node ('' for the data)."""
+    return (five_views(ds) if subband == _FIVE_VIEWS
+            else [unit_columns(node_matrix(ds, subband))])
 
 
 def five_views(ds):

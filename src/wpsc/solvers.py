@@ -16,10 +16,10 @@ from .datasets import check_int, check_real
 from .errors import ConvergenceError, DegenerateDataError, ParameterError
 from .graph import _smallest
 
-_REQUIRED_PARAMS = {"SSC": ("alpha",), "LRR": ("lambda",), "NSN": ("k", "d_max"), "RTSC": ("q",)}
-_OPTIONAL_PARAMS = {"SSC": ("mode", "affine")}
-
-_DEFAULT_MAX_ITER = {"SSC": 200, "LRR": 500, "NSN": 0, "RTSC": 0}
+# kind -> (required params, optional params, default max_iter); a default
+# of 0 marks a kind that does not iterate, and so takes no tol or max_iter
+_KINDS = {"SSC": (("alpha",), ("mode", "affine"), 200), "LRR": (("lambda",), (), 500),
+          "NSN": (("k", "d_max"), (), 0), "RTSC": (("q",), (), 0)}
 
 
 @dataclass(frozen=True)
@@ -32,14 +32,14 @@ class SolverSpec:
     max_iter: int | None = None
 
     def __post_init__(self):
-        if self.kind not in _REQUIRED_PARAMS:
+        if self.kind not in _KINDS:
             raise ParameterError(f"unknown solver kind {self.kind!r}")
-        unknown = set(self.params) - {*_REQUIRED_PARAMS[self.kind],
-                                      *_OPTIONAL_PARAMS.get(self.kind, ())}
+        required, optional, default_iter = _KINDS[self.kind]
+        unknown = set(self.params) - {*required, *optional}
         if unknown:
             raise ParameterError(f"{self.kind} takes no parameter(s) "
                                  f"{sorted(map(str, unknown))}")
-        for key in _REQUIRED_PARAMS[self.kind]:
+        for key in required:
             if key not in self.params:
                 raise ParameterError(f"{self.kind} requires parameter {key!r}")
             value = self.params[key]
@@ -56,27 +56,26 @@ class SolverSpec:
             raise ParameterError("NSN needs d_max <= k")
         check_real(self.tol, "tol")
         if self.max_iter is None:
-            object.__setattr__(self, "max_iter", _DEFAULT_MAX_ITER[self.kind])
+            object.__setattr__(self, "max_iter", default_iter)
         # an iterative solver needs an iteration, a greedy one takes none
-        check_int(self.max_iter, f"{self.kind} max_iter", min(_DEFAULT_MAX_ITER[self.kind], 1))
+        check_int(self.max_iter, f"{self.kind} max_iter", min(default_iter, 1))
+        if not default_iter and (self.tol, self.max_iter) != (1e-6, 0):  # it would not read them
+            key = "tol" if self.tol != 1e-6 else "max_iter"
+            raise ParameterError(f"{self.kind} does not iterate and takes no {key}")
 
     def solve(self, X):
         """Run the configured solver on a D x N column-data matrix, or on
         each member of a B x D x N stack of them (returning a B x N x N
         stack): SSC solves a stack in one ADMM loop whose members get the
         bits they get alone, the other solvers one member at a time."""
-        p = self.params
-        if self.kind == "SSC":
-            return solve_ssc(X, p["alpha"], mode=p.get("mode", "noise"),
-                             affine=p.get("affine", False),
-                             tol=self.tol, max_iter=self.max_iter)
-        if self.kind == "LRR":
-            one = lambda x: solve_lrr(x, p["lambda"], tol=self.tol, max_iter=self.max_iter)
-        elif self.kind == "NSN":
-            one = lambda x: solve_nsn(x, p["k"], p["d_max"])
-        else:
-            one = lambda x: solve_rtsc(x, p["q"])
-        return np.stack([one(x) for x in X]) if np.ndim(X) == 3 else one(X)
+        # looked up at each call, so a wrapper bound to the name is the one called
+        solver = globals()[f"solve_{self.kind.lower()}"]
+        kwargs = {("lam" if k == "lambda" else k): v for k, v in self.params.items()}
+        if self.max_iter:  # 0 for a kind that does not iterate
+            kwargs.update(tol=self.tol, max_iter=self.max_iter)
+        if self.kind == "SSC" or np.ndim(X) != 3:
+            return solver(X, **kwargs)
+        return np.stack([solver(x, **kwargs) for x in X])
 
 
 def _soft(M, tau):

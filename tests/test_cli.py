@@ -263,6 +263,29 @@ class TestRun:
         rc = main(["run", "--config", str(cfg_path)])
         assert rc == 2
 
+    def test_wp_mera_runs_on_images_too_small_for_levels(self, tmp_path):
+        # levels sets the descent's depth only; the five views need level 1,
+        # so 3x3 images once failed validation for the unread default levels=2
+        synth_bundle(tmp_path, D=9)
+        cfg = base_config(tmp_path, pipeline="wp-mera", mera={"lambda": 10, "R": 6},
+                          split={"in_fraction": 1.0, "seed": 0})
+        del cfg["solver"]
+        assert main(["run", "--config", _write(tmp_path / "cfg.json", json.dumps(cfg))]) == 0
+        run = json.loads((tmp_path / "out" / "report.json").read_text())["runs"][0]
+        assert run["subband"] == "O+A+H+V+D" and run["metrics"]["in"]["acc"] == 1.0
+
+    @pytest.mark.parametrize("D,overrides", [
+        (9, {"pipeline": "wp-single", "levels": 2}),
+        (7, {"pipeline": "wp-mera", "mera": {"lambda": 10, "R": 2}}),
+    ], ids=["wp-single-3x3-levels-2", "wp-mera-1x7"])
+    def test_images_too_small_for_the_transform_exit_2_at_validate(self, tmp_path, capsys,
+                                                                   D, overrides):
+        synth_bundle(tmp_path, D=D)
+        assert main(_run_argv(tmp_path, **overrides)) == 2
+        err = capsys.readouterr().err
+        assert "[stage: validate]" in err and "images too small" in err
+        assert not (tmp_path / "out").exists()
+
     def test_one_member_clusters_get_finite_diagnostics(self, tmp_path):
         # the D x 0 basis of a one-member cluster once failed the run after the fit
         synth_bundle(tmp_path, n_per_cluster=10)
@@ -485,6 +508,9 @@ class TestRun:
         assert plain == (tmp_path / "export" / "labels.csv").read_bytes()
         assert len(plain.split()) == 36
         assert not list((tmp_path / "plain").glob("*.wpsc"))  # bundles only with the flag
+        M = load_bundle(tmp_path / "export" / "representation.wpsc").data
+        W = load_bundle(tmp_path / "export" / "affinity.wpsc").data
+        assert np.array_equal(W, wpsc.affinity_from_representation(M))
 
     def test_export_bundles(self, tmp_path):
         synth_bundle(tmp_path, n_per_cluster=15)
@@ -651,12 +677,15 @@ class TestErrorExits:
         ({"pipeline": "wp-mera", "mera": {"lambda": 10, "R": 12, "sweeps": 0}}, "sweeps must"),
         ({"pipeline": "wp-mera", "mera": {"lambda": 10, "R": 12, "tol": -1}}, "tol must"),
         ({"solver": {"kind": "RTSC", "params": {"q": 4.5}}}, "'q' must"),
+        ({"solver": {"kind": "RTSC", "params": {"q": 4}, "max_iter": 5}}, "takes no max_iter"),
+        ({"solver": {"kind": "NSN", "params": {"k": 4, "d_max": 2}, "tol": 1e-3}},
+         "takes no tol"),
         ({"solver": {"kind": "RTSC", "params": {"q": 4}},
           "grid": {"values": {"q": [3, 5]}, "n_val_subsets": 1.5,
                    "val_size_per_cluster": 6}}, "n_val_subsets must"),
     ], ids=["solver", "mode", "grid", "split", "mera", "d", "levels", "seeds", "grid-seed",
             "d-float", "levels-bool", "mera-R-float", "mera-sweeps", "mera-tol", "rtsc-q-float",
-            "grid-subsets-float"])
+            "rtsc-max-iter", "nsn-tol", "grid-subsets-float"])
     def test_nested_typo_exits_2_before_any_work(self, tmp_path, overrides, typo):
         # each misspelt key once ran with the default in its place, each
         # out-of-range value failed only after the data were loaded, and

@@ -727,6 +727,34 @@ class TestSolverSpec:
         spec = SolverSpec("SSC", {"alpha": 10, "affine": affine, "mode": "noise"})
         assert np.array_equal(spec.solve(X), solve_ssc(X, 10, affine=affine))
 
+    @pytest.mark.parametrize("spec,direct", [
+        (SolverSpec("SSC", {"alpha": 10, "mode": "outlier", "affine": True}, tol=1e-3,
+                    max_iter=40),
+         lambda X: solve_ssc(X, 10, mode="outlier", affine=True, tol=1e-3, max_iter=40)),
+        (SolverSpec("LRR", {"lambda": 1.0}, tol=1e-4, max_iter=300),
+         lambda X: solve_lrr(X, 1.0, tol=1e-4, max_iter=300)),
+        (SolverSpec("NSN", {"k": 4, "d_max": 2}), lambda X: solve_nsn(X, 4, 2)),
+        (SolverSpec("RTSC", {"q": 4}), lambda X: solve_rtsc(X, 4)),
+    ], ids=["SSC", "LRR", "NSN", "RTSC"])
+    def test_spec_equals_the_direct_call(self, spec, direct):
+        # LRR's lambda goes in as lam, and each iterative kind gets the spec's
+        # stopping rule; with the defaults the SSC and LRR results differ
+        X = make_uos(C=2, d=2, D=20, n=8, sigma=0.05, seed=1).data
+        assert np.array_equal(spec.solve(X), direct(X))
+
+    @pytest.mark.parametrize("kind,params", [("NSN", {"k": 4, "d_max": 2}), ("RTSC", {"q": 4})])
+    @pytest.mark.parametrize("setting", [{"tol": 1e-3}, {"max_iter": 5}],
+                             ids=["tol", "max_iter"])
+    def test_greedy_kinds_refuse_a_stopping_rule(self, kind, params, setting):
+        # both once took a tol and a max_iter that they never read
+        (key,) = setting
+        with pytest.raises(ParameterError, match=f"{kind} does not iterate and takes no {key}"):
+            SolverSpec(kind, params, **setting)
+        # the defaults, which report.json echoes, may be spelt out
+        default = SolverSpec(kind, params)
+        assert SolverSpec(kind, params, tol=1e-6, max_iter=0) == default
+        assert (default.tol, default.max_iter) == (1e-6, 0)
+
     def test_dispatch(self, tiny_two_lines):
         X, _ = tiny_two_lines
         for spec in (SolverSpec("SSC", {"alpha": 10}),
